@@ -28,6 +28,7 @@ from .geometry import (
     circular_mean,
     torus_centroid,
     torus_distance,
+    torus_neighbours,
 )
 from .macro import DisplacementList
 from .micro import CommandSet, MicroObservation
@@ -50,7 +51,7 @@ class ClusterParams:
     min_size: int = 3
 
     def __post_init__(self) -> None:
-        if self.d_prox <= 0:
+        if not self.d_prox > 0:
             raise ValueError("d_prox must be positive")
         if not (0.0 <= self.theta <= 180.0):
             raise ValueError("theta must be in [0, 180]")
@@ -84,35 +85,41 @@ def detect_clusters(
     y = np.array([t[1][1] for t in obs])
     h = np.array([t[2] for t in obs])
 
-    dx = (x[None, :] - x[:, None] + w.width / 2.0) % w.width - w.width / 2.0
-    dy = (y[None, :] - y[:, None] + w.height / 2.0) % w.height - w.height / 2.0
-    dist = np.hypot(dx, dy)
-    hd = np.abs((h[None, :] - h[:, None] + 180.0) % 360.0 - 180.0)
-    adj = (dist <= p.d_prox) & (hd <= p.theta)
-    np.fill_diagonal(adj, False)
+    i, j, _, _, _ = torus_neighbours(x, y, p.d_prox, w)
+    aligned = np.abs((h[j] - h[i] + 180.0) % 360.0 - 180.0) <= p.theta
+    i, j = i[aligned], j[aligned]
+    # the pairs are sorted by (i, j): row i holds the links of bird i
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
+    adj = csr_matrix((np.ones(j.size, dtype=bool), j, indptr), shape=(n, n))
 
-    _, labels = connected_components(csr_matrix(adj), directed=False)
+    _, labels = connected_components(adj, directed=False)
     groups: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(int(ids[i]))
+    for k, lab in enumerate(labels):
+        groups.setdefault(int(lab), []).append(int(ids[k]))
     clusters = [sorted(g) for g in groups.values() if len(g) >= p.min_size]
     clusters.sort(key=lambda c: c[0])
     return clusters
 
 
 def reify(
-    members: list[int], obs: MicroObservation, w: TorusWorld
+    members: list[int],
+    obs: MicroObservation,
+    w: TorusWorld,
+    *,
+    by_id: dict | None = None,
 ) -> FlockObservation:
     """Promote a cluster of birds to a flock observation.
 
     Centroid is the torus center of gravity of the member positions,
     heading the circular mean of the member headings (lowest-id member's
     heading on a degenerate zero resultant), radius the mean member
-    distance to the centroid.
+    distance to the centroid. `by_id` is the id index of `obs`; callers
+    that reify many clusters of one snapshot pass it to build it once.
     """
     if not members:
         raise ValueError("reify of empty member set")
-    by_id = {t[0]: t for t in obs}
+    if by_id is None:
+        by_id = {t[0]: t for t in obs}
     missing = [m for m in members if m not in by_id]
     if missing:
         raise CouplingError(f"members not in observation: {missing}")
@@ -136,7 +143,8 @@ def emergence_transform(
     obs: MicroObservation, p: ClusterParams, w: TorusWorld
 ) -> list[FlockObservation]:
     """Detect and reify all clusters in one population snapshot."""
-    return [reify(c, obs, w) for c in detect_clusters(obs, p, w)]
+    by_id = {t[0]: t for t in obs}
+    return [reify(c, obs, w, by_id=by_id) for c in detect_clusters(obs, p, w)]
 
 
 def split_displacements(d: DisplacementList, r: int) -> CommandSet:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -278,6 +279,25 @@ def load_config_file(path) -> dict:
     return data
 
 
+@contextmanager
+def _keyed(group: str):
+    """Turn a parameter's ValueError into a ConfigError naming its key.
+
+    The parameter classes start each message with the field name.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{group}.{exc}") from exc
+
+
+def _integer(key: str, value) -> int:
+    as_float = float(value)
+    if not as_float.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(as_float)
+
+
 def apply_config(
     variant_name: str,
     file_values: dict | None = None,
@@ -294,7 +314,7 @@ def apply_config(
     v = VARIANTS[variant_name]
     fv = dict(file_values or {})
 
-    if "ratio" in fv and int(fv["ratio"]) != v.ratio:
+    if "ratio" in fv and _integer("ratio", fv["ratio"]) != v.ratio:
         raise ConfigError(
             f"variant {variant_name} requires ratio {v.ratio}, "
             f"config sets {fv['ratio']}"
@@ -304,24 +324,29 @@ def apply_config(
         plen = len(prefix) + 1
         return {k[plen:]: fv[k] for k in fv if k.startswith(prefix + ".")}
 
-    world = TorusWorld(
-        float(fv.get("world.width", 100.0)), float(fv.get("world.height", 100.0))
-    )
-    micro = replace(MicroParams(), **{k: float(x) for k, x in group("micro").items()})
+    with _keyed("world"):
+        world = TorusWorld(
+            float(fv.get("world.width", 100.0)), float(fv.get("world.height", 100.0))
+        )
+    with _keyed("micro"):
+        micro = replace(
+            MicroParams(), **{k: float(x) for k, x in group("micro").items()}
+        )
     macro_over = group("macro")
     if macro_over:
-        v = replace(
-            v,
-            macro_params=replace(
+        with _keyed("macro"):
+            macro = replace(
                 v.macro_params, **{k: float(x) for k, x in macro_over.items()}
-            ),
-        )
+            )
+        v = replace(v, macro_params=macro)
     cl = group("cluster")
-    cluster = ClusterParams(
-        d_prox=float(cl.get("d_prox", 5.0)),
-        theta=float(cl.get("theta", 30.0)),
-        min_size=int(cl.get("min_size", 3)),
-    )
+    min_size = _integer("cluster.min_size", cl.get("min_size", 3))
+    with _keyed("cluster"):
+        cluster = ClusterParams(
+            d_prox=float(cl.get("d_prox", 5.0)),
+            theta=float(cl.get("theta", 30.0)),
+            min_size=min_size,
+        )
     return ExperimentConfig(
         variant=v,
         birds=birds,

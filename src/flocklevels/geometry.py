@@ -1,4 +1,5 @@
-"""Toroidal 2-D world arithmetic and circular (angular) statistics.
+"""Toroidal 2-D world arithmetic, circular (angular) statistics and a
+cell-grid search for all pairs of points within a radius.
 
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "TorusWorld",
@@ -25,6 +28,7 @@ __all__ = [
     "turn_towards",
     "torus_centroid",
     "heading_unit",
+    "torus_neighbours",
 ]
 
 # Resultant vectors shorter than this are treated as zero (undefined mean).
@@ -41,8 +45,10 @@ class TorusWorld:
     height: float
 
     def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("world extents must be positive")
+        for name in ("width", "height"):
+            extent = getattr(self, name)
+            if not (extent > 0 and math.isfinite(extent)):
+                raise ValueError(f"{name} must be positive and finite, got {extent!r}")
 
 
 def wrap_scalar(x: float, extent: float) -> float:
@@ -169,3 +175,68 @@ def torus_centroid(
         _axis_circular_mean(xs, world.width),
         _axis_circular_mean(ys, world.height),
     )
+
+
+def torus_neighbours(
+    x: np.ndarray, y: np.ndarray, r: float, world: TorusWorld
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair of points within torus distance r (closed).
+
+    Returns (i, j, dx, dy, dist): the index pairs with i != j, sorted by
+    (i, j); the wrapped delta from point i to point j, computed as in
+    torus_delta; and np.hypot(dx, dy). A pair is kept iff dist <= r.
+
+    Candidates come from a periodic grid of cells at least r wide, so a
+    point is only compared with the points of its own and the 8 adjacent
+    cells. Memory is O(n + candidate pairs).
+    """
+    n = x.shape[0]
+    width, height = world.width, world.height
+    # Slack for rounding: a point near a cell edge may get either cell
+    # index, and the cheap prefilter below may differ from the exact
+    # delta by a few ulps of the extent.
+    reach = r * (1.0 + 1e-9) + 1e-12 * max(width, height)
+    # cells at least reach wide; the second bound caps the grid at about
+    # n cells, also for r = 0
+    cell = max(reach, math.sqrt(width * height / max(n, 1)))
+    nx = max(1, int(width // cell))
+    ny = max(1, int(height // cell))
+    xw, yw = x % width, y % height
+    # % nx: a coordinate just below the extent may round up to index nx
+    cx = (xw * (nx / width)).astype(np.int64) % nx
+    cy = (yw * (ny / height)).astype(np.int64) % ny
+
+    # points grouped by cell
+    cid = cx * ny + cy
+    order = np.argsort(cid)
+    counts = np.bincount(cid, minlength=nx * ny)
+    starts = np.cumsum(counts) - counts
+
+    # each adjacent cell once, also on axes with fewer than 3 cells
+    ox = np.unique(np.array([-1, 0, 1]) % nx)
+    oy = np.unique(np.array([-1, 0, 1]) % ny)
+    near = (
+        ((cx[:, None, None] + ox[None, :, None]) % nx) * ny
+        + (cy[:, None, None] + oy[None, None, :]) % ny
+    ).reshape(-1)
+    per_cell = counts[near]
+    i = np.repeat(np.arange(n).repeat(ox.size * oy.size), per_cell)
+    first = np.repeat(starts[near] - (np.cumsum(per_cell) - per_cell), per_cell)
+    j = order[first + np.arange(i.size)]
+
+    # cheap prefilter on the unsigned wrapped gaps, a superset of the
+    # exact test
+    gx = np.abs(xw[j] - xw[i])
+    gx = np.minimum(gx, width - gx)
+    gy = np.abs(yw[j] - yw[i])
+    gy = np.minimum(gy, height - gy)
+    pre = np.flatnonzero((gx * gx + gy * gy <= reach * reach) & (i != j))
+    i, j = i[pre], j[pre]
+
+    dx = (x[j] - x[i] + width / 2.0) % width - width / 2.0
+    dy = (y[j] - y[i] + height / 2.0) % height - height / 2.0
+    dist = np.hypot(dx, dy)
+    keep = np.flatnonzero(dist <= r)
+    # each candidate pair occurs once, so the (i, j) keys are unique
+    keep = keep[np.argsort(i[keep] * n + j[keep])]
+    return i[keep], j[keep], dx[keep], dy[keep], dist[keep]

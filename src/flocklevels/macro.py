@@ -31,6 +31,7 @@ from .geometry import (
     turn_towards,
     wrap,
 )
+from .micro import MicroParams
 
 __all__ = [
     "Flock",
@@ -66,6 +67,9 @@ class MacroParams:
     max_cohere_turn: float = 3.0
     max_separate_turn: float = 1.5
     speed: float = 1.0
+
+    # the flock-level rule takes the same parameters as the per-bird rule
+    __post_init__ = MicroParams.__post_init__
 
 
 @dataclass(frozen=True)

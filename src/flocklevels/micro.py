@@ -28,6 +28,7 @@ from .geometry import (
     normalize_heading,
     torus_delta,
     torus_distance,
+    torus_neighbours,
     turn_towards,
     wrap,
 )
@@ -77,7 +78,7 @@ class MicroParams:
             "max_separate_turn",
             "speed",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.vision < self.min_separation:
             raise ValueError("vision must be >= min_separation")
@@ -186,37 +187,40 @@ def _turn_array(cur: np.ndarray, tgt: np.ndarray, max_turn: float) -> np.ndarray
 def _step_all_autonomous(
     x: np.ndarray, y: np.ndarray, h: np.ndarray, p: MicroParams, w: TorusWorld
 ) -> np.ndarray:
-    """Vectorized boids headings for the whole population (pre-move)."""
+    """Vectorized boids headings for the whole population (pre-move).
+
+    Per-bird sums run over the mates in ascending id order, as in
+    step_autonomous and circular_mean.
+    """
     n = x.shape[0]
-    dx = (x[None, :] - x[:, None] + w.width / 2.0) % w.width - w.width / 2.0
-    dy = (y[None, :] - y[:, None] + w.height / 2.0) % w.height - w.height / 2.0
-    dist = np.hypot(dx, dy)
-    np.fill_diagonal(dist, np.inf)
-    mates = dist <= p.vision
-    has_mates = mates.any(axis=1)
+    i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w)
+    count = np.bincount(i, minlength=n)
+    has_mates = count > 0
 
-    dist_m = np.where(mates, dist, np.inf)
-    nearest = np.argmin(dist_m, axis=1)  # first minimum = lowest id
-    rows = np.arange(n)
-    nearest_dist = dist_m[rows, nearest]
-    sep = has_mates & (nearest_dist < p.min_separation)
+    # nearest mate: smallest distance, lowest id on ties
+    rows = np.flatnonzero(has_mates)
+    row_start = (np.cumsum(count) - count)[rows]
+    nearest_dist = np.full(n, np.inf)
+    nearest_dist[rows] = np.minimum.reduceat(dist, row_start)
+    at_min = np.where(dist == nearest_dist[i], np.arange(i.size), i.size)
+    nearest = np.minimum.reduceat(at_min, row_start)
+    sep = nearest_dist < p.min_separation
 
-    # separation: turn toward the bearing away from the nearest mate
-    away = _norm_heading_array(
-        np.degrees(np.arctan2(-dy[rows, nearest], -dx[rows, nearest]))
-    )
-    h_sep = _turn_array(h, away, p.max_separate_turn)
+    # separation: turn toward the bearing away from the nearest mate;
+    # + 0.0 turns -0.0 into 0.0, so a coincident mate gives bearing 0 as
+    # in step_autonomous
+    away = np.zeros(n)
+    away[rows] = np.degrees(np.arctan2(-dy[nearest] + 0.0, -dx[nearest] + 0.0))
+    h_sep = _turn_array(h, _norm_heading_array(away), p.max_separate_turn)
 
-    mates_f = mates.astype(float)
-    count = mates_f.sum(axis=1)
     hr = np.radians(h)
-    sx = mates_f @ np.cos(hr)
-    sy = mates_f @ np.sin(hr)
+    sx = np.bincount(i, weights=np.cos(hr)[j], minlength=n)
+    sy = np.bincount(i, weights=np.sin(hr)[j], minlength=n)
     align_ok = np.hypot(sx, sy) >= ZERO_RESULTANT_EPS * np.maximum(count, 1.0)
     align_tgt = _norm_heading_array(np.degrees(np.arctan2(sy, sx)))
 
-    cx = (mates_f * dx).sum(axis=1)
-    cy = (mates_f * dy).sum(axis=1)
+    cx = np.bincount(i, weights=dx, minlength=n)
+    cy = np.bincount(i, weights=dy, minlength=n)
     coh_ok = np.hypot(cx, cy) >= ZERO_RESULTANT_EPS
     coh_tgt = _norm_heading_array(np.degrees(np.arctan2(cy, cx)))
 

@@ -27,6 +27,25 @@ def brute_distance(a, b, width, height):
     return math.hypot(*brute_delta(a, b, width, height))
 
 
+def naive_pairs(points, r, width, height):
+    """Every ordered pair (i, j), i != j, at wrapped distance <= r.
+
+    One pair at a time in plain Python floats, with the closed-form wrap
+    the simulation uses, so that ties at exactly r decide the same way.
+    Returns (i, j, dx, dy) tuples sorted by (i, j).
+    """
+    out = []
+    for i, (xi, yi) in enumerate(points):
+        for j, (xj, yj) in enumerate(points):
+            if i == j:
+                continue
+            dx = (xj - xi + width / 2.0) % width - width / 2.0
+            dy = (yj - yi + height / 2.0) % height - height / 2.0
+            if math.hypot(dx, dy) <= r:
+                out.append((i, j, dx, dy))
+    return out
+
+
 class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))

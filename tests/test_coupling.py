@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocklevels.coupling import (
     ClusterParams,
@@ -56,6 +58,29 @@ class TestDetectClusters:
             got = detect_clusters(obs, CP, W)
             want = brute_clusters(obs, CP.d_prox, CP.theta, CP.min_size, 100.0, 100.0)
             assert got == want
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 39).map(lambda k: k / 2.0),
+                st.integers(0, 24).map(lambda k: k / 2.0),
+                st.integers(0, 23).map(lambda k: k * 15.0),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([0.5, 2.5, 5.0, 7.5]),
+        st.sampled_from([0.0, 15.0, 30.0, 180.0]),
+        st.integers(2, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_ties_match_union_find_oracle(self, birds, d_prox, theta, min_size):
+        # half-unit lattice: distances and heading gaps are exact, so many
+        # links sit exactly at d_prox (axis, seam, 3-4-5) and at theta
+        w = TorusWorld(20.0, 12.5)
+        obs = [(k, (x, y), h) for k, (x, y, h) in enumerate(birds)]
+        p = ClusterParams(d_prox=d_prox, theta=theta, min_size=min_size)
+        want = brute_clusters(obs, d_prox, theta, min_size, w.width, w.height)
+        assert detect_clusters(obs, p, w) == want
 
     def test_seam_invariance(self):
         rng = np.random.default_rng(23)
@@ -118,6 +143,15 @@ class TestReify:
 
 
 class TestEmergenceTransform:
+    def test_matches_per_cluster_reify(self):
+        # the shared id index leaves every flock bit-identical
+        obs = random_observation(400, np.random.default_rng(8))
+        flocks = emergence_transform(obs, CP, W)
+        assert len(flocks) > 10
+        assert flocks == [reify(c, obs, W) for c in detect_clusters(obs, CP, W)]
+        with pytest.raises(CouplingError):
+            reify([0, 1000], obs, W, by_id={t[0]: t for t in obs})
+
     def test_scattered_birds_no_flocks(self):
         obs = [(i, (i * 20.0, 50.0), 0.0) for i in range(5)]
         assert emergence_transform(obs, CP, W) == []

@@ -82,6 +82,25 @@ class TestApplyConfig:
         assert cfg.variant.macro_params.vision == 10.0
 
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("world.width", math.inf),
+            ("world.height", math.nan),
+            ("cluster.min_size", 2.9),
+            ("macro.speed", -5.0),
+            ("macro.vision", -1.0),
+            ("ratio", 1.5),
+        ],
+    )
+    def test_invalid_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            apply_config("M", {key: value})
+
+    def test_integral_float_min_size_accepted(self):
+        assert apply_config("M", {"cluster.min_size": 4.0}).cluster.min_size == 4
+
+
 class TestLoadConfigFile:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,12 @@ from flocklevels.geometry import (
     torus_centroid,
     torus_delta,
     torus_distance,
+    torus_neighbours,
     turn_towards,
     wrap,
+    wrap_scalar,
 )
-from helpers import brute_delta
+from helpers import brute_delta, brute_distance, naive_pairs
 
 W = TorusWorld(100.0, 100.0)
 
@@ -25,6 +28,15 @@ in_world = st.tuples(
     st.floats(min_value=0.0, max_value=99.999999),
 )
 headings = st.floats(min_value=0.0, max_value=359.999999)
+
+
+class TestTorusWorld:
+    @pytest.mark.parametrize(
+        "width,height", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -2.0)]
+    )
+    def test_rejects_bad_extents(self, width, height):
+        with pytest.raises(ValueError, match="width|height"):
+            TorusWorld(width, height)
 
 
 class TestWrap:
@@ -172,3 +184,111 @@ class TestTorusCentroid:
         for got, want, extent in zip(shifted, expected, (100.0, 100.0)):
             d = abs(got - want)
             assert min(d, extent - d) < 1e-6
+
+
+def _nudge(v, ulps):
+    """v moved by a whole number of ulps."""
+    for _ in range(abs(ulps)):
+        v = float(np.nextafter(v, math.copysign(math.inf, ulps)))
+    return v
+
+
+ulp_steps = st.integers(-2, 2)
+
+
+@st.composite
+def boundary_clouds(draw):
+    """Pairs of points r apart give or take a few ulps (along an axis,
+    across the seam, diagonal, coincident), one of each pair on or near a
+    cell edge, plus enough filler for a grid of cells about r wide."""
+    r = draw(st.sampled_from([0.0, 1.0, 2.5, 5.0, 7.77, 10.0]))
+    base = max(r, 1.0)
+    # fewer than 3 cells along an axis up to several
+    fx = draw(st.sampled_from([1.0, 1.5, 2.0, 2.9999999, 3.0, 4.0, 5.0, 7.0]))
+    fy = draw(st.sampled_from([0.7, 1.0, 2.5, 3.0, 4.0]))
+    width, height = base * fx, base * fy
+
+    def edge(extent):
+        # an edge of a grid whose cells are about r wide
+        cells = math.floor(extent / base) + draw(st.integers(-1, 1))
+        cells = max(cells, 1)
+        v = draw(st.integers(0, cells)) * extent / cells
+        return wrap_scalar(_nudge(v, draw(ulp_steps)), extent)
+
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        ax, ay = edge(width), edge(height)
+        ox, oy = draw(
+            st.sampled_from(
+                [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8),
+                 (-0.8, 0.6), (0.0, 0.0)]
+            )
+        )
+        bx = wrap_scalar(_nudge(ax + ox * r, draw(ulp_steps)), width)
+        by = wrap_scalar(_nudge(ay + oy * r, draw(ulp_steps)), height)
+        points += [(ax, ay), (bx, by)]
+    filler = st.tuples(
+        st.floats(0.0, width, exclude_max=True), st.floats(0.0, height, exclude_max=True)
+    )
+    # the grid has about one cell per point at most
+    dense = math.ceil(fx * fy)
+    points += draw(st.lists(filler, min_size=dense, max_size=dense + 10))
+    order = draw(st.permutations(range(len(points))))
+    return [points[k] for k in order], r, TorusWorld(width, height)
+
+
+class TestTorusNeighbours:
+    @given(boundary_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_rule_on_boundaries(self, cloud):
+        points, r, w = cloud
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        i, j, dx, dy, dist = torus_neighbours(x, y, r, w)
+        got = list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist()))
+        assert got == naive_pairs(points, r, w.width, w.height)
+        assert np.array_equal(dist, np.hypot(dx, dy))
+        # away from the threshold the 9-image oracle decides the same
+        found = set(zip(i.tolist(), j.tolist()))
+        for a in range(len(points)):
+            for b in range(len(points)):
+                d = brute_distance(points[a], points[b], w.width, w.height)
+                if a != b and abs(d - r) > 1e-9:
+                    assert ((a, b) in found) == (d < r)
+
+    def test_seeded_pairs_straddling_cell_edges(self):
+        # worlds 4 to 7 r wide: grids of 3 to 6 cells, where not every
+        # cell is adjacent to every other
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            r = float(rng.choice([1.0, 2.5, 3.3, 7.77]))
+            fx, fy = rng.choice([4, 5, 7]), rng.choice([1, 4])
+            w = TorusWorld(r * fx, r * fy)
+            points = []
+            for _ in range(5):
+                a = rng.integers(fx + 1) * w.width / fx
+                a = wrap_scalar(_nudge(a, rng.integers(-2, 3)), w.width)
+                b = a + rng.choice([-r, r])
+                b = wrap_scalar(_nudge(b, rng.integers(-2, 3)), w.width)
+                y0 = rng.uniform(0.0, w.height)
+                points += [(a, y0), (b, y0)]
+            filler = fx * fy
+            points += zip(rng.uniform(0, w.width, filler), rng.uniform(0, w.height, filler))
+            points = [(float(px), float(py)) for px, py in points]
+            x = np.array([p[0] for p in points])
+            y = np.array([p[1] for p in points])
+            i, j, dx, dy, _ = torus_neighbours(x, y, r, w)
+            got = list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist()))
+            assert got == naive_pairs(points, r, w.width, w.height)
+
+    def test_empty_and_single(self):
+        for n in (0, 1):
+            out = torus_neighbours(np.zeros(n), np.zeros(n), 5.0, W)
+            assert all(a.size == 0 for a in out)
+
+    def test_zero_radius_keeps_coincident_points(self):
+        x = np.array([3.0, 7.0, 3.0, 3.0])
+        y = np.array([4.0, 4.0, 4.0, 4.5])
+        i, j, _, _, dist = torus_neighbours(x, y, 0.0, W)
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (2, 0)]
+        assert dist.tolist() == [0.0, 0.0]

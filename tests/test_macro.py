@@ -36,6 +36,24 @@ def flock(fid, members, centroid=(50.0, 50.0), heading=0.0, radius=1.0):
     return Flock(fid, centroid, heading, radius, frozenset(members))
 
 
+class TestMacroParams:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"speed": -5.0},
+            {"vision": -1.0, "min_separation": 0.0},
+            {"max_align_turn": math.nan},
+            {"vision": 0.5, "min_separation": 1.0},
+        ],
+    )
+    def test_rejects_invalid(self, fields):
+        with pytest.raises(ValueError):
+            MacroParams(**fields)
+
+    def test_accepts_zero_vision(self):
+        assert MacroParams(vision=0.0, min_separation=0.0).vision == 0.0
+
+
 class TestSyncRegistry:
     def test_empty_registry_adds_all(self):
         s = sync_registry(state([]), [obs({1, 2, 3}), obs({4, 5, 6})])

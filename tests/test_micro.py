@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld, torus_delta, torus_distance
@@ -129,15 +131,17 @@ class TestStepCommanded:
 
 class TestMicroStep:
     def test_matches_per_bird_rule(self):
-        # the vectorized population step must agree with the per-bird rule
-        s = init_random(40, W, np.random.default_rng(7))
-        stepped = micro_step(s, None, P)
-        for b, got in zip(s.birds, stepped.birds):
-            want = step_autonomous(b, flockmates(b, s, P), P, W)
-            assert got.id == want.id
-            assert got.heading == pytest.approx(want.heading, abs=1e-9)
-            assert got.pos[0] == pytest.approx(want.pos[0], abs=1e-9)
-            assert got.pos[1] == pytest.approx(want.pos[1], abs=1e-9)
+        # the vectorized population step must agree with the per-bird rule,
+        # also in a crowd where every bird has about a hundred mates
+        for n, world in ((40, W), (300, TorusWorld(30.0, 30.0))):
+            s = init_random(n, world, np.random.default_rng(7))
+            stepped = micro_step(s, None, P)
+            for b, got in zip(s.birds, stepped.birds):
+                want = step_autonomous(b, flockmates(b, s, P), P, world)
+                assert got.id == want.id
+                assert got.heading == pytest.approx(want.heading, abs=1e-9)
+                assert got.pos[0] == pytest.approx(want.pos[0], abs=1e-9)
+                assert got.pos[1] == pytest.approx(want.pos[1], abs=1e-9)
 
     def test_all_commanded_translates_population(self):
         s = init_random(10, W, np.random.default_rng(3))
@@ -215,3 +219,39 @@ class TestObserve:
         before = s
         observe(s)
         assert s == before
+
+
+# Half-unit lattice points: every delta and squared distance is exact, so
+# many pairs sit exactly at vision (3-4-5 triangles, axis neighbours,
+# across the seam) and many nearest-mate distances tie.
+LW = TorusWorld(20.0, 12.5)
+lattice_birds = st.lists(
+    st.tuples(
+        st.integers(0, 39).map(lambda k: k / 2.0),
+        st.integers(0, 24).map(lambda k: k / 2.0),
+        st.integers(0, 23).map(lambda k: k * 15.0),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(
+    lattice_birds,
+    st.sampled_from([(0.0, 0.0), (2.5, 1.0), (5.0, 1.0), (5.0, 2.5), (10.0, 1.0)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lattice_ties_match_per_bird_rule(birds, vision_sep):
+    vision, sep = vision_sep
+    p = MicroParams(vision=vision, min_separation=sep, max_separate_turn=4.0)
+    s = MicroState(
+        birds=tuple(Bird(k, (x, y), h) for k, (x, y, h) in enumerate(birds)),
+        tick=0,
+        world=LW,
+    )
+    stepped = micro_step(s, None, p)
+    for b, got in zip(s.birds, stepped.birds):
+        want = step_autonomous(b, flockmates(b, s, p), p, LW)
+        assert got.heading == pytest.approx(want.heading, abs=1e-9)
+        assert got.pos[0] == pytest.approx(want.pos[0], abs=1e-9)
+        assert got.pos[1] == pytest.approx(want.pos[1], abs=1e-9)
