@@ -12,7 +12,6 @@ from .coupling import (
     FlockObservation,
     detect_clusters,
     emergence_transform,
-    immergence_transform,
     reify,
 )
 from .errors import ConfigError, CouplingError, DeadlockError, ProtocolError
@@ -42,7 +41,6 @@ __all__ = [
     "detect_clusters",
     "displacements",
     "emergence_transform",
-    "immergence_transform",
     "init_random",
     "macro_step",
     "micro_step",

@@ -5,8 +5,8 @@ headed birds in a population snapshot and reify each cluster as a flock
 observation (centroid, mean heading, dispersion radius, member set).
 
 Downward (information-increasing): turn per-flock displacements into
-per-bird movement commands, optionally decomposed linearly across the
-micro ticks of one macro step.
+per-bird movement commands, one r-th of each displacement per micro tick
+of a macro step of r ticks.
 
 Both directions are pure functions; they are installed as the
 transformers of the corresponding coupling artifacts.
@@ -39,7 +39,6 @@ __all__ = [
     "detect_clusters",
     "reify",
     "emergence_transform",
-    "immergence_transform",
     "split_displacements",
 ]
 
@@ -158,12 +157,3 @@ def split_displacements(d: DisplacementList, r: int) -> CommandSet:
                 raise CouplingError(f"bird {bid} belongs to multiple flocks")
             cmds[bid] = ((vx / r, vy / r), heading)
     return cmds
-
-
-def immergence_transform(d: DisplacementList, r: int) -> list[CommandSet]:
-    """Decompose flock displacements into r per-tick command sets.
-
-    Every member of every flock receives (v/r, flock heading) in each of
-    the r sets, so the per-bird sub-displacements sum back to v.
-    """
-    return [dict(split_displacements(d, r)) for _ in range(r)]

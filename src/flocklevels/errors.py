@@ -13,7 +13,10 @@ class ProtocolError(RuntimeError):
 
 
 class DeadlockError(RuntimeError):
-    """Neither agent can make progress; carries the event log for dumping."""
+    """A read beyond its producer's clock, so no agent can make progress.
+
+    Carries the event log for dumping.
+    """
 
     def __init__(self, message: str, log=None):
         super().__init__(message)

@@ -27,7 +27,15 @@ from .coupling import ClusterParams, emergence_transform, split_displacements
 from .errors import ConfigError
 from .geometry import TorusWorld
 from .interfaces import MacroModelInterface, MicroModelInterface
-from .kernel import CouplingArtifact, EventLog, MacroMAgent, MicroMAgent, MultiModel, run
+from .kernel import (
+    CouplingArtifact,
+    EventLog,
+    MacroMAgent,
+    MicroMAgent,
+    MultiModel,
+    flock_stats,
+    run,
+)
 from .macro import MacroParams
 from .micro import MicroParams, init_random
 
@@ -138,7 +146,6 @@ def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
     emergence = CouplingArtifact(
         "e",
         transformer=lambda obs: emergence_transform(obs, cluster, world),
-        kind="interpretation",
         write_kind="MicroObservation",
         read_kind="FlockObservationList",
         log=log,
@@ -148,7 +155,6 @@ def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
         immergence = CouplingArtifact(
             "i",
             transformer=lambda d: split_displacements(d, ratio),
-            kind="interpretation",
             write_kind="DisplacementList",
             read_kind="CommandSet",
             log=log,
@@ -169,21 +175,8 @@ def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
         macro_agent=macro_agent,
         emergence=emergence,
         immergence=immergence,
-        ratio=ratio,
-        immergence_enabled=v.immergence_enabled,
-        macro_behavior_enabled=v.macro_behavior_enabled,
         horizon=cfg.horizon,
-        log=log,
     )
-
-
-def _flock_stats(flocks: list) -> tuple[int, float, float]:
-    n = len(flocks)
-    if n == 0:
-        return 0, 0.0, 0.0
-    mean_size = sum(len(f.members) for f in flocks) / n
-    mean_radius = sum(f.radius for f in flocks) / n
-    return n, mean_size, mean_radius
 
 
 def run_replicated(cfg: ExperimentConfig) -> ExperimentResult:
@@ -203,8 +196,7 @@ def run_replicated(cfg: ExperimentConfig) -> ExperimentResult:
             else:
                 # the final boundary state is written but consumed by no
                 # cycle; sample it through the artifact's pure transform
-                flocks = mm.emergence.peek(t)
-                n, size, radius = _flock_stats(flocks)
+                n, size, radius = flock_stats(mm.emergence.peek(t))
             records.append(RunRecord(rep, t, n, size, radius))
         log_lines.extend(mm.log.export_lines())
     return ExperimentResult(records=records, event_log_lines=log_lines)

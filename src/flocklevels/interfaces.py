@@ -20,14 +20,9 @@ class MicroModelInterface:
     """Owns a bird population; one model step per step_model call."""
 
     def __init__(self, initial: MicroState, params: MicroParams) -> None:
-        self._initial = initial
         self.params = params
         self.state = initial
         self._pending: CommandSet | None = None
-
-    def init_model(self) -> None:
-        self.state = self._initial
-        self._pending = None
 
     def update_model(self, data: CommandSet | None) -> None:
         self._pending = data
@@ -45,13 +40,7 @@ class MacroModelInterface:
 
     def __init__(self, world: TorusWorld, params: MacroParams) -> None:
         self.params = params
-        self.world = world
         self.state = MacroState(flocks=(), next_id=0, macro_tick=0, world=world)
-
-    def init_model(self) -> None:
-        self.state = MacroState(
-            flocks=(), next_id=0, macro_tick=0, world=self.world
-        )
 
     def update_model(self, data: list) -> None:
         self.state = sync_registry(self.state, data)

@@ -11,15 +11,14 @@ scheduler, in the only dependency order the data admits:
 
 Every read and write is appended to an event log that can be exported
 and audited for causality, coherence and cardinality after the fact.
-Artifacts are safe for one concurrent producer and one concurrent
-consumer (reads block on the producer's clock), so the same multi-model
-could be driven by two threads without changing the observable log.
+Artifacts assume this single-threaded lockstep contract: nothing but the
+scheduler advances a producer clock, so a read beyond it can never be
+satisfied by waiting and fails at once with a DeadlockError.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
 from .errors import DeadlockError, ProtocolError
@@ -33,9 +32,7 @@ __all__ = [
     "InterfaceArtifact",
     "MAgent",
     "MultiModel",
-    "write_event",
-    "read_event",
-    "agent_cycle",
+    "flock_stats",
     "run",
 ]
 
@@ -86,7 +83,6 @@ class EventLog:
 
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
-        self._lock = threading.Lock()
 
     def append(
         self,
@@ -98,20 +94,19 @@ class EventLog:
         payload: Any,
         cycle: int | None,
     ) -> None:
-        with self._lock:
-            self.records.append(
-                LogRecord(
-                    seq=len(self.records),
-                    agent=agent,
-                    op=op,
-                    artifact=artifact,
-                    timestamp=timestamp,
-                    payload_kind=payload_kind,
-                    payload_size=_payload_size(payload),
-                    payload=payload,
-                    cycle=cycle,
-                )
+        self.records.append(
+            LogRecord(
+                seq=len(self.records),
+                agent=agent,
+                op=op,
+                artifact=artifact,
+                timestamp=timestamp,
+                payload_kind=payload_kind,
+                payload_size=_payload_size(payload),
+                payload=payload,
+                cycle=cycle,
             )
+        )
 
     def export_lines(self) -> list[str]:
         """Newline-delimited `tick;agent;op;artifact;payload_kind;payload_size`."""
@@ -134,108 +129,72 @@ class CouplingArtifact:
     """Timestamped mailbox between a producer agent and a consumer agent.
 
     Writes buffer raw payloads under strictly increasing timestamps and
-    advance the producer clock. Reads block until the producer clock has
-    reached the requested tick, then deliver the transformed payload (or
-    ABSENT when the producer passed the tick without writing). The
-    transformer must be a deterministic pure function, so repeated reads
-    are idempotent.
-
-    A `plain` artifact must preserve payload cardinality through its
-    transformer; an `interpretation` artifact may shrink or grow it.
+    advance the producer clock. A read at a tick the producer clock has
+    reached delivers the transformed payload (or ABSENT when the producer
+    passed the tick without writing). A read beyond the producer clock
+    raises DeadlockError at once: in the lockstep run only the scheduler
+    advances the clock, so waiting could not help. The transformer must be
+    a deterministic pure function, so repeated reads are idempotent; it
+    may shrink or grow the payload's cardinality.
     """
 
     def __init__(
         self,
         name: str,
         transformer: Callable[[Any], Any] | None = None,
-        kind: str = "plain",
         write_kind: str = "payload",
         read_kind: str = "payload",
         log: EventLog | None = None,
-        read_timeout: float = 30.0,
     ) -> None:
-        if kind not in ("plain", "interpretation"):
-            raise ValueError("kind must be 'plain' or 'interpretation'")
         self.name = name
         self.transformer = transformer or (lambda p: p)
-        self.kind = kind
         self.write_kind = write_kind
         self.read_kind = read_kind
         self.log = log if log is not None else EventLog()
-        self.read_timeout = read_timeout
-        self.buffer: list[tuple[SimTime, Any]] = []
+        self.buffer: dict[SimTime, Any] = {}
         self.producer_clock: SimTime = -1
-        self._cond = threading.Condition()
 
     def write(
         self, t: SimTime, payload: Any, agent: str = "external", cycle: int | None = None
     ) -> None:
-        with self._cond:
-            if t < 0:
-                raise ProtocolError(f"{self.name}: negative timestamp {t}")
-            if self.buffer and t <= self.buffer[-1][0]:
-                raise ProtocolError(
-                    f"{self.name}: non-monotone write at t={t} "
-                    f"(latest buffered t={self.buffer[-1][0]})"
-                )
-            self.buffer.append((t, payload))
-            self.producer_clock = t
-            self._cond.notify_all()
+        if t < 0:
+            raise ProtocolError(f"{self.name}: negative timestamp {t}")
+        if t <= self.producer_clock:
+            raise ProtocolError(
+                f"{self.name}: non-monotone write at t={t} "
+                f"(producer clock {self.producer_clock})"
+            )
+        self.buffer[t] = payload
+        self.producer_clock = t
         self.log.append(agent, "write", self.name, t, self.write_kind, payload, cycle)
 
     def _lookup(self, t: SimTime) -> Any:
-        for ts, payload in self.buffer:
-            if ts == t:
-                out = self.transformer(payload)
-                if self.kind == "plain" and _payload_size(out) != _payload_size(payload):
-                    raise ProtocolError(
-                        f"{self.name}: plain artifact changed cardinality at t={t}"
-                    )
-                return out
-            if ts > t:
-                break
-        return ABSENT
+        payload = self.buffer.get(t, ABSENT)
+        return ABSENT if payload is ABSENT else self.transformer(payload)
 
     def read(
         self, t: SimTime, agent: str = "external", cycle: int | None = None
     ) -> Any:
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self.producer_clock >= t, timeout=self.read_timeout
+        if t > self.producer_clock:
+            raise DeadlockError(
+                f"{self.name}: {agent} read at t={t} beyond the producer "
+                f"clock {self.producer_clock}",
+                log=self.log,
             )
-            if not ok:
-                raise DeadlockError(
-                    f"{self.name}: read at t={t} stalled "
-                    f"(producer clock {self.producer_clock})",
-                    log=self.log,
-                )
-            payload = self._lookup(t)
+        payload = self._lookup(t)
         kind = "absent" if payload is ABSENT else self.read_kind
         self.log.append(agent, "read", self.name, t, kind, payload, cycle)
         return payload
 
     def peek(self, t: SimTime) -> Any:
-        """Transformed payload at t without logging or blocking."""
-        with self._cond:
-            if self.producer_clock < t:
-                raise ProtocolError(
-                    f"{self.name}: peek at t={t} beyond producer clock"
-                )
-            return self._lookup(t)
-
-
-def write_event(artifact: CouplingArtifact, t: SimTime, payload: Any) -> None:
-    artifact.write(t, payload)
-
-
-def read_event(artifact: CouplingArtifact, t: SimTime) -> Any:
-    return artifact.read(t)
+        """Transformed payload at t without logging."""
+        if self.producer_clock < t:
+            raise ProtocolError(f"{self.name}: peek at t={t} beyond producer clock")
+        return self._lookup(t)
 
 
 class InterfaceArtifact(Protocol):
     """Adapter contract between a model agent and its wrapped model."""
-
-    def init_model(self) -> None: ...
 
     def update_model(self, data: Any) -> None: ...
 
@@ -247,12 +206,9 @@ class InterfaceArtifact(Protocol):
 class MAgent:
     """A model agent: owns one model, cycles read -> step -> write."""
 
-    def __init__(self, agent_id: str, interface: InterfaceArtifact, step_size: int):
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
+    def __init__(self, agent_id: str, interface: InterfaceArtifact):
         self.agent_id = agent_id
         self.interface = interface
-        self.step_size = step_size
         self.local_clock: SimTime = 0
         self.cycle_index = 0
 
@@ -276,7 +232,7 @@ class MicroMAgent(MAgent):
         ratio: int,
         agent_id: str = "A_m",
     ) -> None:
-        super().__init__(agent_id, interface, step_size=1)
+        super().__init__(agent_id, interface)
         self.output = output
         self.command_input = command_input
         self.ratio = ratio
@@ -318,7 +274,7 @@ class MacroMAgent(MAgent):
         behavior_enabled: bool = True,
         agent_id: str = "A_M",
     ) -> None:
-        super().__init__(agent_id, interface, step_size=ratio)
+        super().__init__(agent_id, interface)
         self.observation_input = observation_input
         self.command_output = command_output
         self.ratio = ratio
@@ -326,18 +282,12 @@ class MacroMAgent(MAgent):
         # (tick, flock_count, mean_size, mean_radius) per boundary read
         self.samples: list[tuple[int, int, float, float]] = []
 
-    def _record(self, tick: int, flocks: list) -> None:
-        n = len(flocks)
-        mean_size = sum(len(f.members) for f in flocks) / n if n else 0.0
-        mean_radius = sum(f.radius for f in flocks) / n if n else 0.0
-        self.samples.append((tick, n, mean_size, mean_radius))
-
     def cycle(self) -> None:
         self.cycle_index += 1
         t = self.local_clock
         payload = self.observation_input.read(t, self.agent_id, self.cycle_index)
         flocks = [] if payload is ABSENT else payload
-        self._record(t, flocks)
+        self.samples.append((t, *flock_stats(flocks)))
         self.interface.update_model(flocks)
         if self.behavior_enabled:
             before = self.interface.observe_model()
@@ -352,34 +302,46 @@ class MacroMAgent(MAgent):
         self.local_clock = t + self.ratio
 
 
+def flock_stats(flocks: list) -> tuple[int, float, float]:
+    """Flock count, mean member count and mean radius (zeros when empty)."""
+    n = len(flocks)
+    if n == 0:
+        return 0, 0.0, 0.0
+    mean_size = sum(len(f.members) for f in flocks) / n
+    mean_radius = sum(f.radius for f in flocks) / n
+    return n, mean_size, mean_radius
+
+
 @dataclass
 class MultiModel:
-    """The wiring graph: both agents, both artifacts, run parameters."""
+    """The wiring graph: both agents, both artifacts and the horizon.
+
+    The agents hold the ratio and the macro behavior flag; immergence is
+    on when the immergence artifact is wired. Both artifacts log to the
+    emergence artifact's event log.
+    """
 
     micro_agent: MicroMAgent
     macro_agent: MacroMAgent
     emergence: CouplingArtifact
     immergence: CouplingArtifact | None
-    ratio: int
-    immergence_enabled: bool
-    macro_behavior_enabled: bool
     horizon: SimTime
-    log: EventLog = field(default_factory=EventLog)
 
     def __post_init__(self) -> None:
-        if self.ratio < 1:
-            raise ValueError("ratio must be >= 1")
-        if self.horizon < 0 or self.horizon % self.ratio != 0:
+        ratio = self.macro_agent.ratio
+        if ratio < 1 or self.micro_agent.ratio != ratio:
+            raise ValueError("both agents must share one ratio >= 1")
+        if self.horizon < 0 or self.horizon % ratio != 0:
             raise ValueError("horizon must be a non-negative multiple of the ratio")
-        if self.immergence_enabled and not self.macro_behavior_enabled:
-            raise ValueError("immergence requires the macro behavior to be enabled")
-        if self.immergence_enabled != (self.immergence is not None):
-            raise ValueError("immergence artifact wiring disagrees with the flag")
+        if self.immergence is not None:
+            if not self.macro_agent.behavior_enabled:
+                raise ValueError("immergence requires the macro behavior to be enabled")
+            if self.immergence.log is not self.emergence.log:
+                raise ValueError("the immergence artifact must share the emergence log")
 
-
-def agent_cycle(agent: MAgent) -> None:
-    """One full read -> update -> step -> observe -> write cycle."""
-    agent.cycle()
+    @property
+    def log(self) -> EventLog:
+        return self.emergence.log
 
 
 def run(multi_model: MultiModel) -> EventLog:
@@ -391,17 +353,19 @@ def run(multi_model: MultiModel) -> EventLog:
     always terminates after horizon micro steps.
     """
     mm = multi_model
+    ratio = mm.macro_agent.ratio
     mm.micro_agent.publish_initial()
-    tick = 0
     try:
-        for period_start in range(0, mm.horizon, mm.ratio):
-            tick = period_start
-            mm.macro_agent.cycle()
-            for _ in range(mm.ratio):
-                tick = mm.micro_agent.local_clock + 1
-                mm.micro_agent.cycle()
+        for period_start in range(0, mm.horizon, ratio):
+            agent, tick = mm.macro_agent, period_start
+            agent.cycle()
+            for _ in range(ratio):
+                agent, tick = mm.micro_agent, mm.micro_agent.local_clock + 1
+                agent.cycle()
     except (ProtocolError, DeadlockError):
         raise
     except Exception as exc:
-        raise RuntimeError(f"interface artifact failure at tick {tick}") from exc
+        raise RuntimeError(
+            f"interface artifact failure in {agent.agent_id} at tick {tick}"
+        ) from exc
     return mm.log

