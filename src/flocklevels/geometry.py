@@ -1,5 +1,6 @@
-"""Toroidal 2-D world arithmetic, circular (angular) statistics and a
-cell-grid search for all pairs of points within a radius.
+"""Toroidal 2-D world arithmetic, circular (angular) statistics, a
+cell-grid search for all pairs of points within a radius and the
+per-point sums over those pairs that both steering levels share.
 
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
@@ -29,6 +30,7 @@ __all__ = [
     "torus_centroid",
     "heading_unit",
     "torus_neighbours",
+    "mate_sums",
 ]
 
 # Resultant vectors shorter than this are treated as zero (undefined mean).
@@ -213,8 +215,8 @@ def torus_neighbours(
     starts = np.cumsum(counts) - counts
 
     # each adjacent cell once, also on axes with fewer than 3 cells
-    ox = np.unique(np.array([-1, 0, 1]) % nx)
-    oy = np.unique(np.array([-1, 0, 1]) % ny)
+    ox = np.array(sorted({-1 % nx, 0, 1 % nx}))
+    oy = np.array(sorted({-1 % ny, 0, 1 % ny}))
     near = (
         ((cx[:, None, None] + ox[None, :, None]) % nx) * ny
         + (cy[:, None, None] + oy[None, None, :]) % ny
@@ -240,3 +242,28 @@ def torus_neighbours(
     # each candidate pair occurs once, so the (i, j) keys are unique
     keep = keep[np.argsort(i[keep] * n + j[keep])]
     return i[keep], j[keep], dx[keep], dy[keep], dist[keep]
+
+
+def mate_sums(i, j, d, dx, dy, ux, uy, n: int) -> tuple[np.ndarray, ...]:
+    """Per-point reduction over mate pairs (i, j) sorted by (i, j).
+
+    d ranks the mates, (dx, dy) is the delta from i to j and (ux, uy) the
+    heading unit of every point. Returns (count, rows, nearest, nearest_d,
+    sx, sy, cx, cy): mates per point; the points with mates; per such row
+    the pair index of its nearest mate (smallest d, lowest j on ties); the
+    smallest d (inf without mates); the sums of the mates' ux and uy; and
+    of dx and dy. Sums run over the mates in ascending j, as a per-point
+    loop would add them.
+    """
+    count = np.bincount(i, minlength=n)
+    rows = np.flatnonzero(count)
+    row_start = (np.cumsum(count) - count)[rows]
+    nearest_d = np.full(n, np.inf)
+    nearest_d[rows] = np.minimum.reduceat(d, row_start)
+    at_min = np.where(d == nearest_d[i], np.arange(i.size), i.size)
+    nearest = np.minimum.reduceat(at_min, row_start)
+    sx = np.bincount(i, weights=ux[j], minlength=n)
+    sy = np.bincount(i, weights=uy[j], minlength=n)
+    cx = np.bincount(i, weights=dx, minlength=n)
+    cy = np.bincount(i, weights=dy, minlength=n)
+    return count, rows, nearest, nearest_d, sx, sy, cx, cy

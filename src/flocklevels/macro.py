@@ -6,6 +6,19 @@ cohesion rules as individual birds, except that distances are size-aware:
 the effective distance between two flocks is the gap between their
 bounding circles, never negative.
 
+The step runs over arrays. Candidate pairs come from the cell-grid
+search at radius vision + 2 max(radius), widened by a relative 1e-9 since
+a rounded gap can reach vision from an ulp further out; `mate_sums`, the
+reduction the boids step uses, reduces the pairs whose gap is at most
+vision. One loop over the flocks then turns them with the scalar rules.
+Two choices keep the result bit for bit that of the per-flock rule:
+every bearing and heading unit is taken with `math` (`np.arctan2`
+differs from `math.atan2` in the last bit on some inputs), and the
+separation bearing comes from the reverse delta, torus_delta(nearest,
+flock), since the negated forward delta rounds differently. Distances
+come from `np.hypot`, which can differ from `math.hypot` in the last
+bit; that moves a decision only at a tie within one ulp.
+
 The registry is kept in sync with the cluster observations coming up
 from the individual level: observed clusters are matched to registered
 flocks by member-set overlap (Jaccard), matched flocks keep their id,
@@ -18,16 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import CouplingError
 from .geometry import (
     ZERO_RESULTANT_EPS,
     TorusWorld,
-    UndefinedMeanError,
-    circular_mean,
     heading_unit,
+    mate_sums,
     normalize_heading,
     torus_delta,
-    torus_distance,
+    torus_neighbours,
     turn_towards,
     wrap,
 )
@@ -53,6 +67,13 @@ class Flock:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
+        for name, values in (
+            ("centroid", self.centroid),
+            ("heading", (self.heading,)),
+            ("radius", (self.radius,)),
+        ):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
         if not self.members:
@@ -154,48 +175,55 @@ def sync_registry(s: MacroState, observations: list) -> MacroState:
     )
 
 
-def _effective_distance(a: Flock, b: Flock, w: TorusWorld) -> float:
-    return max(0.0, torus_distance(a.centroid, b.centroid, w) - a.radius - b.radius)
-
-
-def _steer_flock(f: Flock, others: list[Flock], p: MacroParams, w: TorusWorld) -> float:
-    mates = [o for o in others if _effective_distance(f, o, w) <= p.vision]
-    heading = f.heading
-    if not mates:
-        return heading
-    nearest = min(mates, key=lambda o: (_effective_distance(f, o, w), o.flock_id))
-    if _effective_distance(f, nearest, w) < p.min_separation:
-        dx, dy = torus_delta(nearest.centroid, f.centroid, w)
-        away = normalize_heading(math.degrees(math.atan2(dy, dx)))
-        return turn_towards(heading, away, p.max_separate_turn)
-    try:
-        mean_h = circular_mean([o.heading for o in mates])
-        heading = turn_towards(heading, mean_h, p.max_align_turn)
-    except UndefinedMeanError:
-        pass
-    cx = 0.0
-    cy = 0.0
-    for o in mates:
-        dx, dy = torus_delta(f.centroid, o.centroid, w)
-        cx += dx
-        cy += dy
-    if math.hypot(cx, cy) >= ZERO_RESULTANT_EPS:
-        target = normalize_heading(math.degrees(math.atan2(cy, cx)))
-        heading = turn_towards(heading, target, p.max_cohere_turn)
-    return heading
+def _bearing(dx: float, dy: float) -> float:
+    return normalize_heading(math.degrees(math.atan2(dy, dx)))
 
 
 def macro_step(s: MacroState, p: MacroParams) -> MacroState:
-    """One synchronous step of every flock; never creates or destroys flocks."""
+    """One synchronous step of every flock; never creates or destroys flocks.
+
+    Mates are the other flocks with a gap of at most vision. The nearest
+    mate (smallest gap, lowest id on ties), if closer than min_separation,
+    turns the flock away; otherwise it aligns with its mates' mean heading,
+    then coheres toward their summed offset. It then advances by speed.
+    """
+    flocks = s.flocks
+    w = s.world
+    n = len(flocks)
+    # heading units by math.cos and math.sin, as circular_mean takes them
+    x, y, r, ux, uy = np.array(
+        [(*f.centroid, f.radius, *heading_unit(f.heading)) for f in flocks]
+    ).reshape(n, 5).T
+
+    reach = (p.vision + 2.0 * r.max(initial=0.0)) * (1.0 + 1e-9)
+    i, j, dx, dy, dist = torus_neighbours(x, y, reach, w)
+    gap = np.maximum(dist - r[i] - r[j], 0.0)
+    keep = np.flatnonzero(gap <= p.vision)
+    i, j, dx, dy, gap = i[keep], j[keep], dx[keep], dy[keep], gap[keep]
+    count, rows, nearest, nearest_gap, sx, sy, cx, cy = mate_sums(
+        i, j, gap, dx, dy, ux, uy, n
+    )
+    nearest_mate = np.zeros(n, dtype=np.int64)
+    nearest_mate[rows] = j[nearest]
+
     new_flocks = []
-    for f in s.flocks:
-        others = [o for o in s.flocks if o.flock_id != f.flock_id]
-        heading = _steer_flock(f, others, p, s.world)
-        ux, uy = heading_unit(heading)
+    per_flock = (count, nearest_gap, nearest_mate, sx, sy, cx, cy)
+    for f, c, g, m, ax, ay, bx, by in zip(flocks, *(a.tolist() for a in per_flock)):
+        heading = f.heading
+        if c and g < p.min_separation:
+            away = _bearing(*torus_delta(flocks[m].centroid, f.centroid, w))
+            heading = turn_towards(heading, away, p.max_separate_turn)
+        elif c:
+            # alignment is skipped where circular_mean would find no mean
+            if math.hypot(ax, ay) >= ZERO_RESULTANT_EPS * c:
+                heading = turn_towards(heading, _bearing(ax, ay), p.max_align_turn)
+            if math.hypot(bx, by) >= ZERO_RESULTANT_EPS:
+                heading = turn_towards(heading, _bearing(bx, by), p.max_cohere_turn)
+        vx, vy = heading_unit(heading)
         centroid = wrap(
-            (f.centroid[0] + p.speed * ux, f.centroid[1] + p.speed * uy), s.world
+            (f.centroid[0] + p.speed * vx, f.centroid[1] + p.speed * vy), w
         )
-        new_flocks.append(replace(f, centroid=centroid, heading=heading))
+        new_flocks.append(Flock(f.flock_id, centroid, heading, f.radius, f.members))
     return replace(s, flocks=tuple(new_flocks), macro_tick=s.macro_tick + 1)
 
 

@@ -13,7 +13,6 @@ the outcome.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,15 +21,9 @@ from .errors import CouplingError
 from .geometry import (
     ZERO_RESULTANT_EPS,
     TorusWorld,
-    UndefinedMeanError,
-    circular_mean,
-    heading_unit,
+    mate_sums,
     normalize_heading,
-    torus_delta,
-    torus_distance,
     torus_neighbours,
-    turn_towards,
-    wrap,
 )
 
 __all__ = [
@@ -38,9 +31,6 @@ __all__ = [
     "MicroParams",
     "MicroState",
     "init_random",
-    "flockmates",
-    "step_autonomous",
-    "step_commanded",
     "micro_step",
     "observe",
 ]
@@ -112,61 +102,6 @@ def init_random(n: int, world: TorusWorld, rng: np.random.Generator) -> MicroSta
     return MicroState(birds=birds, tick=0, world=world)
 
 
-def flockmates(b: Bird, s: MicroState, p: MicroParams) -> list[Bird]:
-    """Other birds within vision range (closed threshold), ascending id."""
-    return [
-        m
-        for m in s.birds
-        if m.id != b.id and torus_distance(b.pos, m.pos, s.world) <= p.vision
-    ]
-
-
-def step_autonomous(
-    b: Bird, mates: list[Bird], p: MicroParams, w: TorusWorld
-) -> Bird:
-    """One boids step for a single bird against its flockmates.
-
-    No mates: keep heading. Nearest mate too close: turn away (bounded by
-    max_separate_turn). Otherwise align with the mates' mean heading then
-    cohere toward their summed offset, each turn bounded. The bird then
-    advances by speed along its (new) heading.
-    """
-    heading = b.heading
-    if mates:
-        nearest = min(
-            mates, key=lambda m: (torus_distance(b.pos, m.pos, w), m.id)
-        )
-        if torus_distance(b.pos, nearest.pos, w) < p.min_separation:
-            dx, dy = torus_delta(nearest.pos, b.pos, w)
-            away = normalize_heading(math.degrees(math.atan2(dy, dx)))
-            heading = turn_towards(heading, away, p.max_separate_turn)
-        else:
-            try:
-                mean_h = circular_mean([m.heading for m in mates])
-                heading = turn_towards(heading, mean_h, p.max_align_turn)
-            except UndefinedMeanError:
-                pass
-            cx = 0.0
-            cy = 0.0
-            for m in mates:
-                dx, dy = torus_delta(b.pos, m.pos, w)
-                cx += dx
-                cy += dy
-            if math.hypot(cx, cy) >= ZERO_RESULTANT_EPS:
-                target = normalize_heading(math.degrees(math.atan2(cy, cx)))
-                heading = turn_towards(heading, target, p.max_cohere_turn)
-    ux, uy = heading_unit(heading)
-    pos = wrap((b.pos[0] + p.speed * ux, b.pos[1] + p.speed * uy), w)
-    return Bird(b.id, pos, heading)
-
-
-def step_commanded(b: Bird, cmd: Command, w: TorusWorld) -> Bird:
-    """Apply an external command: rigid translation plus imposed heading."""
-    (vx, vy), heading = cmd
-    pos = wrap((b.pos[0] + vx, b.pos[1] + vy), w)
-    return Bird(b.id, pos, normalize_heading(heading))
-
-
 def _wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
     r = a % extent
     return np.where(r >= extent, 0.0, r)
@@ -190,37 +125,27 @@ def _step_all_autonomous(
     """Vectorized boids headings for the whole population (pre-move).
 
     Per-bird sums run over the mates in ascending id order, as in
-    step_autonomous and circular_mean.
+    circular_mean and in the per-bird rule the tests check against.
     """
     n = x.shape[0]
     i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w)
-    count = np.bincount(i, minlength=n)
+    hr = np.radians(h)
+    count, rows, nearest, nearest_dist, sx, sy, cx, cy = mate_sums(
+        i, j, dist, dx, dy, np.cos(hr), np.sin(hr), n
+    )
     has_mates = count > 0
-
-    # nearest mate: smallest distance, lowest id on ties
-    rows = np.flatnonzero(has_mates)
-    row_start = (np.cumsum(count) - count)[rows]
-    nearest_dist = np.full(n, np.inf)
-    nearest_dist[rows] = np.minimum.reduceat(dist, row_start)
-    at_min = np.where(dist == nearest_dist[i], np.arange(i.size), i.size)
-    nearest = np.minimum.reduceat(at_min, row_start)
     sep = nearest_dist < p.min_separation
 
     # separation: turn toward the bearing away from the nearest mate;
     # + 0.0 turns -0.0 into 0.0, so a coincident mate gives bearing 0 as
-    # in step_autonomous
+    # math.atan2 of the reverse delta does
     away = np.zeros(n)
     away[rows] = np.degrees(np.arctan2(-dy[nearest] + 0.0, -dx[nearest] + 0.0))
     h_sep = _turn_array(h, _norm_heading_array(away), p.max_separate_turn)
 
-    hr = np.radians(h)
-    sx = np.bincount(i, weights=np.cos(hr)[j], minlength=n)
-    sy = np.bincount(i, weights=np.sin(hr)[j], minlength=n)
     align_ok = np.hypot(sx, sy) >= ZERO_RESULTANT_EPS * np.maximum(count, 1.0)
     align_tgt = _norm_heading_array(np.degrees(np.arctan2(sy, sx)))
 
-    cx = np.bincount(i, weights=dx, minlength=n)
-    cy = np.bincount(i, weights=dy, minlength=n)
     coh_ok = np.hypot(cx, cy) >= ZERO_RESULTANT_EPS
     coh_tgt = _norm_heading_array(np.degrees(np.arctan2(cy, cx)))
 

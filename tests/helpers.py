@@ -1,14 +1,16 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately naive (brute force, exhaustive
-enumeration, two-pass statistics) and shares no code path with the
-implementations it checks.
+enumeration, two-pass statistics, one agent at a time), imports nothing
+from the package and shares no code path with the implementations it
+checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 
 def brute_delta(a, b, width, height):
@@ -134,3 +136,166 @@ def two_pass_mean_std(values):
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
+
+
+# -- Steering oracles ---------------------------------------------------
+# The per-bird and per-flock rules, one agent at a time in plain Python
+# floats. The scalar formulas they rest on (closed-form wrap, bounded
+# turn, circular mean) are written out again here rather than imported,
+# so a change to the package's versions shows up as a disagreement.
+
+ZERO_RESULTANT_EPS = 1e-9
+
+
+class UndefinedMeanError(ValueError):
+    pass
+
+
+def _wrap(p, w):
+    out = []
+    for c, extent in ((p[0], w.width), (p[1], w.height)):
+        r = c % extent
+        out.append(0.0 if r >= extent else r)
+    return tuple(out)
+
+
+def _torus_delta(a, b, w):
+    return (
+        (b[0] - a[0] + w.width / 2.0) % w.width - w.width / 2.0,
+        (b[1] - a[1] + w.height / 2.0) % w.height - w.height / 2.0,
+    )
+
+
+def _torus_distance(a, b, w):
+    return math.hypot(*_torus_delta(a, b, w))
+
+
+def _normalize_heading(deg):
+    h = deg % 360.0
+    return 0.0 if h >= 360.0 else h
+
+
+def _heading_unit(deg):
+    r = math.radians(deg)
+    return (math.cos(r), math.sin(r))
+
+
+def _circular_mean(headings):
+    sx = 0.0
+    sy = 0.0
+    for h in headings:
+        r = math.radians(h)
+        sx += math.cos(r)
+        sy += math.sin(r)
+    if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * len(headings):
+        raise UndefinedMeanError("zero resultant, mean undefined")
+    return _normalize_heading(math.degrees(math.atan2(sy, sx)))
+
+
+def _turn_towards(current, target, max_turn):
+    d = (target - current + 180.0) % 360.0 - 180.0
+    if d == -180.0:
+        d = 180.0
+    if abs(d) <= max_turn:
+        return _normalize_heading(target)
+    return _normalize_heading(current + math.copysign(max_turn, d))
+
+
+def flockmates(b, s, p):
+    """Other birds within vision range (closed threshold), ascending id."""
+    return [
+        m
+        for m in s.birds
+        if m.id != b.id and _torus_distance(b.pos, m.pos, s.world) <= p.vision
+    ]
+
+
+def step_autonomous(b, mates, p, w):
+    """One boids step for a single bird against its flockmates.
+
+    No mates: keep heading. Nearest mate too close: turn away (bounded by
+    max_separate_turn). Otherwise align with the mates' mean heading then
+    cohere toward their summed offset, each turn bounded. The bird then
+    advances by speed along its (new) heading.
+    """
+    heading = b.heading
+    if mates:
+        nearest = min(
+            mates, key=lambda m: (_torus_distance(b.pos, m.pos, w), m.id)
+        )
+        if _torus_distance(b.pos, nearest.pos, w) < p.min_separation:
+            dx, dy = _torus_delta(nearest.pos, b.pos, w)
+            away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
+            heading = _turn_towards(heading, away, p.max_separate_turn)
+        else:
+            try:
+                mean_h = _circular_mean([m.heading for m in mates])
+                heading = _turn_towards(heading, mean_h, p.max_align_turn)
+            except UndefinedMeanError:
+                pass
+            cx = 0.0
+            cy = 0.0
+            for m in mates:
+                dx, dy = _torus_delta(b.pos, m.pos, w)
+                cx += dx
+                cy += dy
+            if math.hypot(cx, cy) >= ZERO_RESULTANT_EPS:
+                target = _normalize_heading(math.degrees(math.atan2(cy, cx)))
+                heading = _turn_towards(heading, target, p.max_cohere_turn)
+    ux, uy = _heading_unit(heading)
+    pos = _wrap((b.pos[0] + p.speed * ux, b.pos[1] + p.speed * uy), w)
+    return replace(b, pos=pos, heading=heading)
+
+
+def step_commanded(b, cmd, w):
+    """Apply an external command: rigid translation plus imposed heading."""
+    (vx, vy), heading = cmd
+    pos = _wrap((b.pos[0] + vx, b.pos[1] + vy), w)
+    return replace(b, pos=pos, heading=_normalize_heading(heading))
+
+
+def effective_distance(a, b, w):
+    """Gap between two flocks' bounding circles, never negative."""
+    return max(0.0, _torus_distance(a.centroid, b.centroid, w) - a.radius - b.radius)
+
+
+def steer_flock(f, others, p, w):
+    """New heading of one flock, steered against every other flock."""
+    mates = [o for o in others if effective_distance(f, o, w) <= p.vision]
+    heading = f.heading
+    if not mates:
+        return heading
+    nearest = min(mates, key=lambda o: (effective_distance(f, o, w), o.flock_id))
+    if effective_distance(f, nearest, w) < p.min_separation:
+        dx, dy = _torus_delta(nearest.centroid, f.centroid, w)
+        away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
+        return _turn_towards(heading, away, p.max_separate_turn)
+    try:
+        mean_h = _circular_mean([o.heading for o in mates])
+        heading = _turn_towards(heading, mean_h, p.max_align_turn)
+    except UndefinedMeanError:
+        pass
+    cx = 0.0
+    cy = 0.0
+    for o in mates:
+        dx, dy = _torus_delta(f.centroid, o.centroid, w)
+        cx += dx
+        cy += dy
+    if math.hypot(cx, cy) >= ZERO_RESULTANT_EPS:
+        target = _normalize_heading(math.degrees(math.atan2(cy, cx)))
+        heading = _turn_towards(heading, target, p.max_cohere_turn)
+    return heading
+
+
+def per_flock_step(s, p):
+    """One synchronous macro step, one flock at a time against all others."""
+    new_flocks = []
+    for f in s.flocks:
+        others = [o for o in s.flocks if o.flock_id != f.flock_id]
+        heading = steer_flock(f, others, p, s.world)
+        ux, uy = _heading_unit(heading)
+        centroid = _wrap(
+            (f.centroid[0] + p.speed * ux, f.centroid[1] + p.speed * uy), s.world
+        )
+        new_flocks.append(replace(f, centroid=centroid, heading=heading))
+    return replace(s, flocks=tuple(new_flocks), macro_tick=s.macro_tick + 1)

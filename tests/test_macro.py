@@ -1,10 +1,14 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocklevels.coupling import FlockObservation
 from flocklevels.errors import CouplingError
+from flocklevels.experiment import VARIANTS
 from flocklevels.geometry import TorusWorld, torus_delta, torus_distance, wrap
 from flocklevels.macro import (
     Flock,
@@ -14,7 +18,7 @@ from flocklevels.macro import (
     macro_step,
     sync_registry,
 )
-from helpers import best_matching, jaccard
+from helpers import best_matching, effective_distance, jaccard, per_flock_step
 
 W = TorusWorld(100.0, 100.0)
 P = MacroParams()
@@ -34,6 +38,29 @@ def state(flocks, next_id=None):
 
 def flock(fid, members, centroid=(50.0, 50.0), heading=0.0, radius=1.0):
     return Flock(fid, centroid, heading, radius, frozenset(members))
+
+
+class TestFlock:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("centroid", (math.nan, 1.0)),
+            ("centroid", (1.0, math.inf)),
+            ("heading", math.nan),
+            ("heading", -math.inf),
+            ("radius", math.nan),
+            ("radius", math.inf),
+            ("radius", -1.0),
+        ],
+    )
+    def test_rejects_non_finite_or_negative(self, field, value):
+        fields = dict(
+            flock_id=0, centroid=(1.0, 2.0), heading=3.0, radius=1.0,
+            members=frozenset({1}),
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            Flock(**fields)
 
 
 class TestMacroParams:
@@ -232,3 +259,179 @@ class TestDisplacements:
         assert moved[0] == pytest.approx(after.flocks[0].centroid[0], abs=1e-9)
         assert moved[1] == pytest.approx(after.flocks[0].centroid[1], abs=1e-9)
         assert heading == after.flocks[0].heading
+
+
+# The three coupled parameter sets, and two that let every bit of a
+# bearing through to the heading: a turn bound of 180 returns the target
+# itself, a bound of 0 keeps the heading as it was.
+PARAM_SETS = {name: VARIANTS[name].macro_params for name in ("M", "M1", "M2")}
+PARAM_SETS["exact-align"] = MacroParams(
+    max_separate_turn=180.0, max_align_turn=180.0, max_cohere_turn=0.0
+)
+PARAM_SETS["exact-cohere"] = MacroParams(
+    max_separate_turn=180.0, max_align_turn=0.0, max_cohere_turn=180.0
+)
+
+
+def assert_matches_per_flock_rule(s, p):
+    got, want = macro_step(s, p), per_flock_step(s, p)
+    for g, w in zip(got.flocks, want.flocks):
+        assert g == w, f"flock {w.flock_id} differs"
+    assert got == want
+
+
+def random_state(rng, world, n, max_radius):
+    flocks = [
+        Flock(
+            k,
+            (rng.uniform(0.0, world.width), rng.uniform(0.0, world.height)),
+            rng.uniform(0.0, 360.0),
+            rng.uniform(0.0, max_radius),
+            frozenset({k}),
+        )
+        for k in range(n)
+    ]
+    return MacroState(flocks=tuple(flocks), next_id=n, macro_tick=0, world=world)
+
+
+class TestMatchesPerFlockRule:
+    """macro_step equals the per-flock oracle bit for bit."""
+
+    @pytest.mark.parametrize("params", sorted(PARAM_SETS))
+    def test_random_registries(self, params):
+        rng = random.Random(23)
+        for _ in range(40):
+            world = TorusWorld(rng.choice([30.0, 100.0]), rng.choice([20.0, 100.0]))
+            max_radius = rng.choice([0.0, 4.0])
+            s = random_state(rng, world, rng.randint(0, 60), max_radius)
+            assert_matches_per_flock_rule(s, PARAM_SETS[params])
+
+    @pytest.mark.parametrize("params", sorted(PARAM_SETS))
+    def test_zero_and_one_flock(self, params):
+        p = PARAM_SETS[params]
+        assert_matches_per_flock_rule(state([]), p)
+        assert_matches_per_flock_rule(state([flock(4, {1}, heading=77.0)]), p)
+
+    def test_overlap_clamps_gap_and_lowest_id_is_nearest(self):
+        # three overlapping flocks: every gap clamps to 0, so flock 2's
+        # nearest mate is flock 0, the lowest id, not the closer flock 1
+        p = PARAM_SETS["exact-align"]
+        s = state(
+            [
+                flock(0, {1}, centroid=(50.0, 47.0), heading=0.0, radius=3.0),
+                flock(1, {2}, centroid=(51.0, 50.0), heading=0.0, radius=3.0),
+                flock(2, {3}, centroid=(50.0, 50.0), heading=0.0, radius=3.0),
+            ]
+        )
+        assert effective_distance(s.flocks[2], s.flocks[1], W) == 0.0
+        assert_matches_per_flock_rule(s, p)
+        assert macro_step(s, p).flocks[2].heading == 90.0
+
+    def test_across_the_seam(self):
+        # the mates are only close across the x and y seams
+        for p in PARAM_SETS.values():
+            s = state(
+                [
+                    flock(0, {1}, centroid=(99.5, 0.3), heading=10.0, radius=0.4),
+                    flock(1, {2}, centroid=(0.2, 99.8), heading=100.0, radius=0.0),
+                    flock(2, {3}, centroid=(96.0, 2.0), heading=200.0, radius=1.0),
+                    flock(3, {4}, centroid=(50.0, 50.0), heading=300.0, radius=1.0),
+                ]
+            )
+            assert_matches_per_flock_rule(s, p)
+
+    @pytest.mark.parametrize("extra", [0.0, 1e-12])
+    def test_gap_exactly_at_vision(self, extra):
+        # centroids 14 apart, radii 1.5 and 2.5: the gap is exactly 10
+        p = MacroParams(vision=10.0, max_align_turn=180.0, max_cohere_turn=0.0)
+        a = flock(0, {1}, centroid=(20.0, 40.0), heading=0.0, radius=1.5)
+        b = flock(1, {2}, centroid=(34.0 + extra, 40.0), heading=90.0, radius=2.5)
+        s = state([a, b])
+        assert (effective_distance(a, b, W) == p.vision) == (extra == 0.0)
+        assert_matches_per_flock_rule(s, p)
+        assert macro_step(s, p).flocks[0].heading == (90.0 if extra == 0.0 else 0.0)
+
+    @pytest.mark.parametrize("extra", [0.0, -1e-12])
+    def test_gap_exactly_at_min_separation(self, extra):
+        # centroids 3 apart, radii 0.5 and 1.5: the gap is exactly 1, which
+        # does not separate; a hair closer, it does
+        p = MacroParams(
+            min_separation=1.0, max_separate_turn=180.0, max_align_turn=180.0,
+            max_cohere_turn=0.0,
+        )
+        a = flock(0, {1}, centroid=(20.0, 40.0), heading=0.0, radius=0.5)
+        b = flock(1, {2}, centroid=(23.0 + extra, 40.0), heading=90.0, radius=1.5)
+        s = state([a, b])
+        assert (effective_distance(a, b, W) == p.min_separation) == (extra == 0.0)
+        assert_matches_per_flock_rule(s, p)
+        assert macro_step(s, p).flocks[0].heading == (90.0 if extra == 0.0 else 180.0)
+
+    def test_gap_rounding_beyond_the_candidate_radius(self):
+        # vision 12.599, radii 0.781: the centroid distance rounds to one
+        # ulp above vision + 2 radius, yet the gap rounds to vision, so
+        # this pair are mates
+        p = MacroParams(vision=12.599, max_align_turn=180.0, max_cohere_turn=0.0)
+        a = flock(0, {1}, centroid=(20.0, 50.0), heading=0.0, radius=0.781)
+        b = flock(1, {2}, centroid=(34.161, 50.0), heading=90.0, radius=0.781)
+        s = state([a, b])
+        assert torus_distance(a.centroid, b.centroid, W) > p.vision + 2.0 * 0.781
+        assert effective_distance(a, b, W) <= p.vision
+        assert_matches_per_flock_rule(s, p)
+        assert macro_step(s, p).flocks[0].heading == 90.0
+
+
+# Half-unit lattice centroids with radii in quarter units: gaps land
+# exactly on vision and on min_separation, and many nearest-mate gaps tie
+# (also at 0, where circles overlap).
+LW = TorusWorld(20.0, 12.5)
+lattice_flocks = st.lists(
+    st.tuples(
+        st.integers(0, 39).map(lambda k: k / 2.0),
+        st.integers(0, 24).map(lambda k: k / 2.0),
+        st.integers(0, 23).map(lambda k: k * 15.0),
+        st.integers(0, 8).map(lambda k: k / 4.0),
+    ),
+    max_size=30,
+)
+
+
+def registry(flocks, world):
+    return MacroState(
+        flocks=tuple(
+            Flock(k, (x, y), h, r, frozenset({k}))
+            for k, (x, y, h, r) in enumerate(flocks)
+        ),
+        next_id=len(flocks),
+        macro_tick=0,
+        world=world,
+    )
+
+
+@given(
+    lattice_flocks,
+    st.sampled_from([(0.0, 0.0), (2.5, 1.0), (5.0, 1.0), (5.0, 2.5), (10.0, 1.0)]),
+    st.sampled_from(sorted(PARAM_SETS)),
+)
+@settings(max_examples=150, deadline=None)
+def test_lattice_ties_match_per_flock_rule(flocks, vision_sep, params):
+    vision, sep = vision_sep
+    p = replace(PARAM_SETS[params], vision=vision, min_separation=sep)
+    assert_matches_per_flock_rule(registry(flocks, LW), p)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 29.999),
+            st.floats(0.0, 19.999),
+            st.floats(0.0, 359.999),
+            st.floats(0.0, 3.0),
+        ),
+        max_size=25,
+    ),
+    st.sampled_from(sorted(PARAM_SETS)),
+)
+@settings(max_examples=150, deadline=None)
+def test_random_floats_match_per_flock_rule(flocks, params):
+    s = registry(flocks, TorusWorld(30.0, 20.0))
+    assert_matches_per_flock_rule(s, PARAM_SETS[params])

@@ -11,13 +11,11 @@ from flocklevels.micro import (
     Bird,
     MicroParams,
     MicroState,
-    flockmates,
     init_random,
     micro_step,
     observe,
-    step_autonomous,
-    step_commanded,
 )
+from helpers import flockmates, step_autonomous, step_commanded
 
 W = TorusWorld(100.0, 100.0)
 P = MicroParams()
