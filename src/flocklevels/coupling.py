@@ -14,20 +14,18 @@ transformers of the corresponding coupling artifacts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CouplingError
 from .geometry import (
     TorusWorld,
     UndefinedMeanError,
-    circular_mean,
-    torus_centroid,
-    torus_distance,
+    coordinate_of_resultant,
+    heading_of_resultant,
     torus_neighbours,
 )
 from .macro import DisplacementList
@@ -66,6 +64,39 @@ class FlockObservation:
     radius: float
 
 
+def _columns(obs: MicroObservation) -> tuple[np.ndarray, ...]:
+    """The snapshot as id, x, y and heading arrays, in ascending id."""
+    n = len(obs)
+    ids, pos, h = list(zip(*obs)) or ((), (), ())
+    x, y = list(zip(*pos)) or ((), ())
+    ids = np.fromiter(ids, np.int64, n)
+    order = np.argsort(ids, kind="stable")
+    return ids[order], *(np.fromiter(c, float, n)[order] for c in (x, y, h))
+
+
+def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Label of each of n points: the smallest index in its component.
+
+    Hook and compress (Shiloach-Vishkin): every link (i, j) whose ends
+    carry two labels hooks the larger label onto the smaller, then
+    pointer jumping flattens every tree, so each label is a root again.
+    Labels only decrease and always name a point of the same component.
+    """
+    label = np.arange(n)
+    while True:
+        li, lj = label[i], label[j]
+        cross = li != lj
+        if not cross.any():
+            return label
+        i, j, li, lj = i[cross], j[cross], li[cross], lj[cross]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
 def detect_clusters(
     obs: MicroObservation, p: ClusterParams, w: TorusWorld
 ) -> list[list[int]]:
@@ -76,74 +107,107 @@ def detect_clusters(
     smaller than min_size are dropped. Each component is an ascending id
     list; components are ordered by their minimum member id.
     """
-    n = len(obs)
-    if n == 0:
-        return []
-    ids = np.array([t[0] for t in obs])
-    x = np.array([t[1][0] for t in obs])
-    y = np.array([t[1][1] for t in obs])
-    h = np.array([t[2] for t in obs])
-
+    ids, x, y, h = _columns(obs)
     i, j, _, _, _ = torus_neighbours(x, y, p.d_prox, w)
     aligned = np.abs((h[j] - h[i] + 180.0) % 360.0 - 180.0) <= p.theta
-    i, j = i[aligned], j[aligned]
-    # the pairs are sorted by (i, j): row i holds the links of bird i
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
-    adj = csr_matrix((np.ones(j.size, dtype=bool), j, indptr), shape=(n, n))
+    # rows are in ascending id, so a label is its component's minimum id
+    label = _components(i[aligned], j[aligned], ids.size)
+    size = np.bincount(label, minlength=ids.size)
+    kept = np.flatnonzero(size[label] >= p.min_size)
+    members = ids[kept[np.argsort(label[kept], kind="stable")]].tolist()
+    return [members[a:b] for a, b in _spans(size[size >= p.min_size].tolist())]
 
-    _, labels = connected_components(adj, directed=False)
-    groups: dict[int, list[int]] = {}
-    for k, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(int(ids[k]))
-    clusters = [sorted(g) for g in groups.values() if len(g) >= p.min_size]
-    clusters.sort(key=lambda c: c[0])
-    return clusters
+
+def _spans(sizes: list[int]) -> list[tuple[int, int]]:
+    """(start, end) of consecutive runs of the given sizes."""
+    return [(e - m, e) for m, e in zip(sizes, itertools.accumulate(sizes))]
 
 
 def reify(
-    members: list[int],
-    obs: MicroObservation,
-    w: TorusWorld,
-    *,
-    by_id: dict | None = None,
-) -> FlockObservation:
-    """Promote a cluster of birds to a flock observation.
+    clusters: list[list[int]], obs: MicroObservation, w: TorusWorld
+) -> list[FlockObservation]:
+    """Promote every cluster of one snapshot to a flock observation.
 
-    Centroid is the torus center of gravity of the member positions,
-    heading the circular mean of the member headings (lowest-id member's
-    heading on a degenerate zero resultant), radius the mean member
-    distance to the centroid. `by_id` is the id index of `obs`; callers
-    that reify many clusters of one snapshot pass it to build it once.
+    Centroid is the torus center of gravity of the member positions (per
+    axis, the circular mean of the scaled coordinate, or the arithmetic
+    mean on a zero resultant), heading the circular mean of the member
+    headings (lowest-id member's heading on a zero resultant), radius the
+    mean member distance to the centroid. Every sum runs over the members
+    in ascending id, as a per-cluster loop adds them; cos, sin, atan2 and
+    hypot are taken with `math`, since numpy's can differ in the last bit.
     """
-    if not members:
+    if not clusters:
+        return []
+    sizes = [len(c) for c in clusters]
+    if not all(sizes):
         raise ValueError("reify of empty member set")
-    if by_id is None:
-        by_id = {t[0]: t for t in obs}
-    missing = [m for m in members if m not in by_id]
-    if missing:
-        raise CouplingError(f"members not in observation: {missing}")
-    ordered = sorted(members)
-    positions = [by_id[m][1] for m in ordered]
-    headings = [by_id[m][2] for m in ordered]
-    centroid = torus_centroid(positions, w)
-    try:
-        heading = circular_mean(headings)
-    except UndefinedMeanError:
-        heading = headings[0]
-    radius = math.fsum(torus_distance(centroid, q, w) for q in positions) / len(
-        positions
+    f = len(clusters)
+    cluster = np.repeat(np.arange(f), sizes)
+    members = list(itertools.chain.from_iterable(map(sorted, clusters)))
+    flat = np.array(members, dtype=np.int64)
+    ids, x, y, h = _columns(obs)
+    row = np.searchsorted(ids, flat)
+    known = row < ids.size
+    known[known] = ids[row[known]] == flat[known]
+    if not known.all():
+        raise CouplingError(f"members not in observation: {flat[~known].tolist()}")
+    mx, my, mh = x[row], y[row], h[row]
+
+    # x and y scaled to a full turn and the headings in radians (h * (pi /
+    # 180) is math.radians(h)), summed per cluster in bins k, f + k, 2f + k
+    turns = np.concatenate(
+        (
+            mx * (2.0 * math.pi / w.width),
+            my * (2.0 * math.pi / w.height),
+            mh * (math.pi / 180.0),
+        )
+    ).tolist()
+    bins = np.concatenate((cluster, cluster + f, cluster + 2 * f))
+    cos, sin = (
+        np.bincount(bins, np.fromiter(map(fn, turns), float, len(turns)), 3 * f).tolist()
+        for fn in (math.cos, math.sin)
     )
-    return FlockObservation(
-        members=frozenset(ordered), centroid=centroid, heading=heading, radius=radius
-    )
+    xc, yc, hc = cos[:f], cos[f : 2 * f], cos[2 * f :]
+    xs, ys, hs = sin[:f], sin[f : 2 * f], sin[2 * f :]
+
+    xl, yl, headings = mx.tolist(), my.tolist(), mh.tolist()
+    spans = _spans(sizes)
+    centroids = [
+        (
+            coordinate_of_resultant(xc[k], xs[k], xl[a:b], w.width),
+            coordinate_of_resultant(yc[k], ys[k], yl[a:b], w.height),
+        )
+        for k, (a, b) in enumerate(spans)
+    ]
+    cx, cy = np.array(centroids)[cluster].T
+    # torus_delta(centroid, member), elementwise
+    dx = (mx - cx + w.width / 2.0) % w.width - w.width / 2.0
+    dy = (my - cy + w.height / 2.0) % w.height - w.height / 2.0
+    dist = list(map(math.hypot, dx.tolist(), dy.tolist()))
+
+    flocks = []
+    for k, (a, b) in enumerate(spans):
+        try:
+            heading = heading_of_resultant(hc[k], hs[k], b - a)
+        except UndefinedMeanError:
+            heading = headings[a]
+        flocks.append(
+            FlockObservation(
+                members=frozenset(members[a:b]),
+                centroid=centroids[k],
+                heading=heading,
+                radius=math.fsum(dist[a:b]) / (b - a),
+            )
+        )
+    return flocks
 
 
 def emergence_transform(
     obs: MicroObservation, p: ClusterParams, w: TorusWorld
 ) -> list[FlockObservation]:
     """Detect and reify all clusters in one population snapshot."""
-    by_id = {t[0]: t for t in obs}
-    return [reify(c, obs, w, by_id=by_id) for c in detect_clusters(obs, p, w)]
+    # looked up as module globals, so a wrapper installed there sees each call
+    return reify(detect_clusters(obs, p, w), obs, w)
 
 
 def split_displacements(d: DisplacementList, r: int) -> CommandSet:

@@ -24,10 +24,12 @@ __all__ = [
     "torus_distance",
     "normalize_heading",
     "circular_mean",
+    "heading_of_resultant",
     "heading_diff",
     "signed_heading_delta",
     "turn_towards",
     "torus_centroid",
+    "coordinate_of_resultant",
     "heading_unit",
     "torus_neighbours",
     "mate_sums",
@@ -115,7 +117,15 @@ def circular_mean(headings: list[float]) -> float:
         r = math.radians(h)
         sx += math.cos(r)
         sy += math.sin(r)
-    if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * len(headings):
+    return heading_of_resultant(sx, sy, len(headings))
+
+
+def heading_of_resultant(sx: float, sy: float, n: int) -> float:
+    """Heading of the resultant (sx, sy) of n heading unit vectors.
+
+    Raises UndefinedMeanError when the resultant is (numerically) zero.
+    """
+    if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * n:
         raise UndefinedMeanError("zero resultant, mean undefined")
     return normalize_heading(math.degrees(math.atan2(sy, sx)))
 
@@ -160,9 +170,18 @@ def _axis_circular_mean(coords: list[float], extent: float) -> float:
         a = c * scale
         sx += math.cos(a)
         sy += math.sin(a)
+    return coordinate_of_resultant(sx, sy, coords, extent)
+
+
+def coordinate_of_resultant(
+    sx: float, sy: float, coords: list[float], extent: float
+) -> float:
+    """Circular mean of coords on an axis of the given extent, from the
+    resultant (sx, sy) of their angles c * 2 pi / extent; the arithmetic
+    mean of coords when the resultant is (numerically) zero."""
     if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * len(coords):
         return math.fsum(coords) / len(coords)
-    return wrap_scalar(math.atan2(sy, sx) / scale, extent)
+    return wrap_scalar(math.atan2(sy, sx) / (2.0 * math.pi / extent), extent)
 
 
 def torus_centroid(

@@ -299,3 +299,46 @@ def per_flock_step(s, p):
         )
         new_flocks.append(replace(f, centroid=centroid, heading=heading))
     return replace(s, flocks=tuple(new_flocks), macro_tick=s.macro_tick + 1)
+
+
+# -- Reification oracle -------------------------------------------------
+# One cluster at a time, on the scalar formulas of the steering oracles.
+
+def _axis_circular_mean(coords, extent):
+    scale = 2.0 * math.pi / extent
+    sx = 0.0
+    sy = 0.0
+    for c in coords:
+        a = c * scale
+        sx += math.cos(a)
+        sy += math.sin(a)
+    if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * len(coords):
+        return math.fsum(coords) / len(coords)
+    r = (math.atan2(sy, sx) / scale) % extent
+    return 0.0 if r >= extent else r
+
+
+def reify_cluster(members, obs, w):
+    """One cluster as (members, centroid, heading, radius), bird by bird.
+
+    Centroid: per-axis circular mean of the scaled coordinates, the
+    arithmetic mean of the axis on a zero resultant. Heading: circular
+    mean, the lowest-id member's heading on a zero resultant. Radius: mean
+    member distance to the centroid. Sums run in ascending member id.
+    """
+    by_id = {bid: (pos, h) for bid, pos, h in obs}
+    ordered = sorted(members)
+    positions = [by_id[m][0] for m in ordered]
+    headings = [by_id[m][1] for m in ordered]
+    centroid = (
+        _axis_circular_mean([p[0] for p in positions], w.width),
+        _axis_circular_mean([p[1] for p in positions], w.height),
+    )
+    try:
+        heading = _circular_mean(headings)
+    except UndefinedMeanError:
+        heading = headings[0]
+    radius = math.fsum(_torus_distance(centroid, p, w) for p in positions) / len(
+        positions
+    )
+    return frozenset(ordered), centroid, heading, radius

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from flocklevels.coupling import (
     ClusterParams,
     FlockObservation,
+    _components,
     detect_clusters,
     emergence_transform,
     reify,
@@ -16,7 +18,7 @@ from flocklevels.coupling import (
 from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld, torus_distance, wrap
 from flocklevels.micro import MicroParams, MicroState, Bird, init_random, micro_step, observe
-from helpers import brute_clusters
+from helpers import UnionFind, brute_clusters, reify_cluster
 
 W = TorusWorld(100.0, 100.0)
 CP = ClusterParams(d_prox=5.0, theta=30.0, min_size=2)
@@ -32,6 +34,30 @@ def random_observation(n, rng):
         (i, (rng.uniform(0, 100), rng.uniform(0, 100)), rng.uniform(0, 360))
         for i in range(n)
     ]
+
+
+def clumped_observation(n, w, rng):
+    """n birds around a few centres, headings spread around each centre's."""
+    k = int(rng.integers(1, 8))
+    cx, cy = rng.uniform(0, w.width, k), rng.uniform(0, w.height, k)
+    ch = rng.uniform(0, 360, k)
+    spread = rng.uniform(0.5, 6.0)
+    obs = []
+    for bid in range(n):
+        c = int(rng.integers(k))
+        pos = wrap((cx[c] + rng.normal(0, spread), cy[c] + rng.normal(0, spread)), w)
+        obs.append((bid, pos, float((ch[c] + rng.normal(0, 20)) % 360)))
+    return obs
+
+
+def oracle_flocks(obs, p, w):
+    """Brute-force clusters, reified one at a time by the oracle."""
+    clusters = brute_clusters(obs, p.d_prox, p.theta, p.min_size, w.width, w.height)
+    return [reify_cluster(c, obs, w) for c in clusters]
+
+
+def as_tuples(flocks):
+    return [(f.members, f.centroid, f.heading, f.radius) for f in flocks]
 
 
 class TestDetectClusters:
@@ -95,6 +121,20 @@ class TestDetectClusters:
             ]
             assert detect_clusters(obs, CP, W) == detect_clusters(shifted, CP, W)
 
+    def test_unordered_observation_gives_ascending_id_clusters(self):
+        rng = np.random.default_rng(29)
+        found = 0
+        for _ in range(20):
+            ids = rng.choice(1000, size=150, replace=False)
+            obs = [(int(b), pos, h) for b, (_, pos, h) in zip(ids, random_observation(150, rng))]
+            in_order = sorted(obs)
+            want = brute_clusters(obs, CP.d_prox, CP.theta, CP.min_size, 100.0, 100.0)
+            assert detect_clusters(obs, CP, W) == want
+            assert detect_clusters(in_order, CP, W) == want
+            assert emergence_transform(obs, CP, W) == emergence_transform(in_order, CP, W)
+            found += len(want)
+        assert found > 50
+
     def test_disjoint_and_min_size(self):
         rng = np.random.default_rng(31)
         obs = random_observation(50, rng)
@@ -107,17 +147,57 @@ class TestDetectClusters:
             seen |= set(c)
 
 
+class TestComponents:
+    def test_shuffled_chain_is_one_cluster(self):
+        # ids shuffled along a chain: the worst case for hooking, where
+        # plain min-label propagation needs about a thousand rounds
+        n = 4000
+        ids = np.random.default_rng(3).permutation(n)
+        w = TorusWorld(2.0 * n + 100.0, 10.0)
+        obs = sorted((int(ids[k]), (2.0 * k, 5.0), 0.0) for k in range(n))
+        p = ClusterParams(d_prox=3.0, theta=0.0, min_size=2)
+        assert detect_clusters(obs, p, w) == [list(range(n))]
+        i = np.concatenate((ids[:-1], ids[1:]))
+        j = np.concatenate((ids[1:], ids[:-1]))
+        t0 = time.perf_counter()
+        label = _components(i, j, n)
+        assert time.perf_counter() - t0 < 0.1
+        assert not label.any()
+
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=120),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_label_is_component_minimum(self, graph):
+        n, links = graph
+        uf = UnionFind(n)
+        for a, b in links:
+            uf.union(a, b)
+        smallest = {}
+        for v in range(n):
+            smallest.setdefault(uf.find(v), v)
+        i = np.array([a for a, _ in links], dtype=np.int64)
+        j = np.array([b for _, b in links], dtype=np.int64)
+        label = _components(i, j, n)
+        assert label.tolist() == [smallest[uf.find(v)] for v in range(n)]
+
+
 class TestReify:
     def test_single_member(self):
         obs = [(3, (12.0, 34.0), 270.0)]
-        f = reify([3], obs, W)
+        f = reify([[3]], obs, W)[0]
         assert f.centroid == (12.0, 34.0)
         assert f.heading == 270.0
         assert f.radius == 0.0
 
     def test_seam_pair(self):
         obs = [(0, (98.0, 0.0), 350.0), (1, (2.0, 0.0), 10.0)]
-        f = reify([0, 1], obs, W)
+        f = reify([[0, 1]], obs, W)[0]
         cx, cy = f.centroid
         assert min(cx, 100 - cx) == pytest.approx(0.0, abs=1e-9)
         assert cy == pytest.approx(0.0, abs=1e-9)
@@ -131,30 +211,76 @@ class TestReify:
             (2, (49.0, 51.0), 90.0),
             (3, (51.0, 51.0), 90.0),
         ]
-        f = reify([0, 1, 2, 3], obs, W)
+        f = reify([[0, 1, 2, 3]], obs, W)[0]
         assert f.centroid == (pytest.approx(50.0), pytest.approx(50.0))
         assert f.heading == 90.0
         assert f.radius == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_zero_resultant_falls_back_to_lowest_id(self):
         obs = [(5, (10.0, 10.0), 0.0), (9, (11.0, 10.0), 180.0)]
-        f = reify([9, 5], obs, W)
+        f = reify([[9, 5]], obs, W)[0]
         assert f.heading == 0.0  # bird 5's heading
 
     def test_missing_member(self):
         with pytest.raises(CouplingError):
-            reify([0, 1], [(0, (0.0, 0.0), 0.0)], W)
+            reify([[0, 1]], [(0, (0.0, 0.0), 0.0)], W)[0]
 
 
 class TestEmergenceTransform:
     def test_matches_per_cluster_reify(self):
-        # the shared id index leaves every flock bit-identical
+        # one batched pass gives every flock bit for bit as the oracle
+        # reifies it alone
         obs = random_observation(400, np.random.default_rng(8))
         flocks = emergence_transform(obs, CP, W)
         assert len(flocks) > 10
-        assert flocks == [reify(c, obs, W) for c in detect_clusters(obs, CP, W)]
-        with pytest.raises(CouplingError):
-            reify([0, 1000], obs, W, by_id={t[0]: t for t in obs})
+        assert as_tuples(flocks) == oracle_flocks(obs, CP, W)
+        with pytest.raises(CouplingError, match=r"\[1000\]"):
+            reify([[0, 1], [2, 1000]], obs, W)
+
+    def test_matches_oracle_on_random_worlds(self):
+        rng = np.random.default_rng(41)
+        flocks = 0
+        for k in range(60):
+            if k % 3 == 0:  # narrow: one axis shorter than d_prox can be
+                extents = [rng.uniform(2.0, 6.0), rng.uniform(60.0, 200.0)]
+                rng.shuffle(extents)
+                w = TorusWorld(*extents)
+            else:
+                w = TorusWorld(rng.uniform(20.0, 150.0), rng.uniform(20.0, 150.0))
+            p = ClusterParams(
+                d_prox=rng.uniform(0.5, 8.0),
+                theta=rng.uniform(0.0, 180.0),
+                min_size=int(rng.integers(2, 6)),
+            )
+            obs = clumped_observation(int(rng.integers(0, 120)), w, rng)
+            got = as_tuples(emergence_transform(obs, p, w))
+            assert got == oracle_flocks(obs, p, w)
+            flocks += len(got)
+        assert flocks > 100
+
+    def test_zero_resultant_fallbacks_next_to_ordinary_clusters(self):
+        w = TorusWorld(100.0, 60.0)
+        p = ClusterParams(d_prox=5.0, theta=90.0, min_size=2)
+        birds = (
+            # rings round the x axis and round the y axis: zero resultant
+            # on that axis; headings 180 apart keep them unlinked
+            [((4.0 * k, 5.0), 0.0) for k in range(25)]
+            + [((50.0, 4.0 * k), 180.0) for k in range(15)]
+            # headings that cancel, linked through the 90-degree steps
+            + [((24.0, 30.0), 90.0), ((26.0, 30.0), 0.0)]
+            + [((24.0, 32.0), 180.0), ((26.0, 32.0), 270.0)]
+            # ordinary clusters
+            + [((80.0 + k, 40.0), 40.0 + 5.0 * k) for k in range(3)]
+            + [((10.0, 45.0 + k), 300.0 + 10.0 * k) for k in range(2)]
+        )
+        obs = [(k, pos, h) for k, (pos, h) in enumerate(birds)]
+        flocks = emergence_transform(obs, p, w)
+        assert as_tuples(flocks) == oracle_flocks(obs, p, w)
+        x_ring, y_ring, cancelled, *ordinary = flocks
+        assert x_ring.centroid[0] == math.fsum(4.0 * k for k in range(25)) / 25
+        assert y_ring.centroid[1] == math.fsum(4.0 * k for k in range(15)) / 15
+        assert cancelled.heading == 90.0  # the lowest id's heading
+        assert [len(f.members) for f in ordinary] == [3, 2]
 
     def test_scattered_birds_no_flocks(self):
         obs = [(i, (i * 20.0, 50.0), 0.0) for i in range(5)]
