@@ -17,8 +17,8 @@ from .coupling import (
 from .errors import ConfigError, CouplingError, DeadlockError, ProtocolError
 from .geometry import TorusWorld
 from .kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
-from .macro import Flock, MacroParams, MacroState, displacements, macro_step, sync_registry
-from .micro import Bird, MicroParams, MicroState, init_random, micro_step, observe
+from .macro import Flock, MacroState, displacements, macro_step, sync_registry
+from .micro import Bird, MicroState, SteeringParams, init_random, micro_step, observe
 
 __all__ = [
     "ABSENT",
@@ -31,12 +31,11 @@ __all__ = [
     "EventLog",
     "Flock",
     "FlockObservation",
-    "MacroParams",
     "MacroState",
-    "MicroParams",
     "MicroState",
     "MultiModel",
     "ProtocolError",
+    "SteeringParams",
     "TorusWorld",
     "detect_clusters",
     "displacements",

@@ -22,14 +22,13 @@ import numpy as np
 
 from .errors import CouplingError
 from .geometry import (
-    TorusWorld,
     UndefinedMeanError,
     coordinate_of_resultant,
     heading_of_resultant,
     torus_neighbours,
 )
 from .macro import DisplacementList
-from .micro import CommandSet, MicroObservation
+from .micro import CommandSet, MicroState
 
 __all__ = [
     "ClusterParams",
@@ -64,16 +63,6 @@ class FlockObservation:
     radius: float
 
 
-def _columns(obs: MicroObservation) -> tuple[np.ndarray, ...]:
-    """The snapshot as id, x, y and heading arrays, in ascending id."""
-    n = len(obs)
-    ids, pos, h = list(zip(*obs)) or ((), (), ())
-    x, y = list(zip(*pos)) or ((), ())
-    ids = np.fromiter(ids, np.int64, n)
-    order = np.argsort(ids, kind="stable")
-    return ids[order], *(np.fromiter(c, float, n)[order] for c in (x, y, h))
-
-
 def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """Label of each of n points: the smallest index in its component.
 
@@ -97,9 +86,7 @@ def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
             label = up
 
 
-def detect_clusters(
-    obs: MicroObservation, p: ClusterParams, w: TorusWorld
-) -> list[list[int]]:
+def detect_clusters(obs: MicroState, p: ClusterParams) -> list[list[int]]:
     """Connected components of the proximity-and-alignment graph.
 
     Two birds are linked iff their torus distance is <= d_prox and their
@@ -107,8 +94,8 @@ def detect_clusters(
     smaller than min_size are dropped. Each component is an ascending id
     list; components are ordered by their minimum member id.
     """
-    ids, x, y, h = _columns(obs)
-    i, j, _, _, _ = torus_neighbours(x, y, p.d_prox, w)
+    ids, h = obs.ids, obs.heading
+    i, j, _, _, _ = torus_neighbours(obs.x, obs.y, p.d_prox, obs.world)
     aligned = np.abs((h[j] - h[i] + 180.0) % 360.0 - 180.0) <= p.theta
     # rows are in ascending id, so a label is its component's minimum id
     label = _components(i[aligned], j[aligned], ids.size)
@@ -123,9 +110,7 @@ def _spans(sizes: list[int]) -> list[tuple[int, int]]:
     return [(e - m, e) for m, e in zip(sizes, itertools.accumulate(sizes))]
 
 
-def reify(
-    clusters: list[list[int]], obs: MicroObservation, w: TorusWorld
-) -> list[FlockObservation]:
+def reify(clusters: list[list[int]], obs: MicroState) -> list[FlockObservation]:
     """Promote every cluster of one snapshot to a flock observation.
 
     Centroid is the torus center of gravity of the member positions (per
@@ -145,13 +130,11 @@ def reify(
     cluster = np.repeat(np.arange(f), sizes)
     members = list(itertools.chain.from_iterable(map(sorted, clusters)))
     flat = np.array(members, dtype=np.int64)
-    ids, x, y, h = _columns(obs)
-    row = np.searchsorted(ids, flat)
-    known = row < ids.size
-    known[known] = ids[row[known]] == flat[known]
-    if not known.all():
-        raise CouplingError(f"members not in observation: {flat[~known].tolist()}")
-    mx, my, mh = x[row], y[row], h[row]
+    row, missing = obs.rows_of(flat)
+    if missing.size:
+        raise CouplingError(f"members not in observation: {missing.tolist()}")
+    mx, my, mh = obs.x[row], obs.y[row], obs.heading[row]
+    w = obs.world
 
     # x and y scaled to a full turn and the headings in radians (h * (pi /
     # 180) is math.radians(h)), summed per cluster in bins k, f + k, 2f + k
@@ -202,12 +185,10 @@ def reify(
     return flocks
 
 
-def emergence_transform(
-    obs: MicroObservation, p: ClusterParams, w: TorusWorld
-) -> list[FlockObservation]:
+def emergence_transform(obs: MicroState, p: ClusterParams) -> list[FlockObservation]:
     """Detect and reify all clusters in one population snapshot."""
     # looked up as module globals, so a wrapper installed there sees each call
-    return reify(detect_clusters(obs, p, w), obs, w)
+    return reify(detect_clusters(obs, p), obs)
 
 
 def split_displacements(d: DisplacementList, r: int) -> CommandSet:

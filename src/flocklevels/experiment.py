@@ -36,8 +36,7 @@ from .kernel import (
     flock_stats,
     run,
 )
-from .macro import MacroParams
-from .micro import MicroParams, init_random
+from .micro import SteeringParams, init_random
 
 __all__ = [
     "VariantSpec",
@@ -53,15 +52,13 @@ __all__ = [
     "load_config_file",
 ]
 
-_BASE_MACRO = MacroParams()
-
 
 @dataclass(frozen=True)
 class VariantSpec:
     name: str
     immergence_enabled: bool
     macro_behavior_enabled: bool
-    macro_params: MacroParams
+    macro_params: SteeringParams
     ratio: int
 
     def __post_init__(self) -> None:
@@ -70,23 +67,23 @@ class VariantSpec:
 
 
 VARIANTS: dict[str, VariantSpec] = {
-    "m": VariantSpec("m", False, False, _BASE_MACRO, 1),
-    "M": VariantSpec("M", True, True, _BASE_MACRO, 1),
+    "m": VariantSpec("m", False, False, SteeringParams(), 1),
+    "M": VariantSpec("M", True, True, SteeringParams(), 1),
     "M1": VariantSpec(
         "M1",
         True,
         True,
-        replace(_BASE_MACRO, max_separate_turn=8.0, max_align_turn=1.0, max_cohere_turn=1.0),
+        SteeringParams(max_separate_turn=8.0, max_align_turn=1.0, max_cohere_turn=1.0),
         1,
     ),
     "M2": VariantSpec(
         "M2",
         True,
         True,
-        replace(_BASE_MACRO, max_align_turn=8.0, max_cohere_turn=8.0, max_separate_turn=0.5),
+        SteeringParams(max_align_turn=8.0, max_cohere_turn=8.0, max_separate_turn=0.5),
         1,
     ),
-    "M3": VariantSpec("M3", True, True, _BASE_MACRO, 4),
+    "M3": VariantSpec("M3", True, True, SteeringParams(), 4),
 }
 
 
@@ -108,7 +105,7 @@ class ExperimentConfig:
     base_seed: int = 0
     sample_interval: int = 1
     world: TorusWorld = TorusWorld(100.0, 100.0)
-    micro: MicroParams = MicroParams()
+    micro: SteeringParams = SteeringParams()
     cluster: ClusterParams = ClusterParams()
 
     def __post_init__(self) -> None:
@@ -142,10 +139,10 @@ def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
     initial = init_random(cfg.birds, cfg.world, rng)
 
     log = EventLog()
-    cluster, world, ratio = cfg.cluster, cfg.world, v.ratio
+    cluster, ratio = cfg.cluster, v.ratio
     emergence = CouplingArtifact(
         "e",
-        transformer=lambda obs: emergence_transform(obs, cluster, world),
+        transformer=lambda obs: emergence_transform(obs, cluster),
         write_kind="MicroObservation",
         read_kind="FlockObservationList",
         log=log,
@@ -164,7 +161,7 @@ def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
         MicroModelInterface(initial, cfg.micro), emergence, immergence, ratio
     )
     macro_agent = MacroMAgent(
-        MacroModelInterface(world, v.macro_params),
+        MacroModelInterface(cfg.world, v.macro_params),
         emergence,
         immergence,
         ratio,
@@ -321,9 +318,7 @@ def apply_config(
             float(fv.get("world.width", 100.0)), float(fv.get("world.height", 100.0))
         )
     with _keyed("micro"):
-        micro = replace(
-            MicroParams(), **{k: float(x) for k, x in group("micro").items()}
-        )
+        micro = SteeringParams(**{k: float(x) for k, x in group("micro").items()})
     macro_over = group("macro")
     if macro_over:
         with _keyed("macro"):

@@ -23,12 +23,10 @@ __all__ = [
     "torus_delta",
     "torus_distance",
     "normalize_heading",
-    "circular_mean",
     "heading_of_resultant",
     "heading_diff",
     "signed_heading_delta",
     "turn_towards",
-    "torus_centroid",
     "coordinate_of_resultant",
     "heading_unit",
     "torus_neighbours",
@@ -103,23 +101,6 @@ def heading_unit(deg: float) -> tuple[float, float]:
     return (math.cos(r), math.sin(r))
 
 
-def circular_mean(headings: list[float]) -> float:
-    """Heading of the sum of unit vectors of the given headings.
-
-    Raises UndefinedMeanError when the resultant is (numerically) zero,
-    e.g. for {0, 180}; callers choose their own fallback.
-    """
-    if not headings:
-        raise ValueError("circular_mean of empty list")
-    sx = 0.0
-    sy = 0.0
-    for h in headings:
-        r = math.radians(h)
-        sx += math.cos(r)
-        sy += math.sin(r)
-    return heading_of_resultant(sx, sy, len(headings))
-
-
 def heading_of_resultant(sx: float, sy: float, n: int) -> float:
     """Heading of the resultant (sx, sy) of n heading unit vectors.
 
@@ -161,18 +142,6 @@ def turn_towards(current: float, target: float, max_turn: float) -> float:
     return normalize_heading(current + math.copysign(max_turn, d))
 
 
-def _axis_circular_mean(coords: list[float], extent: float) -> float:
-    """Circular mean of one coordinate axis; arithmetic mean on degeneracy."""
-    scale = 2.0 * math.pi / extent
-    sx = 0.0
-    sy = 0.0
-    for c in coords:
-        a = c * scale
-        sx += math.cos(a)
-        sy += math.sin(a)
-    return coordinate_of_resultant(sx, sy, coords, extent)
-
-
 def coordinate_of_resultant(
     sx: float, sy: float, coords: list[float], extent: float
 ) -> float:
@@ -182,20 +151,6 @@ def coordinate_of_resultant(
     if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * len(coords):
         return math.fsum(coords) / len(coords)
     return wrap_scalar(math.atan2(sy, sx) / (2.0 * math.pi / extent), extent)
-
-
-def torus_centroid(
-    positions: list[tuple[float, float]], world: TorusWorld
-) -> tuple[float, float]:
-    """Center of gravity of points on the torus (per-axis circular mean)."""
-    if not positions:
-        raise ValueError("torus_centroid of empty list")
-    xs = [p[0] for p in positions]
-    ys = [p[1] for p in positions]
-    return (
-        _axis_circular_mean(xs, world.width),
-        _axis_circular_mean(ys, world.height),
-    )
 
 
 def torus_neighbours(

@@ -5,13 +5,12 @@ from __future__ import annotations
 from .geometry import TorusWorld
 from .macro import (
     DisplacementList,
-    MacroParams,
     MacroState,
     displacements,
     macro_step,
     sync_registry,
 )
-from .micro import CommandSet, MicroObservation, MicroParams, MicroState, micro_step, observe
+from .micro import CommandSet, MicroState, SteeringParams, micro_step, observe
 
 __all__ = ["MicroModelInterface", "MacroModelInterface"]
 
@@ -19,7 +18,7 @@ __all__ = ["MicroModelInterface", "MacroModelInterface"]
 class MicroModelInterface:
     """Owns a bird population; one model step per step_model call."""
 
-    def __init__(self, initial: MicroState, params: MicroParams) -> None:
+    def __init__(self, initial: MicroState, params: SteeringParams) -> None:
         self.params = params
         self.state = initial
         self._pending: CommandSet | None = None
@@ -31,14 +30,14 @@ class MicroModelInterface:
         self.state = micro_step(self.state, self._pending, self.params)
         self._pending = None
 
-    def observe_model(self) -> MicroObservation:
+    def observe_model(self) -> MicroState:
         return observe(self.state)
 
 
 class MacroModelInterface:
     """Owns the flock registry; supports adding and removing flocks."""
 
-    def __init__(self, world: TorusWorld, params: MacroParams) -> None:
+    def __init__(self, world: TorusWorld, params: SteeringParams) -> None:
         self.params = params
         self.state = MacroState(flocks=(), next_id=0, macro_tick=0, world=world)
 

@@ -45,11 +45,10 @@ from .geometry import (
     turn_towards,
     wrap,
 )
-from .micro import MicroParams
+from .micro import SteeringParams
 
 __all__ = [
     "Flock",
-    "MacroParams",
     "MacroState",
     "DisplacementList",
     "sync_registry",
@@ -78,19 +77,6 @@ class Flock:
             raise ValueError("radius must be >= 0")
         if not self.members:
             raise ValueError("a registered flock must have members")
-
-
-@dataclass(frozen=True)
-class MacroParams:
-    vision: float = 10.0
-    min_separation: float = 1.0
-    max_align_turn: float = 5.0
-    max_cohere_turn: float = 3.0
-    max_separate_turn: float = 1.5
-    speed: float = 1.0
-
-    # the flock-level rule takes the same parameters as the per-bird rule
-    __post_init__ = MicroParams.__post_init__
 
 
 @dataclass(frozen=True)
@@ -179,7 +165,7 @@ def _bearing(dx: float, dy: float) -> float:
     return normalize_heading(math.degrees(math.atan2(dy, dx)))
 
 
-def macro_step(s: MacroState, p: MacroParams) -> MacroState:
+def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     """One synchronous step of every flock; never creates or destroys flocks.
 
     Mates are the other flocks with a gap of at most vision. The nearest
@@ -190,7 +176,7 @@ def macro_step(s: MacroState, p: MacroParams) -> MacroState:
     flocks = s.flocks
     w = s.world
     n = len(flocks)
-    # heading units by math.cos and math.sin, as circular_mean takes them
+    # heading units by math.cos and math.sin, as the per-flock rule takes them
     x, y, r, ux, uy = np.array(
         [(*f.centroid, f.radius, *heading_unit(f.heading)) for f in flocks]
     ).reshape(n, 5).T
@@ -214,7 +200,7 @@ def macro_step(s: MacroState, p: MacroParams) -> MacroState:
             away = _bearing(*torus_delta(flocks[m].centroid, f.centroid, w))
             heading = turn_towards(heading, away, p.max_separate_turn)
         elif c:
-            # alignment is skipped where circular_mean would find no mean
+            # alignment is skipped where heading_of_resultant would find no mean
             if math.hypot(ax, ay) >= ZERO_RESULTANT_EPS * c:
                 heading = turn_towards(heading, _bearing(ax, ay), p.max_align_turn)
             if math.hypot(bx, by) >= ZERO_RESULTANT_EPS:

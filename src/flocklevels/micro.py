@@ -6,9 +6,11 @@ Birds can additionally be driven by external movement commands (a rigid
 displacement plus an imposed heading), which bypass the boids rules for
 that tick.
 
-The population update is synchronous (double-buffered): every bird's new
-state is computed from the pre-step state, so storage order never affects
-the outcome.
+The population is one set of read-only arrays, one per column, in
+ascending id. The update is synchronous (double-buffered): every bird's
+new state is computed from the pre-step state into new arrays, so
+storage order never affects the outcome and a published state never
+changes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .geometry import (
 
 __all__ = [
     "Bird",
-    "MicroParams",
+    "SteeringParams",
     "MicroState",
     "init_random",
     "micro_step",
@@ -39,8 +41,6 @@ __all__ = [
 Command = tuple[tuple[float, float], float]
 # Per-tick map bird id -> command.
 CommandSet = dict[int, Command]
-# Snapshot of the population: (id, position, heading), ascending id.
-MicroObservation = list[tuple[int, tuple[float, float], float]]
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ class Bird:
 
 
 @dataclass(frozen=True)
-class MicroParams:
+class SteeringParams:
+    """The bounded-turn boids rule; birds and flocks take the same fields."""
+
     vision: float = 10.0
     min_separation: float = 1.0
     max_align_turn: float = 5.0
@@ -74,19 +76,60 @@ class MicroParams:
             raise ValueError("vision must be >= min_separation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MicroState:
-    birds: tuple[Bird, ...]
+    """The population at one tick, one read-only array per column.
+
+    ids are int64, x, y and heading float64, all in ascending id. The
+    state is also the snapshot the micro agent publishes, and the event
+    log keeps it by reference, so its arrays are never written.
+    """
+
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    heading: np.ndarray
     tick: int
     world: TorusWorld
 
     def __post_init__(self) -> None:
-        # canonical storage order: ascending id; also enforces uniqueness
-        birds = tuple(sorted(self.birds, key=lambda b: b.id))
-        ids = [b.id for b in birds]
-        if len(set(ids)) != len(ids):
+        ids = np.asarray(self.ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate bird ids")
-        object.__setattr__(self, "birds", birds)
+        columns = {"ids": ids}
+        for name in ("x", "y", "heading"):
+            col = np.asarray(getattr(self, name), dtype=np.float64)
+            if col.shape != order.shape:
+                raise ValueError(f"{name} has {col.size} values for {ids.size} ids")
+            col = col[order]
+            if not np.isfinite(col).all():
+                k = np.flatnonzero(~np.isfinite(col))[0]
+                raise ValueError(
+                    f"{name} must be finite, got {col[k].item()!r} for bird {ids[k]}"
+                )
+            columns[name] = col
+        # indexing by order copied every column, so none is shared
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    @property
+    def birds(self) -> tuple[Bird, ...]:
+        """The population as Bird records, built on each access."""
+        pos = zip(self.x.tolist(), self.y.tolist())
+        return tuple(map(Bird, self.ids.tolist(), pos, self.heading.tolist()))
+
+    def rows_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each of the given ids, and those of them not present."""
+        rows = np.searchsorted(self.ids, ids)
+        known = rows < self.ids.size
+        known[known] = self.ids[rows[known]] == ids[known]
+        return rows, ids[~known]
 
 
 def init_random(n: int, world: TorusWorld, rng: np.random.Generator) -> MicroState:
@@ -96,10 +139,7 @@ def init_random(n: int, world: TorusWorld, rng: np.random.Generator) -> MicroSta
     xs = rng.uniform(0.0, world.width, n)
     ys = rng.uniform(0.0, world.height, n)
     hs = rng.uniform(0.0, 360.0, n)
-    birds = tuple(
-        Bird(i, (float(xs[i]), float(ys[i])), float(hs[i])) for i in range(n)
-    )
-    return MicroState(birds=birds, tick=0, world=world)
+    return MicroState(np.arange(n), xs, ys, hs, tick=0, world=world)
 
 
 def _wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
@@ -107,25 +147,20 @@ def _wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
     return np.where(r >= extent, 0.0, r)
 
 
-def _norm_heading_array(h: np.ndarray) -> np.ndarray:
-    r = h % 360.0
-    return np.where(r >= 360.0, 0.0, r)
-
-
 def _turn_array(cur: np.ndarray, tgt: np.ndarray, max_turn: float) -> np.ndarray:
     d = (tgt - cur + 180.0) % 360.0 - 180.0
     d = np.where(d == -180.0, 180.0, d)
     out = np.where(np.abs(d) <= max_turn, tgt, cur + np.sign(d) * max_turn)
-    return _norm_heading_array(out)
+    return _wrap_array(out, 360.0)
 
 
 def _step_all_autonomous(
-    x: np.ndarray, y: np.ndarray, h: np.ndarray, p: MicroParams, w: TorusWorld
+    x: np.ndarray, y: np.ndarray, h: np.ndarray, p: SteeringParams, w: TorusWorld
 ) -> np.ndarray:
     """Vectorized boids headings for the whole population (pre-move).
 
-    Per-bird sums run over the mates in ascending id order, as in
-    circular_mean and in the per-bird rule the tests check against.
+    Per-bird sums run over the mates in ascending id order, as in the
+    per-bird rule the tests check against.
     """
     n = x.shape[0]
     i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w)
@@ -141,13 +176,13 @@ def _step_all_autonomous(
     # math.atan2 of the reverse delta does
     away = np.zeros(n)
     away[rows] = np.degrees(np.arctan2(-dy[nearest] + 0.0, -dx[nearest] + 0.0))
-    h_sep = _turn_array(h, _norm_heading_array(away), p.max_separate_turn)
+    h_sep = _turn_array(h, _wrap_array(away, 360.0), p.max_separate_turn)
 
     align_ok = np.hypot(sx, sy) >= ZERO_RESULTANT_EPS * np.maximum(count, 1.0)
-    align_tgt = _norm_heading_array(np.degrees(np.arctan2(sy, sx)))
+    align_tgt = _wrap_array(np.degrees(np.arctan2(sy, sx)), 360.0)
 
     coh_ok = np.hypot(cx, cy) >= ZERO_RESULTANT_EPS
-    coh_tgt = _norm_heading_array(np.degrees(np.arctan2(cy, cx)))
+    coh_tgt = _wrap_array(np.degrees(np.arctan2(cy, cx)), 360.0)
 
     free = has_mates & ~sep
     h_a = np.where(free & align_ok, _turn_array(h, align_tgt, p.max_align_turn), h)
@@ -158,48 +193,39 @@ def _step_all_autonomous(
 
 
 def micro_step(
-    s: MicroState, cmds: CommandSet | None, p: MicroParams
+    s: MicroState, cmds: CommandSet | None, p: SteeringParams
 ) -> MicroState:
     """Advance the whole population by one tick.
 
     Commanded birds move rigidly per their command; every other bird runs
     the boids rules against the pre-step state.
     """
-    n = len(s.birds)
-    ids = [b.id for b in s.birds]
     if cmds:
-        unknown = set(cmds) - set(ids)
-        if unknown:
-            raise CouplingError(f"commands for unknown bird ids: {sorted(unknown)}")
-    if n == 0:
+        rows, unknown = s.rows_of(np.fromiter(cmds, np.int64, len(cmds)))
+        if unknown.size:
+            raise CouplingError(
+                f"commands for unknown bird ids: {sorted(unknown.tolist())}"
+            )
+    if len(s) == 0:
         return replace(s, tick=s.tick + 1)
 
-    x = np.array([b.pos[0] for b in s.birds])
-    y = np.array([b.pos[1] for b in s.birds])
-    h = np.array([b.heading for b in s.birds])
-
-    new_h = _step_all_autonomous(x, y, h, p, s.world)
+    x, y = s.x, s.y
+    new_h = _step_all_autonomous(x, y, s.heading, p, s.world)
     hr = np.radians(new_h)
     new_x = x + p.speed * np.cos(hr)
     new_y = y + p.speed * np.sin(hr)
 
     if cmds:
-        index = {bid: i for i, bid in enumerate(ids)}
-        for bid, ((vx, vy), ch) in cmds.items():
-            i = index[bid]
+        for i, ((vx, vy), ch) in zip(rows.tolist(), cmds.values()):
             new_x[i] = x[i] + vx
             new_y[i] = y[i] + vy
             new_h[i] = normalize_heading(ch)
 
     new_x = _wrap_array(new_x, s.world.width)
     new_y = _wrap_array(new_y, s.world.height)
-    birds = tuple(
-        Bird(ids[i], (float(new_x[i]), float(new_y[i])), float(new_h[i]))
-        for i in range(n)
-    )
-    return MicroState(birds=birds, tick=s.tick + 1, world=s.world)
+    return MicroState(s.ids, new_x, new_y, new_h, tick=s.tick + 1, world=s.world)
 
 
-def observe(s: MicroState) -> MicroObservation:
-    """Ordered read-only snapshot: (id, position, heading) per bird."""
-    return [(b.id, b.pos, b.heading) for b in s.birds]
+def observe(s: MicroState) -> MicroState:
+    """The published snapshot: the state itself, which is read-only."""
+    return s

@@ -93,6 +93,22 @@ def brute_clusters(obs, d_prox, theta, min_size, width, height):
     return clusters
 
 
+def columns(rows):
+    """(id, (x, y), heading) rows as id, x, y and heading lists."""
+    rows = list(rows)
+    return (
+        [r[0] for r in rows],
+        [r[1][0] for r in rows],
+        [r[1][1] for r in rows],
+        [r[2] for r in rows],
+    )
+
+
+def state_key(s):
+    """Everything a population state holds, as plain Python values."""
+    return (s.tick, s.world, *(a.tolist() for a in (s.ids, s.x, s.y, s.heading)))
+
+
 def jaccard(a, b):
     a, b = set(a), set(b)
     inter = len(a & b)

@@ -27,9 +27,9 @@ from flocklevels.experiment import (
 from flocklevels.geometry import TorusWorld, torus_distance
 from flocklevels.interfaces import MacroModelInterface, MicroModelInterface
 from flocklevels.kernel import CouplingArtifact, EventLog, MacroMAgent, MicroMAgent, MultiModel, run
-from flocklevels.macro import MacroParams, MacroState, sync_registry
-from flocklevels.micro import Bird, MicroParams, MicroState, init_random, micro_step, observe
-from helpers import best_matching, brute_clusters, jaccard
+from flocklevels.macro import MacroState, sync_registry
+from flocklevels.micro import MicroState, SteeringParams, init_random, micro_step, observe
+from helpers import best_matching, brute_clusters, columns, jaccard, state_key
 
 W = TorusWorld(100.0, 100.0)
 
@@ -64,7 +64,7 @@ def test_criterion_1_clustering_oracle(capfd):
                 zip(rng.uniform(0, 100, 50), rng.uniform(0, 100, 50), rng.uniform(0, 360, 50))
             )
         ]
-        got = detect_clusters(obs, params, W)
+        got = detect_clusters(MicroState(*columns(obs), 0, W), params)
         want = brute_clusters(obs, 5.0, 30.0, 2, 100.0, 100.0)
         assert got == want
     elapsed = time.perf_counter() - start
@@ -111,8 +111,8 @@ def test_criterion_4_no_immergence_equivalence(capfd):
             state = micro_step(state, None, cfg.micro)
         # the coupled run publishes its raw snapshot at every boundary;
         # with ratio 1 that is every tick, so trajectories compare exactly
-        assert mm.emergence.buffer[t] == observe(state)
-        counts.append(len(emergence_transform(observe(state), cfg.cluster, cfg.world)))
+        assert state_key(mm.emergence.buffer[t]) == state_key(observe(state))
+        counts.append(len(emergence_transform(observe(state), cfg.cluster)))
 
     sampled = {t: n for t, n, _, _ in mm.macro_agent.samples}
     sampled[cfg.horizon] = len(mm.emergence.peek(cfg.horizon))
@@ -149,17 +149,14 @@ def test_criterion_5_immergence_conservation(capfd):
 
 def test_criterion_6_flock_rigidity(capfd):
     rng = np.random.default_rng(6)
-    birds = tuple(
-        Bird(i, (50.0 + float(rng.uniform(-1, 1)), 50.0 + float(rng.uniform(-1, 1))), 37.0)
-        for i in range(10)
-    )
-    initial = MicroState(birds=birds, tick=0, world=W)
+    x, y = 50.0 + rng.uniform(-1, 1, (10, 2)).T
+    initial = MicroState(range(10), x, y, [37.0] * 10, 0, W)
     cluster = ClusterParams(d_prox=5.0, theta=30.0, min_size=3)
 
     log = EventLog()
     emergence = CouplingArtifact(
         "e",
-        transformer=lambda obs: emergence_transform(obs, cluster, W),
+        transformer=lambda obs: emergence_transform(obs, cluster),
         write_kind="MicroObservation",
         read_kind="FlockObservationList",
         log=log,
@@ -171,8 +168,8 @@ def test_criterion_6_flock_rigidity(capfd):
         read_kind="CommandSet",
         log=log,
     )
-    micro = MicroMAgent(MicroModelInterface(initial, MicroParams()), emergence, immergence, 1)
-    macro = MacroMAgent(MacroModelInterface(W, MacroParams()), emergence, immergence, 1)
+    micro = MicroMAgent(MicroModelInterface(initial, SteeringParams()), emergence, immergence, 1)
+    macro = MacroMAgent(MacroModelInterface(W, SteeringParams()), emergence, immergence, 1)
     mm = MultiModel(
         micro_agent=micro,
         macro_agent=macro,
@@ -185,16 +182,16 @@ def test_criterion_6_flock_rigidity(capfd):
     assert list(emergence.buffer) == list(range(21))
     snapshots = [emergence.buffer[t] for t in range(21)]
     for obs in snapshots:
-        headings = {h for _, _, h in obs}
-        assert len(headings) == 1
+        assert len(set(obs.heading.tolist())) == 1
     for before, after in zip(snapshots, snapshots[1:]):
+        p0, p1 = (list(zip(s.x.tolist(), s.y.tolist())) for s in (before, after))
         for i in range(10):
             for j in range(i + 1, 10):
-                d0 = torus_distance(before[i][1], before[j][1], W)
-                d1 = torus_distance(after[i][1], after[j][1], W)
+                d0 = torus_distance(p0[i], p0[j], W)
+                d1 = torus_distance(p1[i], p1[j], W)
                 assert abs(d1 - d0) < 1e-9
         # the flock stayed one flock throughout
-        assert len(emergence_transform(after, cluster, W)) == 1
+        assert len(emergence_transform(after, cluster)) == 1
     report(capfd, 6, "one commanded flock stayed rigid across 20 macro periods")
 
 

@@ -17,11 +17,16 @@ from flocklevels.coupling import (
 )
 from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld, torus_distance, wrap
-from flocklevels.micro import MicroParams, MicroState, Bird, init_random, micro_step, observe
-from helpers import UnionFind, brute_clusters, reify_cluster
+from flocklevels.micro import MicroState, SteeringParams, micro_step, observe
+from helpers import UnionFind, brute_clusters, columns, reify_cluster
 
 W = TorusWorld(100.0, 100.0)
 CP = ClusterParams(d_prox=5.0, theta=30.0, min_size=2)
+
+
+def snapshot(obs, w=W):
+    """(id, (x, y), heading) rows as the package's population state."""
+    return MicroState(*columns(obs), 0, w)
 
 
 def r_way_split(d, r):
@@ -62,10 +67,10 @@ def as_tuples(flocks):
 
 class TestDetectClusters:
     def test_empty(self):
-        assert detect_clusters([], CP, W) == []
+        assert detect_clusters(snapshot([]), CP) == []
 
     def test_lone_bird_is_not_a_cluster(self):
-        assert detect_clusters([(0, (5.0, 5.0), 0.0)], CP, W) == []
+        assert detect_clusters(snapshot([(0, (5.0, 5.0), 0.0)]), CP) == []
 
     def test_pair_plus_outlier(self):
         obs = [
@@ -74,18 +79,18 @@ class TestDetectClusters:
             (2, (50.0, 50.0), 0.0),
         ]
         p = ClusterParams(d_prox=5.0, theta=10.0, min_size=2)
-        assert detect_clusters(obs, p, W) == [[0, 1]]
+        assert detect_clusters(snapshot(obs), p) == [[0, 1]]
         assert brute_clusters(obs, 5.0, 10.0, 2, 100.0, 100.0) == [[0, 1]]
 
     def test_heading_threshold_cuts_edges(self):
         obs = [(0, (0.0, 0.0), 0.0), (1, (1.0, 0.0), 90.0)]
-        assert detect_clusters(obs, CP, W) == []
+        assert detect_clusters(snapshot(obs), CP) == []
 
     def test_matches_union_find_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             obs = random_observation(50, rng)
-            got = detect_clusters(obs, CP, W)
+            got = detect_clusters(snapshot(obs), CP)
             want = brute_clusters(obs, CP.d_prox, CP.theta, CP.min_size, 100.0, 100.0)
             assert got == want
 
@@ -110,7 +115,7 @@ class TestDetectClusters:
         obs = [(k, (x, y), h) for k, (x, y, h) in enumerate(birds)]
         p = ClusterParams(d_prox=d_prox, theta=theta, min_size=min_size)
         want = brute_clusters(obs, d_prox, theta, min_size, w.width, w.height)
-        assert detect_clusters(obs, p, w) == want
+        assert detect_clusters(snapshot(obs, w), p) == want
 
     def test_seam_invariance(self):
         rng = np.random.default_rng(23)
@@ -119,7 +124,8 @@ class TestDetectClusters:
             shifted = [
                 (i, wrap((p[0] + 48.3, p[1] - 67.1), W), h) for i, p, h in obs
             ]
-            assert detect_clusters(obs, CP, W) == detect_clusters(shifted, CP, W)
+            clusters = detect_clusters(snapshot(obs), CP)
+            assert clusters == detect_clusters(snapshot(shifted), CP)
 
     def test_unordered_observation_gives_ascending_id_clusters(self):
         rng = np.random.default_rng(29)
@@ -129,16 +135,17 @@ class TestDetectClusters:
             obs = [(int(b), pos, h) for b, (_, pos, h) in zip(ids, random_observation(150, rng))]
             in_order = sorted(obs)
             want = brute_clusters(obs, CP.d_prox, CP.theta, CP.min_size, 100.0, 100.0)
-            assert detect_clusters(obs, CP, W) == want
-            assert detect_clusters(in_order, CP, W) == want
-            assert emergence_transform(obs, CP, W) == emergence_transform(in_order, CP, W)
+            assert detect_clusters(snapshot(obs), CP) == want
+            assert detect_clusters(snapshot(in_order), CP) == want
+            flocks = emergence_transform(snapshot(obs), CP)
+            assert flocks == emergence_transform(snapshot(in_order), CP)
             found += len(want)
         assert found > 50
 
     def test_disjoint_and_min_size(self):
         rng = np.random.default_rng(31)
         obs = random_observation(50, rng)
-        clusters = detect_clusters(obs, CP, W)
+        clusters = detect_clusters(snapshot(obs), CP)
         seen = set()
         for c in clusters:
             assert len(c) >= CP.min_size
@@ -156,7 +163,7 @@ class TestComponents:
         w = TorusWorld(2.0 * n + 100.0, 10.0)
         obs = sorted((int(ids[k]), (2.0 * k, 5.0), 0.0) for k in range(n))
         p = ClusterParams(d_prox=3.0, theta=0.0, min_size=2)
-        assert detect_clusters(obs, p, w) == [list(range(n))]
+        assert detect_clusters(snapshot(obs, w), p) == [list(range(n))]
         i = np.concatenate((ids[:-1], ids[1:]))
         j = np.concatenate((ids[1:], ids[:-1]))
         t0 = time.perf_counter()
@@ -190,14 +197,14 @@ class TestComponents:
 class TestReify:
     def test_single_member(self):
         obs = [(3, (12.0, 34.0), 270.0)]
-        f = reify([[3]], obs, W)[0]
+        f = reify([[3]], snapshot(obs))[0]
         assert f.centroid == (12.0, 34.0)
         assert f.heading == 270.0
         assert f.radius == 0.0
 
     def test_seam_pair(self):
         obs = [(0, (98.0, 0.0), 350.0), (1, (2.0, 0.0), 10.0)]
-        f = reify([[0, 1]], obs, W)[0]
+        f = reify([[0, 1]], snapshot(obs))[0]
         cx, cy = f.centroid
         assert min(cx, 100 - cx) == pytest.approx(0.0, abs=1e-9)
         assert cy == pytest.approx(0.0, abs=1e-9)
@@ -211,19 +218,22 @@ class TestReify:
             (2, (49.0, 51.0), 90.0),
             (3, (51.0, 51.0), 90.0),
         ]
-        f = reify([[0, 1, 2, 3]], obs, W)[0]
+        f = reify([[0, 1, 2, 3]], snapshot(obs))[0]
         assert f.centroid == (pytest.approx(50.0), pytest.approx(50.0))
         assert f.heading == 90.0
         assert f.radius == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_zero_resultant_falls_back_to_lowest_id(self):
         obs = [(5, (10.0, 10.0), 0.0), (9, (11.0, 10.0), 180.0)]
-        f = reify([[9, 5]], obs, W)[0]
+        f = reify([[9, 5]], snapshot(obs))[0]
         assert f.heading == 0.0  # bird 5's heading
 
     def test_missing_member(self):
         with pytest.raises(CouplingError):
-            reify([[0, 1]], [(0, (0.0, 0.0), 0.0)], W)[0]
+            reify([[0, 1]], snapshot([(0, (0.0, 0.0), 0.0)]))[0]
+        # an id between two present ones
+        with pytest.raises(CouplingError, match=r"\[2\]"):
+            reify([[0, 2]], snapshot([(0, (0.0, 0.0), 0.0), (5, (1.0, 0.0), 0.0)]))
 
 
 class TestEmergenceTransform:
@@ -231,11 +241,11 @@ class TestEmergenceTransform:
         # one batched pass gives every flock bit for bit as the oracle
         # reifies it alone
         obs = random_observation(400, np.random.default_rng(8))
-        flocks = emergence_transform(obs, CP, W)
+        flocks = emergence_transform(snapshot(obs), CP)
         assert len(flocks) > 10
         assert as_tuples(flocks) == oracle_flocks(obs, CP, W)
         with pytest.raises(CouplingError, match=r"\[1000\]"):
-            reify([[0, 1], [2, 1000]], obs, W)
+            reify([[0, 1], [2, 1000]], snapshot(obs))
 
     def test_matches_oracle_on_random_worlds(self):
         rng = np.random.default_rng(41)
@@ -253,7 +263,7 @@ class TestEmergenceTransform:
                 min_size=int(rng.integers(2, 6)),
             )
             obs = clumped_observation(int(rng.integers(0, 120)), w, rng)
-            got = as_tuples(emergence_transform(obs, p, w))
+            got = as_tuples(emergence_transform(snapshot(obs, w), p))
             assert got == oracle_flocks(obs, p, w)
             flocks += len(got)
         assert flocks > 100
@@ -274,7 +284,7 @@ class TestEmergenceTransform:
             + [((10.0, 45.0 + k), 300.0 + 10.0 * k) for k in range(2)]
         )
         obs = [(k, pos, h) for k, (pos, h) in enumerate(birds)]
-        flocks = emergence_transform(obs, p, w)
+        flocks = emergence_transform(snapshot(obs, w), p)
         assert as_tuples(flocks) == oracle_flocks(obs, p, w)
         x_ring, y_ring, cancelled, *ordinary = flocks
         assert x_ring.centroid[0] == math.fsum(4.0 * k for k in range(25)) / 25
@@ -284,11 +294,11 @@ class TestEmergenceTransform:
 
     def test_scattered_birds_no_flocks(self):
         obs = [(i, (i * 20.0, 50.0), 0.0) for i in range(5)]
-        assert emergence_transform(obs, CP, W) == []
+        assert emergence_transform(snapshot(obs), CP) == []
 
     def test_tight_group_is_one_flock(self):
         obs = [(i, (50.0 + 0.3 * i, 50.0), 10.0) for i in range(10)]
-        flocks = emergence_transform(obs, CP, W)
+        flocks = emergence_transform(snapshot(obs), CP)
         assert len(flocks) == 1
         assert flocks[0].members == frozenset(range(10))
 
@@ -296,7 +306,7 @@ class TestEmergenceTransform:
         rng = np.random.default_rng(5)
         for _ in range(20):
             obs = random_observation(50, rng)
-            flocks = emergence_transform(obs, CP, W)
+            flocks = emergence_transform(snapshot(obs), CP)
             assert len(flocks) <= len(obs) // CP.min_size
 
 
@@ -360,17 +370,13 @@ class TestRoundTrip:
     def test_commands_preserve_cluster(self):
         # a single isolated flock driven by its own displacement commands
         # is re-detected with the same member set
-        birds = tuple(
-            Bird(i, (50.0 + 0.7 * i, 50.0 + 0.2 * i), 40.0) for i in range(6)
-        )
-        state = MicroState(birds=birds, tick=0, world=W)
-        obs = observe(state)
-        (f,) = emergence_transform(obs, CP, W)
+        state = snapshot([(i, (50.0 + 0.7 * i, 50.0 + 0.2 * i), 40.0) for i in range(6)])
+        (f,) = emergence_transform(observe(state), CP)
         assert f.members == frozenset(range(6))
         d = [(0, f.members, (1.7, -0.9), f.heading)]
         for cs in r_way_split(d, 4):
-            state = micro_step(state, cs, MicroParams())
-        (g,) = emergence_transform(observe(state), CP, W)
+            state = micro_step(state, cs, SteeringParams())
+        (g,) = emergence_transform(observe(state), CP)
         assert g.members == f.members
         assert g.heading == pytest.approx(f.heading, abs=1e-9)
         assert g.radius == pytest.approx(f.radius, abs=1e-9)

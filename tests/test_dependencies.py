@@ -1,9 +1,13 @@
-"""The package runs on numpy alone: importing it loads no scipy."""
+"""The package runs on numpy alone, and every name it exports exists."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import flocklevels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,3 +27,17 @@ def test_import_loads_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    modules = [flocklevels] + [
+        importlib.import_module(f"flocklevels.{m.name}")
+        for m in pkgutil.iter_modules(flocklevels.__path__)
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert missing == []

@@ -165,7 +165,7 @@ class TestRunReplicated:
         for t in range(cfg.horizon + 1):
             if t > 0:
                 state = micro_step(state, None, cfg.micro)
-            flocks = emergence_transform(observe(state), cfg.cluster, cfg.world)
+            flocks = emergence_transform(observe(state), cfg.cluster)
             expected.append(len(flocks))
         assert [r.flock_count for r in recs] == expected
 

@@ -4,6 +4,7 @@ from flocklevels.audit import audit_cardinality, audit_causality, audit_coherenc
 from flocklevels.errors import DeadlockError, ProtocolError
 from flocklevels.experiment import apply_config, build_multimodel
 from flocklevels.kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
+from helpers import state_key
 
 
 def trace(log):
@@ -135,6 +136,23 @@ class TestRun:
             _, mm = small_multimodel("M", birds=20, horizon=10, seed=7)
             logs.append(run(mm).export_lines())
         assert logs[0] == logs[1]
+
+    def test_published_snapshots_stay_as_written(self):
+        # the log keeps each published state by reference; no later tick
+        # may change one, commanded birds included
+        _, mm = small_multimodel("M", birds=40, horizon=30, seed=3)
+        copies = {}
+        write = mm.emergence.write
+
+        def copying_write(t, payload, *args, **kwargs):
+            copies[t] = state_key(payload)
+            write(t, payload, *args, **kwargs)
+
+        mm.emergence.write = copying_write
+        run(mm)
+        assert sorted(copies) == list(range(31))
+        for t in range(11):
+            assert state_key(mm.emergence.buffer[t]) == copies[t]
 
     def test_audits_clean(self):
         for variant in ("m", "M", "M3"):

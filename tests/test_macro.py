@@ -12,16 +12,16 @@ from flocklevels.experiment import VARIANTS
 from flocklevels.geometry import TorusWorld, torus_delta, torus_distance, wrap
 from flocklevels.macro import (
     Flock,
-    MacroParams,
     MacroState,
     displacements,
     macro_step,
     sync_registry,
 )
+from flocklevels.micro import SteeringParams
 from helpers import best_matching, effective_distance, jaccard, per_flock_step
 
 W = TorusWorld(100.0, 100.0)
-P = MacroParams()
+P = SteeringParams()
 
 
 def obs(members, centroid=(50.0, 50.0), heading=0.0, radius=1.0):
@@ -75,10 +75,10 @@ class TestMacroParams:
     )
     def test_rejects_invalid(self, fields):
         with pytest.raises(ValueError):
-            MacroParams(**fields)
+            SteeringParams(**fields)
 
     def test_accepts_zero_vision(self):
-        assert MacroParams(vision=0.0, min_separation=0.0).vision == 0.0
+        assert SteeringParams(vision=0.0, min_separation=0.0).vision == 0.0
 
 
 class TestSyncRegistry:
@@ -265,10 +265,10 @@ class TestDisplacements:
 # bearing through to the heading: a turn bound of 180 returns the target
 # itself, a bound of 0 keeps the heading as it was.
 PARAM_SETS = {name: VARIANTS[name].macro_params for name in ("M", "M1", "M2")}
-PARAM_SETS["exact-align"] = MacroParams(
+PARAM_SETS["exact-align"] = SteeringParams(
     max_separate_turn=180.0, max_align_turn=180.0, max_cohere_turn=0.0
 )
-PARAM_SETS["exact-cohere"] = MacroParams(
+PARAM_SETS["exact-cohere"] = SteeringParams(
     max_separate_turn=180.0, max_align_turn=0.0, max_cohere_turn=180.0
 )
 
@@ -343,7 +343,7 @@ class TestMatchesPerFlockRule:
     @pytest.mark.parametrize("extra", [0.0, 1e-12])
     def test_gap_exactly_at_vision(self, extra):
         # centroids 14 apart, radii 1.5 and 2.5: the gap is exactly 10
-        p = MacroParams(vision=10.0, max_align_turn=180.0, max_cohere_turn=0.0)
+        p = SteeringParams(vision=10.0, max_align_turn=180.0, max_cohere_turn=0.0)
         a = flock(0, {1}, centroid=(20.0, 40.0), heading=0.0, radius=1.5)
         b = flock(1, {2}, centroid=(34.0 + extra, 40.0), heading=90.0, radius=2.5)
         s = state([a, b])
@@ -355,7 +355,7 @@ class TestMatchesPerFlockRule:
     def test_gap_exactly_at_min_separation(self, extra):
         # centroids 3 apart, radii 0.5 and 1.5: the gap is exactly 1, which
         # does not separate; a hair closer, it does
-        p = MacroParams(
+        p = SteeringParams(
             min_separation=1.0, max_separate_turn=180.0, max_align_turn=180.0,
             max_cohere_turn=0.0,
         )
@@ -370,7 +370,7 @@ class TestMatchesPerFlockRule:
         # vision 12.599, radii 0.781: the centroid distance rounds to one
         # ulp above vision + 2 radius, yet the gap rounds to vision, so
         # this pair are mates
-        p = MacroParams(vision=12.599, max_align_turn=180.0, max_cohere_turn=0.0)
+        p = SteeringParams(vision=12.599, max_align_turn=180.0, max_cohere_turn=0.0)
         a = flock(0, {1}, centroid=(20.0, 50.0), heading=0.0, radius=0.781)
         b = flock(1, {2}, centroid=(34.161, 50.0), heading=90.0, radius=0.781)
         s = state([a, b])

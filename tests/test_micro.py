@@ -9,20 +9,21 @@ from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld, torus_delta, torus_distance
 from flocklevels.micro import (
     Bird,
-    MicroParams,
     MicroState,
+    SteeringParams,
     init_random,
     micro_step,
     observe,
 )
-from helpers import flockmates, step_autonomous, step_commanded
+from helpers import columns, flockmates, state_key, step_autonomous, step_commanded
 
 W = TorusWorld(100.0, 100.0)
-P = MicroParams()
+P = SteeringParams()
+COLUMNS = ("ids", "x", "y", "heading")
 
 
 def make_state(birds, tick=0):
-    return MicroState(birds=tuple(birds), tick=tick, world=W)
+    return MicroState(*columns((b.id, b.pos, b.heading) for b in birds), tick, W)
 
 
 class TestInitRandom:
@@ -33,10 +34,12 @@ class TestInitRandom:
     def test_deterministic(self):
         a = init_random(100, W, np.random.default_rng(42))
         b = init_random(100, W, np.random.default_rng(42))
-        assert a == b
+        assert state_key(a) == state_key(b)
 
     def test_ids(self):
         s = init_random(100, W, np.random.default_rng(0))
+        assert [c.dtype for c in (s.ids, s.x, s.y, s.heading)] == [np.int64] + 3 * [np.float64]
+        assert len(s) == 100
         assert [b.id for b in s.birds] == list(range(100))
         assert all(0 <= b.pos[0] < 100 and 0 <= b.pos[1] < 100 for b in s.birds)
         assert all(0 <= b.heading < 360 for b in s.birds)
@@ -79,7 +82,7 @@ class TestStepAutonomous:
     def test_separation_tie_counterclockwise(self):
         # mate straight ahead within min_separation: away-bearing is 180,
         # exactly antipodal to the current heading, so the turn goes ccw
-        p = MicroParams(max_separate_turn=10.0)
+        p = SteeringParams(max_separate_turn=10.0)
         b = Bird(0, (50.0, 50.0), 0.0)
         mate = Bird(1, (50.5, 50.0), 0.0)
         after = step_autonomous(b, [mate], p, W)
@@ -88,7 +91,7 @@ class TestStepAutonomous:
     def test_align_then_cohere(self):
         # both mates ahead at bearing 0 with heading 40: alignment turns
         # 0 -> 5 (bounded), cohesion target 0 pulls back 5 -> 2 (bounded)
-        p = MicroParams(max_align_turn=5.0, max_cohere_turn=3.0)
+        p = SteeringParams(max_align_turn=5.0, max_cohere_turn=3.0)
         b = Bird(0, (50.0, 50.0), 0.0)
         mates = [Bird(1, (55.0, 50.0), 40.0), Bird(2, (58.0, 50.0), 40.0)]
         after = step_autonomous(b, mates, p, W)
@@ -163,8 +166,9 @@ class TestMicroStep:
 
     def test_unknown_command_id(self):
         s = init_random(3, W, np.random.default_rng(0))
-        with pytest.raises(CouplingError):
-            micro_step(s, {99: ((0.0, 0.0), 0.0)}, P)
+        for bid in (99, -1):
+            with pytest.raises(CouplingError, match=rf"\[{bid}\]"):
+                micro_step(s, {1: ((0.0, 0.0), 0.0), bid: ((0.0, 0.0), 0.0)}, P)
 
     def test_id_set_preserved_and_tick_advances(self):
         s = init_random(12, W, np.random.default_rng(5))
@@ -185,7 +189,7 @@ class TestMicroStep:
         birds = list(init_random(20, W, rng).birds)
         s1 = make_state(birds)
         s2 = make_state(list(reversed(birds)))
-        assert micro_step(s1, None, P) == micro_step(s2, None, P)
+        assert state_key(micro_step(s1, None, P)) == state_key(micro_step(s2, None, P))
 
     def test_empty_command_set_equals_absent(self):
         # an empty command set and no information at all mean the same
@@ -194,29 +198,64 @@ class TestMicroStep:
         for _ in range(10):
             a = micro_step(a, None, P)
             b = micro_step(b, {}, P)
-        assert a == b
+        assert state_key(a) == state_key(b)
 
     def test_empty_population(self):
         s = make_state([])
         assert micro_step(s, None, P).tick == 1
 
+    def test_input_arrays_never_written(self):
+        # the event log keeps every published state by reference
+        s = init_random(30, W, np.random.default_rng(17))
+        before = state_key(s)
+        cmds = {bid: ((0.5, -0.25), 10.0) for bid in range(0, 30, 3)}
+        stepped = micro_step(s, cmds, P)
+        assert state_key(s) == before
+        for name in COLUMNS:
+            assert not np.shares_memory(getattr(s, name), getattr(stepped, name))
+
+
+class TestMicroState:
+    def test_sorted_by_id(self):
+        s = MicroState([5, 2, 9], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0], 0, W)
+        assert state_key(s) == (0, W, [2, 5, 9], [2.0, 1.0, 3.0], [5.0, 4.0, 6.0], [8.0, 7.0, 9.0])
+
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            MicroState([1, 1], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], 0, W)
+
+    @pytest.mark.parametrize("field", COLUMNS[1:])
+    def test_rejects_unequal_lengths(self, field):
+        cols = dict(ids=[0, 1], x=[0.0, 1.0], y=[0.0, 1.0], heading=[0.0, 1.0])
+        cols[field] = [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match=f"^{field} has 3 values for 2 ids"):
+            MicroState(**cols, tick=0, world=W)
+
+    @pytest.mark.parametrize("field", COLUMNS[1:])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        cols = dict(ids=[3, 4], x=[0.0, 1.0], y=[0.0, 1.0], heading=[0.0, 1.0])
+        cols[field] = [0.0, value]
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got .* for bird 4"):
+            MicroState(**cols, tick=0, world=W)
+
 
 class TestObserve:
     def test_empty(self):
-        assert observe(make_state([])) == []
+        s = make_state([])
+        assert observe(s) is s and len(s) == 0 and s.birds == ()
 
     def test_ordered_snapshot(self):
         birds = [Bird(2, (1.0, 1.0), 5.0), Bird(0, (2.0, 2.0), 6.0), Bird(1, (3.0, 3.0), 7.0)]
-        s = make_state(birds)
-        obs = observe(s)
-        assert [t[0] for t in obs] == [0, 1, 2]
-        assert obs[0] == (0, (2.0, 2.0), 6.0)
+        obs = observe(make_state(birds))
+        assert obs.ids.tolist() == [0, 1, 2]
+        assert obs.birds[0] == Bird(0, (2.0, 2.0), 6.0)
 
     def test_read_only(self):
-        s = init_random(3, W, np.random.default_rng(1))
-        before = s
-        observe(s)
-        assert s == before
+        obs = observe(init_random(3, W, np.random.default_rng(1)))
+        for name in COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obs, name)[0] = 1
 
 
 # Half-unit lattice points: every delta and squared distance is exact, so
@@ -241,12 +280,8 @@ lattice_birds = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_lattice_ties_match_per_bird_rule(birds, vision_sep):
     vision, sep = vision_sep
-    p = MicroParams(vision=vision, min_separation=sep, max_separate_turn=4.0)
-    s = MicroState(
-        birds=tuple(Bird(k, (x, y), h) for k, (x, y, h) in enumerate(birds)),
-        tick=0,
-        world=LW,
-    )
+    p = SteeringParams(vision=vision, min_separation=sep, max_separate_turn=4.0)
+    s = MicroState(*columns((k, (x, y), h) for k, (x, y, h) in enumerate(birds)), 0, LW)
     stepped = micro_step(s, None, p)
     for b, got in zip(s.birds, stepped.birds):
         want = step_autonomous(b, flockmates(b, s, p), p, LW)
