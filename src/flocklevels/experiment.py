@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +27,7 @@ from .coupling import ClusterParams, emergence_transform, split_displacements
 from .errors import ConfigError
 from .geometry import TorusWorld
 from .interfaces import MacroModelInterface, MicroModelInterface
-from .kernel import (
-    CouplingArtifact,
-    EventLog,
-    MacroMAgent,
-    MicroMAgent,
-    MultiModel,
-    flock_stats,
-    run,
-)
+from .kernel import MultiModel, flock_stats, run
 from .micro import SteeringParams, init_random
 
 __all__ = [
@@ -56,22 +48,16 @@ __all__ = [
 @dataclass(frozen=True)
 class VariantSpec:
     name: str
-    immergence_enabled: bool
-    macro_behavior_enabled: bool
+    immergence: bool
     macro_params: SteeringParams
     ratio: int
 
-    def __post_init__(self) -> None:
-        if self.immergence_enabled and not self.macro_behavior_enabled:
-            raise ConfigError("immergence requires the macro behavior")
-
 
 VARIANTS: dict[str, VariantSpec] = {
-    "m": VariantSpec("m", False, False, SteeringParams(), 1),
-    "M": VariantSpec("M", True, True, SteeringParams(), 1),
+    "m": VariantSpec("m", False, SteeringParams(), 1),
+    "M": VariantSpec("M", True, SteeringParams(), 1),
     "M1": VariantSpec(
         "M1",
-        True,
         True,
         SteeringParams(max_separate_turn=8.0, max_align_turn=1.0, max_cohere_turn=1.0),
         1,
@@ -79,11 +65,10 @@ VARIANTS: dict[str, VariantSpec] = {
     "M2": VariantSpec(
         "M2",
         True,
-        True,
         SteeringParams(max_align_turn=8.0, max_cohere_turn=8.0, max_separate_turn=0.5),
         1,
     ),
-    "M3": VariantSpec("M3", True, True, SteeringParams(), 4),
+    "M3": VariantSpec("M3", True, SteeringParams(), 4),
 }
 
 
@@ -133,45 +118,17 @@ class ExperimentResult:
 
 
 def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
-    """Wire agents and artifacts for one replication, seeded base_seed+rep."""
+    """The multi-model of one replication, its birds seeded with base_seed+rep."""
     v = cfg.variant
     rng = np.random.default_rng(cfg.base_seed + rep)
-    initial = init_random(cfg.birds, cfg.world, rng)
-
-    log = EventLog()
-    cluster, ratio = cfg.cluster, v.ratio
-    emergence = CouplingArtifact(
-        "e",
-        transformer=lambda obs: emergence_transform(obs, cluster),
-        write_kind="MicroObservation",
-        read_kind="FlockObservationList",
-        log=log,
-    )
-    immergence = None
-    if v.immergence_enabled:
-        immergence = CouplingArtifact(
-            "i",
-            transformer=lambda d: split_displacements(d, ratio),
-            write_kind="DisplacementList",
-            read_kind="CommandSet",
-            log=log,
-        )
-
-    micro_agent = MicroMAgent(
-        MicroModelInterface(initial, cfg.micro), emergence, immergence, ratio
-    )
-    macro_agent = MacroMAgent(
-        MacroModelInterface(cfg.world, v.macro_params),
-        emergence,
-        immergence,
-        ratio,
-        behavior_enabled=v.macro_behavior_enabled,
-    )
     return MultiModel(
-        micro_agent=micro_agent,
-        macro_agent=macro_agent,
-        emergence=emergence,
-        immergence=immergence,
+        micro=MicroModelInterface(init_random(cfg.birds, cfg.world, rng), cfg.micro),
+        macro=MacroModelInterface(cfg.world, v.macro_params),
+        emergence=lambda obs: emergence_transform(obs, cfg.cluster),
+        immergence=(
+            (lambda d: split_displacements(d, v.ratio)) if v.immergence else None
+        ),
+        ratio=v.ratio,
         horizon=cfg.horizon,
     )
 
@@ -234,26 +191,22 @@ def write_aggregate_csv(
             fh.write(f"{variant_name},{tick},{mean:.6f},{std:.6f}\n")
 
 
-_CONFIG_KEYS = {
-    "world.width",
-    "world.height",
-    "micro.vision",
-    "micro.min_separation",
-    "micro.max_align_turn",
-    "micro.max_cohere_turn",
-    "micro.max_separate_turn",
-    "micro.speed",
-    "macro.vision",
-    "macro.min_separation",
-    "macro.max_align_turn",
-    "macro.max_cohere_turn",
-    "macro.max_separate_turn",
-    "macro.speed",
-    "cluster.d_prox",
-    "cluster.theta",
-    "cluster.min_size",
-    "ratio",
+_CONFIG_KEYS = {"ratio"} | {
+    f"{group}.{f.name}"
+    for group, params in (
+        ("world", TorusWorld),
+        ("micro", SteeringParams),
+        ("macro", SteeringParams),
+        ("cluster", ClusterParams),
+    )
+    for f in fields(params)
 }
+
+
+def _check_keys(values: dict) -> None:
+    unknown = set(values) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
 def load_config_file(path) -> dict:
@@ -262,9 +215,7 @@ def load_config_file(path) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(data)
     return data
 
 
@@ -302,6 +253,7 @@ def apply_config(
         raise ConfigError(f"unknown variant {variant_name!r}")
     v = VARIANTS[variant_name]
     fv = dict(file_values or {})
+    _check_keys(fv)
 
     if "ratio" in fv and _integer("ratio", fv["ratio"]) != v.ratio:
         raise ConfigError(

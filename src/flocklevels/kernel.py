@@ -9,7 +9,14 @@ scheduler, in the only dependency order the data admits:
     micro state @T  ->  macro cycle  ->  commands @T+1..T+r  ->
     micro ticks T+1..T+r  ->  micro state @T+r
 
-Every read and write is appended to an event log that can be exported
+`MultiModel` is the one place where a run is wired. From the two
+interface artifacts, the emergence transformer, the immergence
+transformer (or None for upward-only coupling), one ratio and the
+horizon, it builds one event log, the `e` and `i` coupling artifacts and
+both model agents. The macro agent steps its model exactly when the `i`
+artifact is wired.
+
+Every read and write is appended to the event log, which can be exported
 and audited for causality, coherence and cardinality after the fact.
 Artifacts assume this single-threaded lockstep contract: nothing but the
 scheduler advances a producer clock, so a read beyond it can never be
@@ -37,6 +44,12 @@ __all__ = [
 ]
 
 SimTime = int
+
+# payload kinds the event log records for the e and i artifacts
+MICRO_OBSERVATION = "MicroObservation"
+FLOCK_OBSERVATIONS = "FlockObservationList"
+DISPLACEMENTS = "DisplacementList"
+COMMANDS = "CommandSet"
 
 
 class _Absent:
@@ -206,8 +219,9 @@ class InterfaceArtifact(Protocol):
 class MAgent:
     """A model agent: owns one model, cycles read -> step -> write."""
 
-    def __init__(self, agent_id: str, interface: InterfaceArtifact):
-        self.agent_id = agent_id
+    agent_id: str
+
+    def __init__(self, interface: InterfaceArtifact):
         self.interface = interface
         self.local_clock: SimTime = 0
         self.cycle_index = 0
@@ -224,15 +238,16 @@ class MicroMAgent(MAgent):
     the upward artifact at period boundaries only.
     """
 
+    agent_id = "A_m"
+
     def __init__(
         self,
         interface: InterfaceArtifact,
         output: CouplingArtifact,
         command_input: CouplingArtifact | None,
         ratio: int,
-        agent_id: str = "A_m",
     ) -> None:
-        super().__init__(agent_id, interface)
+        super().__init__(interface)
         self.output = output
         self.command_input = command_input
         self.ratio = ratio
@@ -259,11 +274,13 @@ class MicroMAgent(MAgent):
 class MacroMAgent(MAgent):
     """Drives the collective-level model one period (r micro ticks) per cycle.
 
-    Reads the boundary snapshot interpreted as flock observations, syncs
-    the registry, steps the flock model (when enabled) and writes the
-    resulting displacement list once per micro tick of the period. When
-    behavior is disabled the agent only reads and records statistics.
+    Reads the boundary snapshot interpreted as flock observations and
+    syncs the registry. When a command output is wired, it also steps the
+    flock model and writes the resulting displacement list once per micro
+    tick of the period; otherwise it only reads and records statistics.
     """
+
+    agent_id = "A_M"
 
     def __init__(
         self,
@@ -271,14 +288,11 @@ class MacroMAgent(MAgent):
         observation_input: CouplingArtifact,
         command_output: CouplingArtifact | None,
         ratio: int,
-        behavior_enabled: bool = True,
-        agent_id: str = "A_M",
     ) -> None:
-        super().__init__(agent_id, interface)
+        super().__init__(interface)
         self.observation_input = observation_input
         self.command_output = command_output
         self.ratio = ratio
-        self.behavior_enabled = behavior_enabled
         # (tick, flock_count, mean_size, mean_radius) per boundary read
         self.samples: list[tuple[int, int, float, float]] = []
 
@@ -289,16 +303,15 @@ class MacroMAgent(MAgent):
         flocks = [] if payload is ABSENT else payload
         self.samples.append((t, *flock_stats(flocks)))
         self.interface.update_model(flocks)
-        if self.behavior_enabled:
+        if self.command_output is not None:
             before = self.interface.observe_model()
             self.interface.step_model()
             after = self.interface.observe_model()
             commands = self.interface.displacements(before, after)
-            if self.command_output is not None:
-                for k in range(1, self.ratio + 1):
-                    self.command_output.write(
-                        t + k, commands, self.agent_id, self.cycle_index
-                    )
+            for k in range(1, self.ratio + 1):
+                self.command_output.write(
+                    t + k, commands, self.agent_id, self.cycle_index
+                )
         self.local_clock = t + self.ratio
 
 
@@ -312,36 +325,41 @@ def flock_stats(flocks: list) -> tuple[int, float, float]:
     return n, mean_size, mean_radius
 
 
-@dataclass
 class MultiModel:
-    """The wiring graph: both agents, both artifacts and the horizon.
-
-    The agents hold the ratio and the macro behavior flag; immergence is
-    on when the immergence artifact is wired. Both artifacts log to the
-    emergence artifact's event log.
+    """`MultiModel` is the one place where a run is wired. From the two
+    interface artifacts, the emergence transformer, the immergence
+    transformer (or None for upward-only coupling), one ratio and the
+    horizon, it builds one event log, the `e` and `i` coupling artifacts and
+    both model agents. The macro agent steps its model exactly when the `i`
+    artifact is wired.
     """
 
-    micro_agent: MicroMAgent
-    macro_agent: MacroMAgent
-    emergence: CouplingArtifact
-    immergence: CouplingArtifact | None
-    horizon: SimTime
-
-    def __post_init__(self) -> None:
-        ratio = self.macro_agent.ratio
-        if ratio < 1 or self.micro_agent.ratio != ratio:
-            raise ValueError("both agents must share one ratio >= 1")
-        if self.horizon < 0 or self.horizon % ratio != 0:
+    def __init__(
+        self,
+        micro: InterfaceArtifact,
+        macro: InterfaceArtifact,
+        emergence: Callable[[Any], Any],
+        immergence: Callable[[Any], Any] | None,
+        ratio: int,
+        horizon: SimTime,
+    ) -> None:
+        if ratio < 1:
+            raise ValueError("both agents share one ratio, which must be >= 1")
+        if horizon < 0 or horizon % ratio != 0:
             raise ValueError("horizon must be a non-negative multiple of the ratio")
-        if self.immergence is not None:
-            if not self.macro_agent.behavior_enabled:
-                raise ValueError("immergence requires the macro behavior to be enabled")
-            if self.immergence.log is not self.emergence.log:
-                raise ValueError("the immergence artifact must share the emergence log")
-
-    @property
-    def log(self) -> EventLog:
-        return self.emergence.log
+        self.ratio = ratio
+        self.horizon = horizon
+        self.log = EventLog()
+        self.emergence = CouplingArtifact(
+            "e", emergence, MICRO_OBSERVATION, FLOCK_OBSERVATIONS, self.log
+        )
+        self.immergence = None
+        if immergence is not None:
+            self.immergence = CouplingArtifact(
+                "i", immergence, DISPLACEMENTS, COMMANDS, self.log
+            )
+        self.micro_agent = MicroMAgent(micro, self.emergence, self.immergence, ratio)
+        self.macro_agent = MacroMAgent(macro, self.emergence, self.immergence, ratio)
 
 
 def run(multi_model: MultiModel) -> EventLog:
@@ -353,13 +371,12 @@ def run(multi_model: MultiModel) -> EventLog:
     always terminates after horizon micro steps.
     """
     mm = multi_model
-    ratio = mm.macro_agent.ratio
     mm.micro_agent.publish_initial()
     try:
-        for period_start in range(0, mm.horizon, ratio):
+        for period_start in range(0, mm.horizon, mm.ratio):
             agent, tick = mm.macro_agent, period_start
             agent.cycle()
-            for _ in range(ratio):
+            for _ in range(mm.ratio):
                 agent, tick = mm.micro_agent, mm.micro_agent.local_clock + 1
                 agent.cycle()
     except (ProtocolError, DeadlockError):

@@ -26,7 +26,7 @@ from flocklevels.experiment import (
 )
 from flocklevels.geometry import TorusWorld, torus_distance
 from flocklevels.interfaces import MacroModelInterface, MicroModelInterface
-from flocklevels.kernel import CouplingArtifact, EventLog, MacroMAgent, MicroMAgent, MultiModel, run
+from flocklevels.kernel import MultiModel, run
 from flocklevels.macro import MacroState, sync_registry
 from flocklevels.micro import MicroState, SteeringParams, init_random, micro_step, observe
 from helpers import best_matching, brute_clusters, columns, jaccard, state_key
@@ -153,30 +153,15 @@ def test_criterion_6_flock_rigidity(capfd):
     initial = MicroState(range(10), x, y, [37.0] * 10, 0, W)
     cluster = ClusterParams(d_prox=5.0, theta=30.0, min_size=3)
 
-    log = EventLog()
-    emergence = CouplingArtifact(
-        "e",
-        transformer=lambda obs: emergence_transform(obs, cluster),
-        write_kind="MicroObservation",
-        read_kind="FlockObservationList",
-        log=log,
-    )
-    immergence = CouplingArtifact(
-        "i",
-        transformer=lambda d: {b: (v, h) for _, m, v, h in d for b in m},
-        write_kind="DisplacementList",
-        read_kind="CommandSet",
-        log=log,
-    )
-    micro = MicroMAgent(MicroModelInterface(initial, SteeringParams()), emergence, immergence, 1)
-    macro = MacroMAgent(MacroModelInterface(W, SteeringParams()), emergence, immergence, 1)
     mm = MultiModel(
-        micro_agent=micro,
-        macro_agent=macro,
-        emergence=emergence,
-        immergence=immergence,
+        micro=MicroModelInterface(initial, SteeringParams()),
+        macro=MacroModelInterface(W, SteeringParams()),
+        emergence=lambda obs: emergence_transform(obs, cluster),
+        immergence=lambda d: {b: (v, h) for _, m, v, h in d for b in m},
+        ratio=1,
         horizon=20,
     )
+    emergence = mm.emergence
     run(mm)
 
     assert list(emergence.buffer) == list(range(21))

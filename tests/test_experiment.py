@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +25,7 @@ from helpers import two_pass_mean_std
 class TestVariants:
     def test_catalogue(self):
         assert sorted(VARIANTS) == ["M", "M1", "M2", "M3", "m"]
-        assert VARIANTS["m"].immergence_enabled is False
-        assert VARIANTS["m"].macro_behavior_enabled is False
+        assert VARIANTS["m"].immergence is False
         assert VARIANTS["M3"].ratio == 4
         assert all(v.ratio == 1 for k, v in VARIANTS.items() if k != "M3")
 
@@ -49,6 +49,15 @@ class TestApplyConfig:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             apply_config("M4")
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"world.depth": 5}, {"bogus": 1}, {"cluster.size": 4}, {"micro.bogus": 1}],
+    )
+    def test_unknown_key_named(self, values):
+        (key,) = values
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            apply_config("M", values)
 
     def test_ratio_conflict(self):
         with pytest.raises(ConfigError):

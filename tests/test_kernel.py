@@ -120,6 +120,27 @@ class TestRun:
         assert all(r.op == "read" for r in log.records if r.agent == "A_M")
         assert mm.immergence is None
 
+    def test_upward_only_macro_never_steps(self):
+        # without an immergence transformer the macro agent syncs its
+        # registry every period but never steps or asks for displacements
+        _, mm = small_multimodel("m", birds=20, horizon=6)
+        interface = mm.macro_agent.interface
+        calls = {"update_model": 0, "step_model": 0, "displacements": 0}
+
+        def counting(name):
+            original = getattr(interface, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return call
+
+        for name in calls:
+            setattr(interface, name, counting(name))
+        run(mm)
+        assert calls == {"update_model": 6, "step_model": 0, "displacements": 0}
+
     def test_termination_counts(self):
         for variant, horizon in (("M", 6), ("M3", 8)):
             cfg = apply_config(variant, birds=5, horizon=horizon, reps=1, base_seed=1)
@@ -190,30 +211,23 @@ class TestRun:
         def parts(variant="M3"):
             _, mm = small_multimodel(variant, horizon=4)
             return dict(
-                micro_agent=mm.micro_agent,
-                macro_agent=mm.macro_agent,
-                emergence=mm.emergence,
-                immergence=mm.immergence,
+                micro=mm.micro_agent.interface,
+                macro=mm.macro_agent.interface,
+                emergence=mm.emergence.transformer,
+                immergence=mm.immergence.transformer,
+                ratio=mm.ratio,
                 horizon=mm.horizon,
             )
 
-        ok = parts()
-        assert MultiModel(**ok).log is ok["emergence"].log
+        ok = MultiModel(**parts())
+        assert ok.log is ok.emergence.log is ok.immergence.log
+        assert ok.micro_agent.ratio == ok.macro_agent.ratio == ok.ratio == 4
 
-        bad_ratio = parts()
-        bad_ratio["micro_agent"].ratio = 1
-        zero_ratio = parts("M")
-        zero_ratio["micro_agent"].ratio = zero_ratio["macro_agent"].ratio = 0
-        passive = parts()
-        passive["macro_agent"].behavior_enabled = False
-        foreign_log = {**parts(), "immergence": CouplingArtifact("i", log=EventLog())}
+        zero_ratio = {**parts("M"), "ratio": 0}
         cases = [
-            (bad_ratio, "share one ratio"),
             (zero_ratio, "share one ratio"),
             ({**parts(), "horizon": 6}, "multiple of the ratio"),
             ({**parts(), "horizon": -4}, "multiple of the ratio"),
-            (passive, "requires the macro behavior"),
-            (foreign_log, "share the emergence log"),
         ]
         for kwargs, message in cases:
             with pytest.raises(ValueError, match=message):
