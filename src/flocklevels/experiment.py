@@ -27,7 +27,8 @@ from .coupling import ClusterParams, emergence_transform, split_displacements
 from .errors import ConfigError
 from .geometry import TorusWorld
 from .interfaces import MacroModelInterface, MicroModelInterface
-from .kernel import MultiModel, flock_stats, run
+from .kernel import MultiModel, run
+from .macro import flock_stats
 from .micro import SteeringParams, init_random
 
 __all__ = [
@@ -143,15 +144,15 @@ def run_replicated(cfg: ExperimentConfig) -> ExperimentResult:
             run(mm)
         except Exception as exc:
             raise RuntimeError(f"replication {rep} aborted: {exc}") from exc
-        by_tick = {t: (n, s, r) for t, n, s, r in mm.macro_agent.samples}
+        # the k-th macro update read boundary k * ratio; the final boundary
+        # is written but read by no cycle, so sample it through the
+        # artifact's pure transform
+        stats = [
+            *mm.macro_agent.interface.stats,
+            flock_stats(mm.emergence.peek(cfg.horizon)),
+        ]
         for t in cfg.sample_ticks:
-            if t in by_tick:
-                n, size, radius = by_tick[t]
-            else:
-                # the final boundary state is written but consumed by no
-                # cycle; sample it through the artifact's pure transform
-                n, size, radius = flock_stats(mm.emergence.peek(t))
-            records.append(RunRecord(rep, t, n, size, radius))
+            records.append(RunRecord(rep, t, *stats[t // mm.ratio]))
         log_lines.extend(mm.log.export_lines())
     return ExperimentResult(records=records, event_log_lines=log_lines)
 

@@ -1,4 +1,9 @@
-"""Interface adapters wrapping the two models for their agents."""
+"""Interface artifacts wrapping the two models for their agents.
+
+Both implement the kernel's three-method contract. The macro interface
+observes the displacements of its last step and records the flock
+statistics of each observation list it receives.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ from .macro import (
     DisplacementList,
     MacroState,
     displacements,
+    flock_stats,
     macro_step,
     sync_registry,
 )
@@ -35,22 +41,22 @@ class MicroModelInterface:
 
 
 class MacroModelInterface:
-    """Owns the flock registry; supports adding and removing flocks."""
+    """Owns the flock registry; stats holds flock_stats of each update."""
 
     def __init__(self, world: TorusWorld, params: SteeringParams) -> None:
         self.params = params
         self.state = MacroState(flocks=(), next_id=0, macro_tick=0, world=world)
+        self._before = self.state
+        self.stats: list[tuple[int, float, float]] = []
 
-    def update_model(self, data: list) -> None:
-        self.state = sync_registry(self.state, data)
+    def update_model(self, data: list | None) -> None:
+        observations = [] if data is None else data
+        self.stats.append(flock_stats(observations))
+        self.state = sync_registry(self.state, observations)
 
     def step_model(self) -> None:
+        self._before = self.state
         self.state = macro_step(self.state, self.params)
 
-    def observe_model(self) -> MacroState:
-        return self.state
-
-    def displacements(
-        self, before: MacroState, after: MacroState
-    ) -> DisplacementList:
-        return displacements(before, after)
+    def observe_model(self) -> DisplacementList:
+        return displacements(self._before, self.state)

@@ -1,9 +1,10 @@
 """The coordination kernel: model agents, coupling artifacts, event log.
 
-Two model agents (one per level) each own a model behind an interface
-adapter and exchange timestamped payloads through coupling artifacts.
-An agent's cycle is read inputs, update and step its model, write
-outputs. The run loop executes both agents in lockstep on a single
+The kernel knows nothing of the phenomenon it couples. Two model agents
+(one per level) each own a model behind an interface artifact and
+exchange timestamped payloads through coupling artifacts. Both run one
+cycle through the three interface methods: read, update, step, observe,
+write. The run loop executes both agents in lockstep on a single
 scheduler, in the only dependency order the data admits:
 
     micro state @T  ->  macro cycle  ->  commands @T+1..T+r  ->
@@ -39,7 +40,6 @@ __all__ = [
     "InterfaceArtifact",
     "MAgent",
     "MultiModel",
-    "flock_stats",
     "run",
 ]
 
@@ -207,7 +207,11 @@ class CouplingArtifact:
 
 
 class InterfaceArtifact(Protocol):
-    """Adapter contract between a model agent and its wrapped model."""
+    """The whole contract between a model agent and its wrapped model.
+
+    update_model gets the agent's input, or None when absent or unwired;
+    observe_model gives the agent's output.
+    """
 
     def update_model(self, data: Any) -> None: ...
 
@@ -217,40 +221,45 @@ class InterfaceArtifact(Protocol):
 
 
 class MAgent:
-    """A model agent: owns one model, cycles read -> step -> write."""
+    """A model agent: owns one model, cycles read -> update -> step ->
+    observe -> write. Either coupling artifact may be None (unwired).
+    """
 
     agent_id: str
 
-    def __init__(self, interface: InterfaceArtifact):
+    def __init__(
+        self,
+        interface: InterfaceArtifact,
+        input: CouplingArtifact | None,
+        output: CouplingArtifact | None,
+        ratio: int,
+    ) -> None:
         self.interface = interface
+        self.input = input
+        self.output = output
+        self.ratio = ratio
         self.local_clock: SimTime = 0
         self.cycle_index = 0
+
+    def _update(self, t: SimTime) -> None:
+        data = None
+        if self.input is not None:
+            payload = self.input.read(t, self.agent_id, self.cycle_index)
+            data = None if payload is ABSENT else payload
+        self.interface.update_model(data)
 
     def cycle(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
 
 class MicroMAgent(MAgent):
-    """Drives the individual-level model one tick per cycle.
+    """Drives the lower-level model one tick per cycle.
 
-    Reads the command event for the upcoming tick (when a command input
-    is wired), steps the model, and publishes the population snapshot to
-    the upward artifact at period boundaries only.
+    Reads the input for the upcoming tick, steps the model, and writes
+    its observation to the output at period boundaries only.
     """
 
     agent_id = "A_m"
-
-    def __init__(
-        self,
-        interface: InterfaceArtifact,
-        output: CouplingArtifact,
-        command_input: CouplingArtifact | None,
-        ratio: int,
-    ) -> None:
-        super().__init__(interface)
-        self.output = output
-        self.command_input = command_input
-        self.ratio = ratio
 
     def publish_initial(self) -> None:
         self.output.write(0, self.interface.observe_model(), self.agent_id, cycle=None)
@@ -258,11 +267,7 @@ class MicroMAgent(MAgent):
     def cycle(self) -> None:
         self.cycle_index += 1
         t = self.local_clock + 1
-        cmds = None
-        if self.command_input is not None:
-            payload = self.command_input.read(t, self.agent_id, self.cycle_index)
-            cmds = None if payload is ABSENT else payload
-        self.interface.update_model(cmds)
+        self._update(t)
         self.interface.step_model()
         self.local_clock = t
         if t % self.ratio == 0:
@@ -272,57 +277,25 @@ class MicroMAgent(MAgent):
 
 
 class MacroMAgent(MAgent):
-    """Drives the collective-level model one period (r micro ticks) per cycle.
+    """Drives the upper-level model one period (r lower-level ticks) per cycle.
 
-    Reads the boundary snapshot interpreted as flock observations and
-    syncs the registry. When a command output is wired, it also steps the
-    flock model and writes the resulting displacement list once per micro
-    tick of the period; otherwise it only reads and records statistics.
+    Reads the boundary input and updates the model. When an output is
+    wired, it also steps the model and writes its observation once per
+    lower-level tick of the period; otherwise it only reads.
     """
 
     agent_id = "A_M"
 
-    def __init__(
-        self,
-        interface: InterfaceArtifact,
-        observation_input: CouplingArtifact,
-        command_output: CouplingArtifact | None,
-        ratio: int,
-    ) -> None:
-        super().__init__(interface)
-        self.observation_input = observation_input
-        self.command_output = command_output
-        self.ratio = ratio
-        # (tick, flock_count, mean_size, mean_radius) per boundary read
-        self.samples: list[tuple[int, int, float, float]] = []
-
     def cycle(self) -> None:
         self.cycle_index += 1
         t = self.local_clock
-        payload = self.observation_input.read(t, self.agent_id, self.cycle_index)
-        flocks = [] if payload is ABSENT else payload
-        self.samples.append((t, *flock_stats(flocks)))
-        self.interface.update_model(flocks)
-        if self.command_output is not None:
-            before = self.interface.observe_model()
+        self._update(t)
+        if self.output is not None:
             self.interface.step_model()
-            after = self.interface.observe_model()
-            commands = self.interface.displacements(before, after)
+            observation = self.interface.observe_model()
             for k in range(1, self.ratio + 1):
-                self.command_output.write(
-                    t + k, commands, self.agent_id, self.cycle_index
-                )
+                self.output.write(t + k, observation, self.agent_id, self.cycle_index)
         self.local_clock = t + self.ratio
-
-
-def flock_stats(flocks: list) -> tuple[int, float, float]:
-    """Flock count, mean member count and mean radius (zeros when empty)."""
-    n = len(flocks)
-    if n == 0:
-        return 0, 0.0, 0.0
-    mean_size = sum(len(f.members) for f in flocks) / n
-    mean_radius = sum(f.radius for f in flocks) / n
-    return n, mean_size, mean_radius
 
 
 class MultiModel:
@@ -358,7 +331,7 @@ class MultiModel:
             self.immergence = CouplingArtifact(
                 "i", immergence, DISPLACEMENTS, COMMANDS, self.log
             )
-        self.micro_agent = MicroMAgent(micro, self.emergence, self.immergence, ratio)
+        self.micro_agent = MicroMAgent(micro, self.immergence, self.emergence, ratio)
         self.macro_agent = MacroMAgent(macro, self.emergence, self.immergence, ratio)
 
 
@@ -383,6 +356,7 @@ def run(multi_model: MultiModel) -> EventLog:
         raise
     except Exception as exc:
         raise RuntimeError(
-            f"interface artifact failure in {agent.agent_id} at tick {tick}"
+            f"interface artifact failure in {agent.agent_id} at tick {tick}: "
+            f"{type(exc).__name__}: {exc}"
         ) from exc
     return mm.log

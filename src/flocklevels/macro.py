@@ -54,6 +54,7 @@ __all__ = [
     "sync_registry",
     "macro_step",
     "displacements",
+    "flock_stats",
 ]
 
 
@@ -228,3 +229,13 @@ def displacements(before: MacroState, after: MacroState) -> DisplacementList:
         v = torus_delta(before_by_id[f.flock_id].centroid, f.centroid, before.world)
         out.append((f.flock_id, f.members, v, f.heading))
     return out
+
+
+def flock_stats(flocks: list) -> tuple[int, float, float]:
+    """Flock count, mean member count and mean radius (zeros when empty)."""
+    n = len(flocks)
+    if n == 0:
+        return 0, 0.0, 0.0
+    mean_size = sum(len(f.members) for f in flocks) / n
+    mean_radius = sum(f.radius for f in flocks) / n
+    return n, mean_size, mean_radius

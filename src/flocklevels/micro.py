@@ -15,6 +15,7 @@ changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +73,8 @@ class SteeringParams:
         ):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not math.isfinite(self.speed):
+            raise ValueError("speed must be finite")
         if self.vision < self.min_separation:
             raise ValueError("vision must be >= min_separation")
 

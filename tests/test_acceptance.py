@@ -114,7 +114,8 @@ def test_criterion_4_no_immergence_equivalence(capfd):
         assert state_key(mm.emergence.buffer[t]) == state_key(observe(state))
         counts.append(len(emergence_transform(observe(state), cfg.cluster)))
 
-    sampled = {t: n for t, n, _, _ in mm.macro_agent.samples}
+    stats = mm.macro_agent.interface.stats
+    sampled = {k * mm.ratio: n for k, (n, _, _) in enumerate(stats)}
     sampled[cfg.horizon] = len(mm.emergence.peek(cfg.horizon))
     for t in cfg.sample_ticks:
         assert sampled[t] == counts[t]

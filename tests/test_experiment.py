@@ -98,6 +98,7 @@ class TestApplyConfig:
             ("world.height", math.nan),
             ("cluster.min_size", 2.9),
             ("macro.speed", -5.0),
+            ("macro.speed", math.inf),
             ("macro.vision", -1.0),
             ("ratio", 1.5),
         ],

@@ -122,10 +122,10 @@ class TestRun:
 
     def test_upward_only_macro_never_steps(self):
         # without an immergence transformer the macro agent syncs its
-        # registry every period but never steps or asks for displacements
+        # registry every period but never steps or observes its model
         _, mm = small_multimodel("m", birds=20, horizon=6)
         interface = mm.macro_agent.interface
-        calls = {"update_model": 0, "step_model": 0, "displacements": 0}
+        calls = {"update_model": 0, "step_model": 0, "observe_model": 0}
 
         def counting(name):
             original = getattr(interface, name)
@@ -139,7 +139,37 @@ class TestRun:
         for name in calls:
             setattr(interface, name, counting(name))
         run(mm)
-        assert calls == {"update_model": 6, "step_model": 0, "displacements": 0}
+        assert calls == {"update_model": 6, "step_model": 0, "observe_model": 0}
+
+    def test_exact_protocol_macro_interface(self):
+        # a macro interface with only the three InterfaceArtifact methods
+        # runs exactly as the built one
+        class Macro:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def update_model(self, data):
+                self.inner.update_model(data)
+
+            def step_model(self):
+                self.inner.step_model()
+
+            def observe_model(self):
+                return self.inner.observe_model()
+
+        _, built = small_multimodel("M", birds=20, horizon=8)
+        _, mm = small_multimodel("M", birds=20, horizon=8)
+        stand_in = MultiModel(
+            micro=mm.micro_agent.interface,
+            macro=Macro(mm.macro_agent.interface),
+            emergence=mm.emergence.transformer,
+            immergence=mm.immergence.transformer,
+            ratio=mm.ratio,
+            horizon=mm.horizon,
+        )
+        assert run(stand_in).export_lines() == run(built).export_lines()
+        birds = stand_in.micro_agent.interface.state
+        assert state_key(birds) == state_key(built.micro_agent.interface.state)
 
     def test_termination_counts(self):
         for variant, horizon in (("M", 6), ("M3", 8)):
@@ -204,7 +234,9 @@ class TestRun:
                 original()
 
             interface.step_model = failing
-            with pytest.raises(RuntimeError, match=message):
+            with pytest.raises(
+                RuntimeError, match=f"{message}: ValueError: model blew up"
+            ):
                 run(mm)
 
     def test_multimodel_wiring_errors(self):

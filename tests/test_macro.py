@@ -71,6 +71,7 @@ class TestMacroParams:
             {"vision": -1.0, "min_separation": 0.0},
             {"max_align_turn": math.nan},
             {"vision": 0.5, "min_separation": 1.0},
+            {"speed": math.inf},
         ],
     )
     def test_rejects_invalid(self, fields):
