@@ -232,11 +232,17 @@ def _keyed(group: str):
         raise ConfigError(f"{group}.{exc}") from exc
 
 
-def _integer(key: str, value) -> int:
-    as_float = float(value)
-    if not as_float.is_integer():
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _integer(key: str, value: float) -> int:
+    if not value.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(as_float)
+    return int(value)
 
 
 def apply_config(
@@ -255,11 +261,12 @@ def apply_config(
     v = VARIANTS[variant_name]
     fv = dict(file_values or {})
     _check_keys(fv)
+    fv = {k: _number(k, x) for k, x in fv.items()}
 
     if "ratio" in fv and _integer("ratio", fv["ratio"]) != v.ratio:
         raise ConfigError(
             f"variant {variant_name} requires ratio {v.ratio}, "
-            f"config sets {fv['ratio']}"
+            f"config sets {fv['ratio']:g}"
         )
 
     def group(prefix: str) -> dict:
@@ -267,25 +274,19 @@ def apply_config(
         return {k[plen:]: fv[k] for k in fv if k.startswith(prefix + ".")}
 
     with _keyed("world"):
-        world = TorusWorld(
-            float(fv.get("world.width", 100.0)), float(fv.get("world.height", 100.0))
-        )
+        world = TorusWorld(fv.get("world.width", 100.0), fv.get("world.height", 100.0))
     with _keyed("micro"):
-        micro = SteeringParams(**{k: float(x) for k, x in group("micro").items()})
+        micro = SteeringParams(**group("micro"))
     macro_over = group("macro")
     if macro_over:
         with _keyed("macro"):
-            macro = replace(
-                v.macro_params, **{k: float(x) for k, x in macro_over.items()}
-            )
+            macro = replace(v.macro_params, **macro_over)
         v = replace(v, macro_params=macro)
     cl = group("cluster")
-    min_size = _integer("cluster.min_size", cl.get("min_size", 3))
+    min_size = _integer("cluster.min_size", cl.get("min_size", 3.0))
     with _keyed("cluster"):
         cluster = ClusterParams(
-            d_prox=float(cl.get("d_prox", 5.0)),
-            theta=float(cl.get("theta", 30.0)),
-            min_size=min_size,
+            d_prox=cl.get("d_prox", 5.0), theta=cl.get("theta", 30.0), min_size=min_size
         )
     return ExperimentConfig(
         variant=v,

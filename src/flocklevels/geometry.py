@@ -1,6 +1,7 @@
 """Toroidal 2-D world arithmetic, circular (angular) statistics, a
-cell-grid search for all pairs of points within a radius and the
-per-point sums over those pairs that both steering levels share.
+cell-grid search for all pairs of points within a radius, the per-point
+sums over those pairs and the bounded-turn steering rule that birds and
+flocks share.
 
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
@@ -18,19 +19,15 @@ import numpy as np
 __all__ = [
     "TorusWorld",
     "UndefinedMeanError",
-    "wrap",
     "wrap_scalar",
+    "wrap_array",
     "torus_delta",
-    "torus_distance",
     "normalize_heading",
     "heading_of_resultant",
-    "heading_diff",
-    "signed_heading_delta",
-    "turn_towards",
     "coordinate_of_resultant",
-    "heading_unit",
     "torus_neighbours",
     "mate_sums",
+    "steer",
 ]
 
 # Resultant vectors shorter than this are treated as zero (undefined mean).
@@ -62,9 +59,10 @@ def wrap_scalar(x: float, extent: float) -> float:
     return 0.0 if r >= extent else r
 
 
-def wrap(p: tuple[float, float], world: TorusWorld) -> tuple[float, float]:
-    """Reduce a raw coordinate pair into the world box."""
-    return (wrap_scalar(p[0], world.width), wrap_scalar(p[1], world.height))
+def wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
+    """Reduce every value into [0, extent), as wrap_scalar does one."""
+    r = a % extent
+    return np.where(r >= extent, 0.0, r)
 
 
 def _axis_delta(a: float, b: float, extent: float) -> float:
@@ -76,29 +74,17 @@ def _axis_delta(a: float, b: float, extent: float) -> float:
 def torus_delta(
     a: tuple[float, float], b: tuple[float, float], world: TorusWorld
 ) -> tuple[float, float]:
-    """Minimal displacement vector from a to b; wrap(a + result) == b."""
+    """Minimal displacement vector from a to b; a + result wraps to b."""
     return (
         _axis_delta(a[0], b[0], world.width),
         _axis_delta(a[1], b[1], world.height),
     )
 
 
-def torus_distance(
-    a: tuple[float, float], b: tuple[float, float], world: TorusWorld
-) -> float:
-    dx, dy = torus_delta(a, b, world)
-    return math.hypot(dx, dy)
-
-
 def normalize_heading(deg: float) -> float:
     """Reduce an angle to [0, 360)."""
     h = deg % 360.0
     return 0.0 if h >= 360.0 else h
-
-
-def heading_unit(deg: float) -> tuple[float, float]:
-    r = math.radians(deg)
-    return (math.cos(r), math.sin(r))
 
 
 def heading_of_resultant(sx: float, sy: float, n: int) -> float:
@@ -109,37 +95,6 @@ def heading_of_resultant(sx: float, sy: float, n: int) -> float:
     if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * n:
         raise UndefinedMeanError("zero resultant, mean undefined")
     return normalize_heading(math.degrees(math.atan2(sy, sx)))
-
-
-def signed_heading_delta(current: float, target: float) -> float:
-    """Signed shortest rotation from current to target, in (-180, 180].
-
-    The antipodal case (exactly 180 apart) resolves to +180, i.e. the
-    counterclockwise direction wins ties.
-    """
-    d = (target - current + 180.0) % 360.0 - 180.0
-    if d == -180.0:
-        d = 180.0
-    return d
-
-
-def heading_diff(a: float, b: float) -> float:
-    """Minimal circular angular difference, in [0, 180]."""
-    return abs(signed_heading_delta(a, b))
-
-
-def turn_towards(current: float, target: float, max_turn: float) -> float:
-    """Rotate current toward target by at most max_turn degrees.
-
-    Returns target exactly when it is within reach; otherwise turns
-    max_turn in the shorter direction (counterclockwise on a 180 tie).
-    """
-    if max_turn < 0:
-        raise ValueError("max_turn must be non-negative")
-    d = signed_heading_delta(current, target)
-    if abs(d) <= max_turn:
-        return normalize_heading(target)
-    return normalize_heading(current + math.copysign(max_turn, d))
 
 
 def coordinate_of_resultant(
@@ -222,12 +177,11 @@ def mate_sums(i, j, d, dx, dy, ux, uy, n: int) -> tuple[np.ndarray, ...]:
     """Per-point reduction over mate pairs (i, j) sorted by (i, j).
 
     d ranks the mates, (dx, dy) is the delta from i to j and (ux, uy) the
-    heading unit of every point. Returns (count, rows, nearest, nearest_d,
-    sx, sy, cx, cy): mates per point; the points with mates; per such row
-    the pair index of its nearest mate (smallest d, lowest j on ties); the
-    smallest d (inf without mates); the sums of the mates' ux and uy; and
-    of dx and dy. Sums run over the mates in ascending j, as a per-point
-    loop would add them.
+    heading unit of every point. Returns (count, nearest, nearest_d, sx,
+    sy, cx, cy): mates per point; the index of its nearest mate (smallest
+    d, lowest j on ties; -1 without mates); the smallest d (inf without
+    mates); the sums of the mates' ux and uy; and of dx and dy. Sums run
+    over the mates in ascending j, as a per-point loop would add them.
     """
     count = np.bincount(i, minlength=n)
     rows = np.flatnonzero(count)
@@ -235,9 +189,57 @@ def mate_sums(i, j, d, dx, dy, ux, uy, n: int) -> tuple[np.ndarray, ...]:
     nearest_d = np.full(n, np.inf)
     nearest_d[rows] = np.minimum.reduceat(d, row_start)
     at_min = np.where(d == nearest_d[i], np.arange(i.size), i.size)
-    nearest = np.minimum.reduceat(at_min, row_start)
+    nearest = np.full(n, -1)
+    nearest[rows] = j[np.minimum.reduceat(at_min, row_start)]
     sx = np.bincount(i, weights=ux[j], minlength=n)
     sy = np.bincount(i, weights=uy[j], minlength=n)
     cx = np.bincount(i, weights=dx, minlength=n)
     cy = np.bincount(i, weights=dy, minlength=n)
-    return count, rows, nearest, nearest_d, sx, sy, cx, cy
+    return count, nearest, nearest_d, sx, sy, cx, cy
+
+
+def _bearing(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Heading of each vector (dx, dy), its atan2 taken with libm."""
+    a = np.fromiter(map(math.atan2, dy.tolist(), dx.tolist()), float, dx.size)
+    return wrap_array(np.degrees(a), 360.0)
+
+
+def _turn(cur: np.ndarray, tgt: np.ndarray, max_turn: float) -> np.ndarray:
+    """Each heading turned toward its target by at most max_turn: the
+    target itself when within reach, else max_turn the shorter way
+    (counterclockwise on a 180 tie)."""
+    d = (tgt - cur + 180.0) % 360.0 - 180.0
+    d[d == -180.0] = 180.0
+    out = np.where(np.abs(d) <= max_turn, tgt, cur + np.copysign(max_turn, d))
+    return wrap_array(out, 360.0)
+
+
+def steer(h, x, y, world: TorusWorld, p, count, nearest, nearest_d, sx, sy, cx, cy):
+    """New heading of every point under the bounded-turn boids rule.
+
+    h, x and y are the points' headings and positions, p the turn bounds
+    (SteeringParams) and the rest the per-point reduction of mate_sums,
+    by point distance for birds and by gap for flocks. A point whose
+    nearest mate is closer than min_separation turns away from it, along
+    the delta from the mate to the point; any other point with mates
+    aligns with its mates' mean heading, unless their resultant is zero,
+    then coheres toward their summed offset, unless it is zero. A point
+    without mates keeps its heading. Each bearing is taken with libm's
+    atan2, only for the points that turn.
+    """
+    out = h.copy()
+    sep = nearest_d < p.min_separation
+    rows = np.flatnonzero(sep)
+    if rows.size:
+        mate, width, height = nearest[rows], world.width, world.height
+        dx = (x[rows] - x[mate] + width / 2.0) % width - width / 2.0
+        dy = (y[rows] - y[mate] + height / 2.0) % height - height / 2.0
+        out[rows] = _turn(h[rows], _bearing(dx, dy), p.max_separate_turn)
+    free = (count > 0) & ~sep
+    rows = np.flatnonzero(free & (np.hypot(sx, sy) >= ZERO_RESULTANT_EPS * count))
+    if rows.size:
+        out[rows] = _turn(out[rows], _bearing(sx[rows], sy[rows]), p.max_align_turn)
+    rows = np.flatnonzero(free & (np.hypot(cx, cy) >= ZERO_RESULTANT_EPS))
+    if rows.size:
+        out[rows] = _turn(out[rows], _bearing(cx[rows], cy[rows]), p.max_cohere_turn)
+    return out

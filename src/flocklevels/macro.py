@@ -10,14 +10,15 @@ The step runs over arrays. Candidate pairs come from the cell-grid
 search at radius vision + 2 max(radius), widened by a relative 1e-9 since
 a rounded gap can reach vision from an ulp further out; `mate_sums`, the
 reduction the boids step uses, reduces the pairs whose gap is at most
-vision. One loop over the flocks then turns them with the scalar rules.
-Two choices keep the result bit for bit that of the per-flock rule:
-every bearing and heading unit is taken with `math` (`np.arctan2`
-differs from `math.atan2` in the last bit on some inputs), and the
-separation bearing comes from the reverse delta, torus_delta(nearest,
-flock), since the negated forward delta rounds differently. Distances
-come from `np.hypot`, which can differ from `math.hypot` in the last
-bit; that moves a decision only at a tie within one ulp.
+vision, and `steer`, the rule the boids step also uses, turns every flock
+at once. The result is bit for bit that of the per-flock rule, since
+both levels take their bearings from libm: `steer` calls `math.atan2`
+(numpy's own atan2 differs from it in the last bit on some inputs, how
+often depending on the SIMD code numpy dispatches to), and takes the
+separation bearing from the reverse delta, torus_delta(nearest, flock),
+since the negated forward delta rounds differently. Distances come from
+`np.hypot`, which can differ from `math.hypot` in the last bit; that
+moves a decision only at a tie within one ulp.
 
 The registry is kept in sync with the cluster observations coming up
 from the individual level: observed clusters are matched to registered
@@ -35,15 +36,12 @@ import numpy as np
 
 from .errors import CouplingError
 from .geometry import (
-    ZERO_RESULTANT_EPS,
     TorusWorld,
-    heading_unit,
     mate_sums,
-    normalize_heading,
+    steer,
     torus_delta,
     torus_neighbours,
-    turn_towards,
-    wrap,
+    wrap_array,
 )
 from .micro import SteeringParams
 
@@ -162,10 +160,6 @@ def sync_registry(s: MacroState, observations: list) -> MacroState:
     )
 
 
-def _bearing(dx: float, dy: float) -> float:
-    return normalize_heading(math.degrees(math.atan2(dy, dx)))
-
-
 def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     """One synchronous step of every flock; never creates or destroys flocks.
 
@@ -177,41 +171,27 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     flocks = s.flocks
     w = s.world
     n = len(flocks)
-    # heading units by math.cos and math.sin, as the per-flock rule takes them
-    x, y, r, ux, uy = np.array(
-        [(*f.centroid, f.radius, *heading_unit(f.heading)) for f in flocks]
-    ).reshape(n, 5).T
+    x, y, h, r = np.array(
+        [(*f.centroid, f.heading, f.radius) for f in flocks]
+    ).reshape(n, 4).T
 
     reach = (p.vision + 2.0 * r.max(initial=0.0)) * (1.0 + 1e-9)
     i, j, dx, dy, dist = torus_neighbours(x, y, reach, w)
     gap = np.maximum(dist - r[i] - r[j], 0.0)
     keep = np.flatnonzero(gap <= p.vision)
-    i, j, dx, dy, gap = i[keep], j[keep], dx[keep], dy[keep], gap[keep]
-    count, rows, nearest, nearest_gap, sx, sy, cx, cy = mate_sums(
-        i, j, gap, dx, dy, ux, uy, n
+    hr = np.radians(h)
+    sums = mate_sums(
+        i[keep], j[keep], gap[keep], dx[keep], dy[keep], np.cos(hr), np.sin(hr), n
     )
-    nearest_mate = np.zeros(n, dtype=np.int64)
-    nearest_mate[rows] = j[nearest]
-
-    new_flocks = []
-    per_flock = (count, nearest_gap, nearest_mate, sx, sy, cx, cy)
-    for f, c, g, m, ax, ay, bx, by in zip(flocks, *(a.tolist() for a in per_flock)):
-        heading = f.heading
-        if c and g < p.min_separation:
-            away = _bearing(*torus_delta(flocks[m].centroid, f.centroid, w))
-            heading = turn_towards(heading, away, p.max_separate_turn)
-        elif c:
-            # alignment is skipped where heading_of_resultant would find no mean
-            if math.hypot(ax, ay) >= ZERO_RESULTANT_EPS * c:
-                heading = turn_towards(heading, _bearing(ax, ay), p.max_align_turn)
-            if math.hypot(bx, by) >= ZERO_RESULTANT_EPS:
-                heading = turn_towards(heading, _bearing(bx, by), p.max_cohere_turn)
-        vx, vy = heading_unit(heading)
-        centroid = wrap(
-            (f.centroid[0] + p.speed * vx, f.centroid[1] + p.speed * vy), w
-        )
-        new_flocks.append(Flock(f.flock_id, centroid, heading, f.radius, f.members))
-    return replace(s, flocks=tuple(new_flocks), macro_tick=s.macro_tick + 1)
+    h = steer(h, x, y, w, p, *sums)
+    hr = np.radians(h)
+    x = wrap_array(x + p.speed * np.cos(hr), w.width)
+    y = wrap_array(y + p.speed * np.sin(hr), w.height)
+    new_flocks = tuple(
+        Flock(f.flock_id, c, heading, f.radius, f.members)
+        for f, c, heading in zip(flocks, zip(x.tolist(), y.tolist()), h.tolist())
+    )
+    return replace(s, flocks=new_flocks, macro_tick=s.macro_tick + 1)
 
 
 def displacements(before: MacroState, after: MacroState) -> DisplacementList:

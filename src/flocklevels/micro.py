@@ -22,11 +22,12 @@ import numpy as np
 
 from .errors import CouplingError
 from .geometry import (
-    ZERO_RESULTANT_EPS,
     TorusWorld,
     mate_sums,
     normalize_heading,
+    steer,
     torus_neighbours,
+    wrap_array,
 )
 
 __all__ = [
@@ -145,54 +146,14 @@ def init_random(n: int, world: TorusWorld, rng: np.random.Generator) -> MicroSta
     return MicroState(np.arange(n), xs, ys, hs, tick=0, world=world)
 
 
-def _wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
-    r = a % extent
-    return np.where(r >= extent, 0.0, r)
-
-
-def _turn_array(cur: np.ndarray, tgt: np.ndarray, max_turn: float) -> np.ndarray:
-    d = (tgt - cur + 180.0) % 360.0 - 180.0
-    d = np.where(d == -180.0, 180.0, d)
-    out = np.where(np.abs(d) <= max_turn, tgt, cur + np.sign(d) * max_turn)
-    return _wrap_array(out, 360.0)
-
-
 def _step_all_autonomous(
     x: np.ndarray, y: np.ndarray, h: np.ndarray, p: SteeringParams, w: TorusWorld
 ) -> np.ndarray:
-    """Vectorized boids headings for the whole population (pre-move).
-
-    Per-bird sums run over the mates in ascending id order, as in the
-    per-bird rule the tests check against.
-    """
-    n = x.shape[0]
+    """Boids headings for the whole population (pre-move), mates by distance."""
     i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w)
     hr = np.radians(h)
-    count, rows, nearest, nearest_dist, sx, sy, cx, cy = mate_sums(
-        i, j, dist, dx, dy, np.cos(hr), np.sin(hr), n
-    )
-    has_mates = count > 0
-    sep = nearest_dist < p.min_separation
-
-    # separation: turn toward the bearing away from the nearest mate;
-    # + 0.0 turns -0.0 into 0.0, so a coincident mate gives bearing 0 as
-    # math.atan2 of the reverse delta does
-    away = np.zeros(n)
-    away[rows] = np.degrees(np.arctan2(-dy[nearest] + 0.0, -dx[nearest] + 0.0))
-    h_sep = _turn_array(h, _wrap_array(away, 360.0), p.max_separate_turn)
-
-    align_ok = np.hypot(sx, sy) >= ZERO_RESULTANT_EPS * np.maximum(count, 1.0)
-    align_tgt = _wrap_array(np.degrees(np.arctan2(sy, sx)), 360.0)
-
-    coh_ok = np.hypot(cx, cy) >= ZERO_RESULTANT_EPS
-    coh_tgt = _wrap_array(np.degrees(np.arctan2(cy, cx)), 360.0)
-
-    free = has_mates & ~sep
-    h_a = np.where(free & align_ok, _turn_array(h, align_tgt, p.max_align_turn), h)
-    h_c = np.where(
-        free & coh_ok, _turn_array(h_a, coh_tgt, p.max_cohere_turn), h_a
-    )
-    return np.where(sep, h_sep, h_c)
+    sums = mate_sums(i, j, dist, dx, dy, np.cos(hr), np.sin(hr), x.shape[0])
+    return steer(h, x, y, w, p, *sums)
 
 
 def micro_step(
@@ -224,8 +185,8 @@ def micro_step(
             new_y[i] = y[i] + vy
             new_h[i] = normalize_heading(ch)
 
-    new_x = _wrap_array(new_x, s.world.width)
-    new_y = _wrap_array(new_y, s.world.height)
+    new_x = wrap_array(new_x, s.world.width)
+    new_y = wrap_array(new_y, s.world.height)
     return MicroState(s.ids, new_x, new_y, new_h, tick=s.tick + 1, world=s.world)
 
 

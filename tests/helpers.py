@@ -3,14 +3,16 @@
 Everything here is deliberately naive (brute force, exhaustive
 enumeration, two-pass statistics, one agent at a time), imports nothing
 from the package and shares no code path with the implementations it
-checks.
+checks. numpy serves only to draw the same initial birds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 def brute_delta(a, b, width, height):
@@ -167,7 +169,7 @@ class UndefinedMeanError(ValueError):
     pass
 
 
-def _wrap(p, w):
+def wrap(p, w):
     out = []
     for c, extent in ((p[0], w.width), (p[1], w.height)):
         r = c % extent
@@ -182,7 +184,7 @@ def _torus_delta(a, b, w):
     )
 
 
-def _torus_distance(a, b, w):
+def torus_distance(a, b, w):
     return math.hypot(*_torus_delta(a, b, w))
 
 
@@ -222,7 +224,7 @@ def flockmates(b, s, p):
     return [
         m
         for m in s.birds
-        if m.id != b.id and _torus_distance(b.pos, m.pos, s.world) <= p.vision
+        if m.id != b.id and torus_distance(b.pos, m.pos, s.world) <= p.vision
     ]
 
 
@@ -237,9 +239,9 @@ def step_autonomous(b, mates, p, w):
     heading = b.heading
     if mates:
         nearest = min(
-            mates, key=lambda m: (_torus_distance(b.pos, m.pos, w), m.id)
+            mates, key=lambda m: (torus_distance(b.pos, m.pos, w), m.id)
         )
-        if _torus_distance(b.pos, nearest.pos, w) < p.min_separation:
+        if torus_distance(b.pos, nearest.pos, w) < p.min_separation:
             dx, dy = _torus_delta(nearest.pos, b.pos, w)
             away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
             heading = _turn_towards(heading, away, p.max_separate_turn)
@@ -259,20 +261,20 @@ def step_autonomous(b, mates, p, w):
                 target = _normalize_heading(math.degrees(math.atan2(cy, cx)))
                 heading = _turn_towards(heading, target, p.max_cohere_turn)
     ux, uy = _heading_unit(heading)
-    pos = _wrap((b.pos[0] + p.speed * ux, b.pos[1] + p.speed * uy), w)
+    pos = wrap((b.pos[0] + p.speed * ux, b.pos[1] + p.speed * uy), w)
     return replace(b, pos=pos, heading=heading)
 
 
 def step_commanded(b, cmd, w):
     """Apply an external command: rigid translation plus imposed heading."""
     (vx, vy), heading = cmd
-    pos = _wrap((b.pos[0] + vx, b.pos[1] + vy), w)
+    pos = wrap((b.pos[0] + vx, b.pos[1] + vy), w)
     return replace(b, pos=pos, heading=_normalize_heading(heading))
 
 
 def effective_distance(a, b, w):
     """Gap between two flocks' bounding circles, never negative."""
-    return max(0.0, _torus_distance(a.centroid, b.centroid, w) - a.radius - b.radius)
+    return max(0.0, torus_distance(a.centroid, b.centroid, w) - a.radius - b.radius)
 
 
 def steer_flock(f, others, p, w):
@@ -310,7 +312,7 @@ def per_flock_step(s, p):
         others = [o for o in s.flocks if o.flock_id != f.flock_id]
         heading = steer_flock(f, others, p, s.world)
         ux, uy = _heading_unit(heading)
-        centroid = _wrap(
+        centroid = wrap(
             (f.centroid[0] + p.speed * ux, f.centroid[1] + p.speed * uy), s.world
         )
         new_flocks.append(replace(f, centroid=centroid, heading=heading))
@@ -354,7 +356,192 @@ def reify_cluster(members, obs, w):
         heading = _circular_mean(headings)
     except UndefinedMeanError:
         heading = headings[0]
-    radius = math.fsum(_torus_distance(centroid, p, w) for p in positions) / len(
+    radius = math.fsum(torus_distance(centroid, p, w) for p in positions) / len(
         positions
     )
     return frozenset(ordered), centroid, heading, radius
+
+
+# -- Whole-run reference ------------------------------------------------
+# The two-level loop in plain Python, on the oracles above: one bird, one
+# cluster and one flock at a time, at the default world, boids and
+# cluster parameters.
+
+
+@dataclass(frozen=True)
+class World:
+    width: float = 100.0
+    height: float = 100.0
+
+
+@dataclass(frozen=True)
+class Steering:
+    vision: float = 10.0
+    min_separation: float = 1.0
+    max_align_turn: float = 5.0
+    max_cohere_turn: float = 3.0
+    max_separate_turn: float = 1.5
+    speed: float = 1.0
+
+
+@dataclass(frozen=True)
+class RefBird:
+    id: int
+    pos: tuple
+    heading: float
+
+
+@dataclass(frozen=True)
+class Population:
+    birds: tuple
+    world: World
+
+
+@dataclass(frozen=True)
+class RefFlock:
+    flock_id: int
+    centroid: tuple
+    heading: float
+    radius: float
+    members: frozenset
+
+
+@dataclass(frozen=True)
+class Registry:
+    flocks: tuple
+    world: World
+    macro_tick: int = 0
+
+
+# Per variant: flock steering, micro ticks per macro step and whether
+# flock displacements come back down.
+REFERENCE_VARIANTS = {
+    "m": (Steering(), 1, False),
+    "M": (Steering(), 1, True),
+    "M1": (
+        Steering(max_separate_turn=8.0, max_align_turn=1.0, max_cohere_turn=1.0), 1, True
+    ),
+    "M2": (
+        Steering(max_align_turn=8.0, max_cohere_turn=8.0, max_separate_turn=0.5), 1, True
+    ),
+    "M3": (Steering(), 4, True),
+}
+
+
+def reference_observations(pop, d_prox=5.0, theta=30.0, min_size=3):
+    """Every cluster of a population as (members, centroid, heading, radius)."""
+    rows = [(b.id, b.pos, b.heading) for b in pop.birds]
+    w = pop.world
+    return [
+        reify_cluster(c, rows, w)
+        for c in brute_clusters(rows, d_prox, theta, min_size, w.width, w.height)
+    ]
+
+
+def greedy_registry(flocks, next_id, observations):
+    """The registry after one batch of observations, and the next free id.
+
+    Repeatedly matches the free (flock, observation) pair of highest
+    Jaccard overlap, ties to the lowest flock id and then to the lowest
+    member id; zero overlap never matches. A matched flock keeps its id
+    and takes the observation; every other observation becomes a new
+    flock, in order; every other flock is dropped.
+    """
+    free_flocks = {f.flock_id: f.members for f in flocks}
+    free_obs = {k: o[0] for k, o in enumerate(observations)}
+    taken = {}
+    while True:
+        pairs = [
+            (jaccard(fm, om), -fid, -min(om), fid, k)
+            for fid, fm in free_flocks.items()
+            for k, om in free_obs.items()
+        ]
+        best = max((p for p in pairs if p[0] > 0.0), default=None)
+        if best is None:
+            break
+        *_, fid, k = best
+        taken[k] = fid
+        del free_flocks[fid], free_obs[k]
+    out = []
+    for k, (members, centroid, heading, radius) in enumerate(observations):
+        if k not in taken:
+            taken[k] = next_id
+            next_id += 1
+        out.append(RefFlock(taken[k], centroid, heading, radius, members))
+    return tuple(sorted(out, key=lambda f: f.flock_id)), next_id
+
+
+def reference_stats(observations):
+    """Flock count, mean member count and mean radius (zeros when empty)."""
+    n = len(observations)
+    if n == 0:
+        return 0, 0.0, 0.0
+    mean_size = sum(len(o[0]) for o in observations) / n
+    return n, mean_size, sum(o[3] for o in observations) / n
+
+
+def reference_run(variant, birds, horizon, seed):
+    """One replication of a variant, driven one agent at a time.
+
+    Returns a dict: "states", the birds at every tick 0..horizon as
+    (id, x, y, heading) tuples; "cycles", per macro cycle its tick, the
+    registry after the sync and the registry after the step (None when
+    displacements do not come back down), each as a tuple of RefFlock;
+    "log", the lines of the event log export; and "stats", the flock
+    statistics of every boundary 0, r, ..., horizon.
+    """
+    p_macro, r, immergence = REFERENCE_VARIANTS[variant]
+    p_micro, w = Steering(), World()
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, w.width, birds).tolist()
+    ys = rng.uniform(0.0, w.height, birds).tolist()
+    hs = rng.uniform(0.0, 360.0, birds).tolist()
+    pop = Population(
+        tuple(RefBird(k, (xs[k], ys[k]), hs[k]) for k in range(birds)), w
+    )
+
+    def rows(pop):
+        return tuple((b.id, *b.pos, b.heading) for b in pop.birds)
+
+    states, cycles, stats = [rows(pop)], [], []
+    log = [f"0;A_m;write;e;MicroObservation;{birds}"]
+    registry, next_id = Registry((), w), 0
+    for t in range(0, horizon, r):
+        observations = reference_observations(pop)
+        log.append(f"{t};A_M;read;e;FlockObservationList;{len(observations)}")
+        stats.append(reference_stats(observations))
+        flocks, next_id = greedy_registry(registry.flocks, next_id, observations)
+        registry = replace(registry, flocks=flocks)
+        cmds = None
+        if immergence:
+            stepped = per_flock_step(registry, p_macro)
+            cycles.append((t, registry.flocks, stepped.flocks))
+            cmds = {}
+            for before, f in zip(registry.flocks, stepped.flocks):
+                vx, vy = _torus_delta(before.centroid, f.centroid, w)
+                for bid in f.members:
+                    cmds[bid] = ((vx / r, vy / r), f.heading)
+            log += [
+                f"{t + k};A_M;write;i;DisplacementList;{len(flocks)}"
+                for k in range(1, r + 1)
+            ]
+            registry = stepped
+        else:
+            cycles.append((t, registry.flocks, None))
+        for k in range(1, r + 1):
+            if immergence:
+                log.append(f"{t + k};A_m;read;i;CommandSet;{len(cmds)}")
+            pop = Population(
+                tuple(
+                    step_commanded(b, cmds[b.id], w)
+                    if cmds and b.id in cmds
+                    else step_autonomous(b, flockmates(b, pop, p_micro), p_micro, w)
+                    for b in pop.birds
+                ),
+                w,
+            )
+            states.append(rows(pop))
+            if (t + k) % r == 0:
+                log.append(f"{t + k};A_m;write;e;MicroObservation;{birds}")
+    stats.append(reference_stats(reference_observations(pop)))
+    return {"states": states, "cycles": cycles, "log": log, "stats": stats}

@@ -24,12 +24,19 @@ from flocklevels.experiment import (
     run_replicated,
     write_records_csv,
 )
-from flocklevels.geometry import TorusWorld, torus_distance
+from flocklevels.geometry import TorusWorld
 from flocklevels.interfaces import MacroModelInterface, MicroModelInterface
 from flocklevels.kernel import MultiModel, run
 from flocklevels.macro import MacroState, sync_registry
 from flocklevels.micro import MicroState, SteeringParams, init_random, micro_step, observe
-from helpers import best_matching, brute_clusters, columns, jaccard, state_key
+from helpers import (
+    best_matching,
+    brute_clusters,
+    columns,
+    jaccard,
+    state_key,
+    torus_distance,
+)
 
 W = TorusWorld(100.0, 100.0)
 

@@ -16,9 +16,9 @@ from flocklevels.coupling import (
     split_displacements,
 )
 from flocklevels.errors import CouplingError
-from flocklevels.geometry import TorusWorld, torus_distance, wrap
+from flocklevels.geometry import TorusWorld
 from flocklevels.micro import MicroState, SteeringParams, micro_step, observe
-from helpers import UnionFind, brute_clusters, columns, reify_cluster
+from helpers import UnionFind, brute_clusters, columns, reify_cluster, wrap
 
 W = TorusWorld(100.0, 100.0)
 CP = ClusterParams(d_prox=5.0, theta=30.0, min_size=2)

@@ -101,6 +101,9 @@ class TestApplyConfig:
             ("macro.speed", math.inf),
             ("macro.vision", -1.0),
             ("ratio", 1.5),
+            ("micro.vision", None),
+            ("micro.vision", "ten"),
+            ("cluster.min_size", "x"),
         ],
     )
     def test_invalid_value_names_its_key(self, key, value):

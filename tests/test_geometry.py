@@ -9,17 +9,16 @@ from flocklevels.coupling import reify
 from flocklevels.geometry import (
     TorusWorld,
     UndefinedMeanError,
-    heading_diff,
     heading_of_resultant,
+    mate_sums,
+    steer,
     torus_delta,
-    torus_distance,
     torus_neighbours,
-    turn_towards,
-    wrap,
+    wrap_array,
     wrap_scalar,
 )
-from flocklevels.micro import MicroState
-from helpers import brute_delta, brute_distance, naive_pairs
+from flocklevels.micro import MicroState, SteeringParams
+from helpers import brute_delta, brute_distance, naive_pairs, wrap
 
 W = TorusWorld(100.0, 100.0)
 
@@ -41,24 +40,32 @@ class TestTorusWorld:
 
 
 class TestWrap:
+    """wrap_scalar reduces one coordinate, wrap_array every value alike."""
+
     def test_modulo(self):
-        assert wrap((105.0, -3.0), W) == (5.0, 97.0)
+        assert (wrap_scalar(105.0, 100.0), wrap_scalar(-3.0, 100.0)) == (5.0, 97.0)
+        assert wrap_array(np.array([105.0, -3.0]), 100.0).tolist() == [5.0, 97.0]
 
     def test_identity(self):
-        assert wrap((50.0, 50.0), W) == (50.0, 50.0)
+        assert wrap_scalar(50.0, 100.0) == 50.0
+        assert wrap_array(np.array([50.0, 0.0]), 100.0).tolist() == [50.0, 0.0]
 
     def test_exact_extent(self):
-        assert wrap((200.0, 0.0), W) == (0.0, 0.0)
+        # -1e-20 % 100 rounds to 100 itself, which belongs to 0
+        for v in (200.0, -1e-20):
+            assert wrap_scalar(v, 100.0) == 0.0
+            assert wrap_array(np.array([v]), 100.0).tolist() == [0.0]
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
-            wrap((math.inf, 0.0), W)
+            wrap_scalar(math.inf, 100.0)
 
     @given(st.tuples(coords, coords))
     def test_idempotent(self, p):
-        once = wrap(p, W)
-        assert wrap(once, W) == once
-        assert 0 <= once[0] < 100 and 0 <= once[1] < 100
+        once = wrap_array(np.array(p), 100.0)
+        assert once.tolist() == [wrap_scalar(c, 100.0) for c in p]
+        assert np.array_equal(wrap_array(once, 100.0), once)
+        assert ((0 <= once) & (once < 100)).all()
 
 
 class TestTorusDelta:
@@ -84,24 +91,32 @@ class TestTorusDelta:
         assert min(abs(wy - b[1]), 100 - abs(wy - b[1])) < 1e-9
 
 
+def torus_distance(a, b):
+    """The distance torus_neighbours reports from point a to point b."""
+    x, y = np.array([a[0], b[0]]), np.array([a[1], b[1]])
+    # a radius beyond the half diagonal keeps every pair
+    _, _, _, _, dist = torus_neighbours(x, y, 100.0, W)
+    return dist[0]
+
+
 class TestTorusDistance:
     def test_seam(self):
-        assert torus_distance((1.0, 0.0), (99.0, 0.0), W) == 2.0
+        assert torus_distance((1.0, 0.0), (99.0, 0.0)) == 2.0
 
     def test_zero(self):
-        assert torus_distance((3.0, 4.0), (3.0, 4.0), W) == 0.0
+        assert torus_distance((3.0, 4.0), (3.0, 4.0)) == 0.0
 
     def test_derived(self):
-        d = torus_distance((10.0, 10.0), (20.0, 90.0), W)
+        d = torus_distance((10.0, 10.0), (20.0, 90.0))
         assert d == pytest.approx(math.sqrt(500.0), abs=1e-12)
 
     @given(in_world, in_world, in_world)
     @settings(max_examples=200)
     def test_metric_properties(self, a, b, c):
-        dab = torus_distance(a, b, W)
-        assert dab == pytest.approx(torus_distance(b, a, W), abs=1e-9)
+        dab = torus_distance(a, b)
+        assert dab == pytest.approx(torus_distance(b, a), abs=1e-9)
         assert dab <= math.sqrt(50.0**2 + 50.0**2) + 1e-9
-        assert dab <= torus_distance(a, c, W) + torus_distance(c, b, W) + 1e-9
+        assert dab <= torus_distance(a, c) + torus_distance(c, b) + 1e-9
 
 
 def circular_mean(headings):
@@ -127,31 +142,112 @@ class TestCircularMean:
             circular_mean([0.0, 180.0])
 
 
+def aim(target):
+    """The bearing steer takes from a resultant along target: libm's
+    atan2 in degrees, in [0, 360). It is target itself for 0, 10, 45, 90,
+    180, 190, 270 and 350, not for 3."""
+    r = math.radians(target)
+    return math.degrees(math.atan2(math.sin(r), math.cos(r))) % 360.0
+
+
+def turn(current, target, max_turn):
+    """The heading steer gives one point that only aligns: its one mate
+    heads along target, beyond min_separation, with a zero offset (no
+    cohesion), and alignment turns at most max_turn."""
+    r = math.radians(target)
+    p = SteeringParams(max_align_turn=max_turn)
+    sums = (
+        np.array([1]),  # count
+        np.array([0]),  # nearest
+        np.array([5.0]),  # nearest_d
+        np.array([math.cos(r)]),
+        np.array([math.sin(r)]),
+        np.zeros(1),
+        np.zeros(1),
+    )
+    (h,) = steer(np.array([current]), np.zeros(1), np.zeros(1), W, p, *sums)
+    return h
+
+
+def heading_diff(a, b):
+    """Minimal circular difference, in [0, 180]."""
+    d = abs(a - b) % 360.0
+    return min(d, 360.0 - d)
+
+
 class TestHeadingDiff:
+    """The turn reaches its target exactly when its bound covers the
+    minimal circular difference, in either direction."""
+
     @pytest.mark.parametrize(
         "a,b,expected", [(350.0, 10.0, 20.0), (0.0, 180.0, 180.0), (45.0, 45.0, 0.0)]
     )
     def test_examples(self, a, b, expected):
-        assert heading_diff(a, b) == pytest.approx(expected)
-        assert heading_diff(b, a) == pytest.approx(expected)
+        for cur, tgt in ((a, b), (b, a)):
+            assert heading_diff(cur, tgt) == expected
+            assert turn(cur, tgt, expected) == tgt
+            if expected:
+                assert turn(cur, tgt, expected - 1e-6) != tgt
 
 
 class TestTurnTowards:
+    """The bounded turn inside steer."""
+
     def test_clamped(self):
-        assert turn_towards(0.0, 90.0, 5.0) == 5.0
+        assert turn(0.0, 90.0, 5.0) == 5.0
+        assert turn(90.0, 0.0, 5.0) == 85.0
 
     def test_within_bound(self):
-        assert turn_towards(0.0, 3.0, 5.0) == 3.0
+        assert turn(0.0, 3.0, 5.0) == aim(3.0) != 3.0
 
     def test_antipodal_tie_counterclockwise(self):
-        assert turn_towards(10.0, 190.0, 5.0) == 15.0
+        assert turn(10.0, 190.0, 5.0) == 15.0
+        assert turn(190.0, 10.0, 5.0) == 195.0
+
+    def test_zero_difference(self):
+        # d rounds to 0 for a heading equal to the target or one ulp off
+        # on either side (less than half an ulp of 180), so even a zero
+        # bound reaches the target
+        for cur in (90.0, math.nextafter(90.0, 0.0), math.nextafter(90.0, 180.0)):
+            assert turn(cur, 90.0, 0.0) == 90.0
+        # a heading of -0.0 turns into the target +0.0
+        h = turn(-0.0, 0.0, 0.0)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+        # a zero bound keeps a heading that is really off
+        assert turn(89.0, 90.0, 0.0) == 89.0
+
+    def test_exact_reach(self):
+        # a bound equal to the difference reaches the target; one ulp less
+        # stops one bound short, on either side
+        assert turn(0.0, 90.0, 90.0) == 90.0
+        assert turn(0.0, 270.0, 90.0) == 270.0
+        short = math.nextafter(90.0, 0.0)
+        assert turn(0.0, 90.0, short) == short
+        assert turn(0.0, 270.0, short) == 360.0 - short
 
     @given(headings, headings, st.floats(min_value=0.0, max_value=180.0))
     @settings(max_examples=200)
     def test_progress_and_bound(self, c, t, m):
-        r = turn_towards(c, t, m)
-        assert heading_diff(r, t) <= heading_diff(c, t) + 1e-9
+        r = turn(c, t, m)
+        assert 0.0 <= r < 360.0
+        assert heading_diff(r, aim(t)) <= heading_diff(c, aim(t)) + 1e-9
         assert heading_diff(r, c) <= m + 1e-9
+
+
+class TestSteer:
+    def test_point_without_mates_keeps_its_heading(self):
+        h = np.array([123.4])
+        none = (np.array([0]), np.array([-1]), np.array([np.inf]), *np.zeros((4, 1)))
+        assert steer(h, np.zeros(1), np.zeros(1), W, SteeringParams(), *none) == h
+
+    def test_separation_turns_away_across_the_seam(self):
+        # each point's nearest mate lies 0.3 away across the x seam; away
+        # from it is 180 for the left point and 0 for the right one
+        p = SteeringParams(max_separate_turn=180.0)
+        x, y, h = np.array([99.8, 0.1]), np.array([50.0, 50.0]), np.array([90.0, 90.0])
+        i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, W)
+        sums = mate_sums(i, j, dist, dx, dy, np.zeros(2), np.ones(2), 2)
+        assert steer(h, x, y, W, p, *sums).tolist() == [180.0, 0.0]
 
 
 def torus_centroid(positions, w=W):

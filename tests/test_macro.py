@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from flocklevels.coupling import FlockObservation
 from flocklevels.errors import CouplingError
 from flocklevels.experiment import VARIANTS
-from flocklevels.geometry import TorusWorld, torus_delta, torus_distance, wrap
+from flocklevels.geometry import TorusWorld, torus_delta
 from flocklevels.macro import (
     Flock,
     MacroState,
@@ -18,7 +18,14 @@ from flocklevels.macro import (
     sync_registry,
 )
 from flocklevels.micro import SteeringParams
-from helpers import best_matching, effective_distance, jaccard, per_flock_step
+from helpers import (
+    best_matching,
+    effective_distance,
+    jaccard,
+    per_flock_step,
+    torus_distance,
+    wrap,
+)
 
 W = TorusWorld(100.0, 100.0)
 P = SteeringParams()

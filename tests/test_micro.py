@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flocklevels.errors import CouplingError
-from flocklevels.geometry import TorusWorld, torus_delta, torus_distance
+from flocklevels.geometry import TorusWorld, torus_delta
 from flocklevels.micro import (
     Bird,
     MicroState,
@@ -15,7 +15,14 @@ from flocklevels.micro import (
     micro_step,
     observe,
 )
-from helpers import columns, flockmates, state_key, step_autonomous, step_commanded
+from helpers import (
+    columns,
+    flockmates,
+    state_key,
+    step_autonomous,
+    step_commanded,
+    torus_distance,
+)
 
 W = TorusWorld(100.0, 100.0)
 P = SteeringParams()
@@ -132,17 +139,36 @@ class TestStepCommanded:
 
 class TestMicroStep:
     def test_matches_per_bird_rule(self):
-        # the vectorized population step must agree with the per-bird rule,
-        # also in a crowd where every bird has about a hundred mates
-        for n, world in ((40, W), (300, TorusWorld(30.0, 30.0))):
+        # the vectorized population step equals the per-bird rule bit for
+        # bit, also in a crowd where every bird has about a hundred mates,
+        # and with turn bounds of 180, which pass every bit of a bearing
+        # through to the heading
+        exact = SteeringParams(
+            max_separate_turn=180.0, max_align_turn=180.0, max_cohere_turn=180.0
+        )
+        crowd = TorusWorld(30.0, 30.0)
+        for n, world, p in ((40, W, P), (300, crowd, P), (150, crowd, exact)):
             s = init_random(n, world, np.random.default_rng(7))
-            stepped = micro_step(s, None, P)
+            stepped = micro_step(s, None, p)
             for b, got in zip(s.birds, stepped.birds):
-                want = step_autonomous(b, flockmates(b, s, P), P, world)
-                assert got.id == want.id
-                assert got.heading == pytest.approx(want.heading, abs=1e-9)
-                assert got.pos[0] == pytest.approx(want.pos[0], abs=1e-9)
-                assert got.pos[1] == pytest.approx(want.pos[1], abs=1e-9)
+                want = step_autonomous(b, flockmates(b, s, p), p, world)
+                assert got == want, f"bird {b.id} differs"
+
+    def test_separation_bearing_from_the_reverse_delta(self):
+        # across the seam, the delta from bird 1 to bird 0 and the negated
+        # delta from bird 0 to bird 1 round apart, and so do their bearings
+        # (303.302826575146 against 303.30282657514687)
+        p = SteeringParams(max_separate_turn=180.0)
+        s = make_state(
+            [
+                Bird(0, (0.0518798764062578, 17.787609947272777), 0.0),
+                Bird(1, (99.6313654602715, 18.42771314536086), 0.0),
+            ]
+        )
+        stepped = micro_step(s, None, p)
+        assert stepped.birds[0].heading == 303.302826575146
+        for b, got in zip(s.birds, stepped.birds):
+            assert got == step_autonomous(b, flockmates(b, s, p), p, W)
 
     def test_all_commanded_translates_population(self):
         s = init_random(10, W, np.random.default_rng(3))
@@ -285,6 +311,4 @@ def test_lattice_ties_match_per_bird_rule(birds, vision_sep):
     stepped = micro_step(s, None, p)
     for b, got in zip(s.birds, stepped.birds):
         want = step_autonomous(b, flockmates(b, s, p), p, LW)
-        assert got.heading == pytest.approx(want.heading, abs=1e-9)
-        assert got.pos[0] == pytest.approx(want.pos[0], abs=1e-9)
-        assert got.pos[1] == pytest.approx(want.pos[1], abs=1e-9)
+        assert got == want, f"bird {b.id} differs"
