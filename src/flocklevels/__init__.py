@@ -7,17 +7,11 @@ coordination kernel keeps the two models causally consistent and logs
 every exchange for auditing.
 """
 
-from .coupling import (
-    ClusterParams,
-    FlockObservation,
-    detect_clusters,
-    emergence_transform,
-    reify,
-)
+from .coupling import ClusterParams, detect_clusters, emergence_transform, reify
 from .errors import ConfigError, CouplingError, DeadlockError, ProtocolError
 from .geometry import TorusWorld
 from .kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
-from .macro import Flock, MacroState, displacements, macro_step, sync_registry
+from .macro import Flocks, MacroState, displacements, macro_step, sync_registry
 from .micro import Bird, MicroState, SteeringParams, init_random, micro_step, observe
 
 __all__ = [
@@ -29,8 +23,7 @@ __all__ = [
     "CouplingError",
     "DeadlockError",
     "EventLog",
-    "Flock",
-    "FlockObservation",
+    "Flocks",
     "MacroState",
     "MicroState",
     "MultiModel",

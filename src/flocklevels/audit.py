@@ -17,7 +17,7 @@ the trusted side of the coordination contract:
   silently dropped;
 - cardinality: the reducing artifact never emits more flocks than the
   bird count allows, the expanding artifact emits exactly one command
-  per member.
+  per member of the displacement table.
 """
 
 from __future__ import annotations
@@ -126,12 +126,7 @@ def audit_coherence(
     return issues
 
 
-def audit_cardinality(
-    log: EventLog,
-    min_size: int,
-    emergence_name: str = "e",
-    immergence_name: str = "i",
-) -> list[str]:
+def audit_cardinality(log: EventLog, min_size: int) -> list[str]:
     issues: list[str] = []
     writes: dict[tuple[str, int], object] = {}
     for rec in log.records:
@@ -143,14 +138,14 @@ def audit_cardinality(
         src = writes.get((rec.artifact, rec.timestamp))
         if src is None:
             continue
-        if rec.artifact == emergence_name:
+        if rec.artifact == "e":
             if len(rec.payload) > len(src) // min_size:
                 issues.append(
                     f"cardinality: {rec.artifact}@{rec.timestamp} has "
                     f"{len(rec.payload)} flocks for {len(src)} birds"
                 )
-        elif rec.artifact == immergence_name:
-            expected = sum(len(members) for _, members, _, _ in src)
+        elif rec.artifact == "i":
+            expected = len(src.members)
             if len(rec.payload) != expected:
                 issues.append(
                     f"cardinality: {rec.artifact}@{rec.timestamp} has "

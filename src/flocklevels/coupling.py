@@ -1,12 +1,13 @@
 """The two level-crossing transformations.
 
 Upward (information-reducing): detect clusters of nearby, similarly
-headed birds in a population snapshot and reify each cluster as a flock
-observation (centroid, mean heading, dispersion radius, member set).
+headed birds in a population snapshot and reify them as one `Flocks`
+table (per flock a centroid, mean heading and dispersion radius; per
+member bird its flock's row).
 
-Downward (information-increasing): turn per-flock displacements into
-per-bird movement commands, one r-th of each displacement per micro tick
-of a macro step of r ticks.
+Downward (information-increasing): index the `Displacements` table by
+its label column to give every member one r-th of its flock's
+displacement per micro tick of a macro step of r ticks (`Commands`).
 
 Both directions are pure functions; they are installed as the
 transformers of the corresponding coupling artifacts.
@@ -27,12 +28,11 @@ from .geometry import (
     heading_of_resultant,
     torus_neighbours,
 )
-from .macro import DisplacementList
-from .micro import CommandSet, MicroState
+from .macro import NO_FLOCKS, Displacements, Flocks
+from .micro import Commands, MicroState
 
 __all__ = [
     "ClusterParams",
-    "FlockObservation",
     "detect_clusters",
     "reify",
     "emergence_transform",
@@ -53,14 +53,6 @@ class ClusterParams:
             raise ValueError("theta must be in [0, 180]")
         if self.min_size < 2:
             raise ValueError("min_size must be >= 2")
-
-
-@dataclass(frozen=True)
-class FlockObservation:
-    members: frozenset[int]
-    centroid: tuple[float, float]
-    heading: float
-    radius: float
 
 
 def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -110,8 +102,8 @@ def _spans(sizes: list[int]) -> list[tuple[int, int]]:
     return [(e - m, e) for m, e in zip(sizes, itertools.accumulate(sizes))]
 
 
-def reify(clusters: list[list[int]], obs: MicroState) -> list[FlockObservation]:
-    """Promote every cluster of one snapshot to a flock observation.
+def reify(clusters: list[list[int]], obs: MicroState) -> Flocks:
+    """Promote every cluster of one snapshot to a row of one flock table.
 
     Centroid is the torus center of gravity of the member positions (per
     axis, the circular mean of the scaled coordinate, or the arithmetic
@@ -120,16 +112,16 @@ def reify(clusters: list[list[int]], obs: MicroState) -> list[FlockObservation]:
     mean member distance to the centroid. Every sum runs over the members
     in ascending id, as a per-cluster loop adds them; cos, sin, atan2 and
     hypot are taken with `math`, since numpy's can differ in the last bit.
+    A bird in two clusters raises CouplingError.
     """
     if not clusters:
-        return []
+        return NO_FLOCKS
     sizes = [len(c) for c in clusters]
     if not all(sizes):
         raise ValueError("reify of empty member set")
     f = len(clusters)
     cluster = np.repeat(np.arange(f), sizes)
-    members = list(itertools.chain.from_iterable(map(sorted, clusters)))
-    flat = np.array(members, dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(map(sorted, clusters)), np.int64)
     row, missing = obs.rows_of(flat)
     if missing.size:
         raise CouplingError(f"members not in observation: {missing.tolist()}")
@@ -155,50 +147,41 @@ def reify(clusters: list[list[int]], obs: MicroState) -> list[FlockObservation]:
 
     xl, yl, headings = mx.tolist(), my.tolist(), mh.tolist()
     spans = _spans(sizes)
-    centroids = [
-        (
-            coordinate_of_resultant(xc[k], xs[k], xl[a:b], w.width),
-            coordinate_of_resultant(yc[k], ys[k], yl[a:b], w.height),
-        )
-        for k, (a, b) in enumerate(spans)
-    ]
-    cx, cy = np.array(centroids)[cluster].T
-    # torus_delta(centroid, member), elementwise
+    centroids = np.array(
+        [
+            (
+                coordinate_of_resultant(xc[k], xs[k], xl[a:b], w.width),
+                coordinate_of_resultant(yc[k], ys[k], yl[a:b], w.height),
+            )
+            for k, (a, b) in enumerate(spans)
+        ]
+    )
+    cx, cy = centroids[cluster].T
+    # the wrapped delta from the centroid to each member
     dx = (mx - cx + w.width / 2.0) % w.width - w.width / 2.0
     dy = (my - cy + w.height / 2.0) % w.height - w.height / 2.0
     dist = list(map(math.hypot, dx.tolist(), dy.tolist()))
 
-    flocks = []
+    heading, radius = [], []
     for k, (a, b) in enumerate(spans):
         try:
-            heading = heading_of_resultant(hc[k], hs[k], b - a)
+            heading.append(heading_of_resultant(hc[k], hs[k], b - a))
         except UndefinedMeanError:
-            heading = headings[a]
-        flocks.append(
-            FlockObservation(
-                members=frozenset(members[a:b]),
-                centroid=centroids[k],
-                heading=heading,
-                radius=math.fsum(dist[a:b]) / (b - a),
-            )
-        )
-    return flocks
+            heading.append(headings[a])
+        radius.append(math.fsum(dist[a:b]) / (b - a))
+    order = np.argsort(flat, kind="stable")
+    return Flocks(*centroids.T, heading, radius, flat[order], cluster[order])
 
 
-def emergence_transform(obs: MicroState, p: ClusterParams) -> list[FlockObservation]:
+def emergence_transform(obs: MicroState, p: ClusterParams) -> Flocks:
     """Detect and reify all clusters in one population snapshot."""
     # looked up as module globals, so a wrapper installed there sees each call
     return reify(detect_clusters(obs, p), obs)
 
 
-def split_displacements(d: DisplacementList, r: int) -> CommandSet:
-    """One command set of a linear r-way decomposition: v/r per member."""
+def split_displacements(d: Displacements, r: int) -> Commands:
+    """One command table of a linear r-way decomposition: v/r per member."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    cmds: CommandSet = {}
-    for _, members, (vx, vy), heading in d:
-        for bid in members:
-            if bid in cmds:
-                raise CouplingError(f"bird {bid} belongs to multiple flocks")
-            cmds[bid] = ((vx / r, vy / r), heading)
-    return cmds
+    label = d.label
+    return Commands(d.members, (d.vx / r)[label], (d.vy / r)[label], d.heading[label])

@@ -21,7 +21,6 @@ __all__ = [
     "UndefinedMeanError",
     "wrap_scalar",
     "wrap_array",
-    "torus_delta",
     "normalize_heading",
     "heading_of_resultant",
     "coordinate_of_resultant",
@@ -65,22 +64,6 @@ def wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
     return np.where(r >= extent, 0.0, r)
 
 
-def _axis_delta(a: float, b: float, extent: float) -> float:
-    """Signed minimal-magnitude difference from a to b along one axis."""
-    d = (b - a + extent / 2.0) % extent - extent / 2.0
-    return d
-
-
-def torus_delta(
-    a: tuple[float, float], b: tuple[float, float], world: TorusWorld
-) -> tuple[float, float]:
-    """Minimal displacement vector from a to b; a + result wraps to b."""
-    return (
-        _axis_delta(a[0], b[0], world.width),
-        _axis_delta(a[1], b[1], world.height),
-    )
-
-
 def normalize_heading(deg: float) -> float:
     """Reduce an angle to [0, 360)."""
     h = deg % 360.0
@@ -114,8 +97,8 @@ def torus_neighbours(
     """Every ordered pair of points within torus distance r (closed).
 
     Returns (i, j, dx, dy, dist): the index pairs with i != j, sorted by
-    (i, j); the wrapped delta from point i to point j, computed as in
-    torus_delta; and np.hypot(dx, dy). A pair is kept iff dist <= r.
+    (i, j); the delta (b - a + extent / 2) % extent - extent / 2 from point
+    i to point j per axis; and np.hypot(dx, dy). A pair is kept iff dist <= r.
 
     Candidates come from a periodic grid of cells at least r wide, so a
     point is only compared with the points of its own and the 8 adjacent

@@ -1,22 +1,25 @@
 """Interface artifacts wrapping the two models for their agents.
 
-Both implement the kernel's three-method contract. The macro interface
-observes the displacements of its last step and records the flock
-statistics of each observation list it receives.
+Both implement the kernel's three-method contract. The micro interface
+takes a `Commands` table and observes its population; the macro
+interface takes a `Flocks` table, records its flock statistics, and
+observes the `Displacements` table of its last step.
 """
 
 from __future__ import annotations
 
 from .geometry import TorusWorld
 from .macro import (
-    DisplacementList,
+    NO_FLOCKS,
+    Displacements,
+    Flocks,
     MacroState,
     displacements,
     flock_stats,
     macro_step,
     sync_registry,
 )
-from .micro import CommandSet, MicroState, SteeringParams, micro_step, observe
+from .micro import Commands, MicroState, SteeringParams, micro_step, observe
 
 __all__ = ["MicroModelInterface", "MacroModelInterface"]
 
@@ -27,9 +30,9 @@ class MicroModelInterface:
     def __init__(self, initial: MicroState, params: SteeringParams) -> None:
         self.params = params
         self.state = initial
-        self._pending: CommandSet | None = None
+        self._pending: Commands | None = None
 
-    def update_model(self, data: CommandSet | None) -> None:
+    def update_model(self, data: Commands | None) -> None:
         self._pending = data
 
     def step_model(self) -> None:
@@ -45,18 +48,18 @@ class MacroModelInterface:
 
     def __init__(self, world: TorusWorld, params: SteeringParams) -> None:
         self.params = params
-        self.state = MacroState(flocks=(), next_id=0, macro_tick=0, world=world)
+        self.state = MacroState(NO_FLOCKS, (), next_id=0, macro_tick=0, world=world)
         self._before = self.state
         self.stats: list[tuple[int, float, float]] = []
 
-    def update_model(self, data: list | None) -> None:
-        observations = [] if data is None else data
-        self.stats.append(flock_stats(observations))
-        self.state = sync_registry(self.state, observations)
+    def update_model(self, data: Flocks | None) -> None:
+        observed = NO_FLOCKS if data is None else data
+        self.stats.append(flock_stats(observed))
+        self.state = sync_registry(self.state, observed)
 
     def step_model(self) -> None:
         self._before = self.state
         self.state = macro_step(self.state, self.params)
 
-    def observe_model(self) -> DisplacementList:
+    def observe_model(self) -> Displacements:
         return displacements(self._before, self.state)

@@ -1,10 +1,11 @@
 """The collective-level model: flocks as first-class agents.
 
-A flock carries a centroid, a heading, a radius and the set of member
-bird ids. Flocks steer by the same bounded-turn separation / alignment /
-cohesion rules as individual birds, except that distances are size-aware:
-the effective distance between two flocks is the gap between their
-bounding circles, never negative.
+The flocks of one snapshot are one `Flocks` table of columns, which the
+registry (`MacroState`) holds in ascending flock id. Flocks steer by the
+same bounded-turn separation / alignment / cohesion rules as individual
+birds, except that distances are size-aware: the effective distance
+between two flocks is the gap between their bounding circles, never
+negative.
 
 The step runs over arrays. Candidate pairs come from the cell-grid
 search at radius vision + 2 max(radius), widened by a relative 1e-9 since
@@ -15,40 +16,33 @@ at once. The result is bit for bit that of the per-flock rule, since
 both levels take their bearings from libm: `steer` calls `math.atan2`
 (numpy's own atan2 differs from it in the last bit on some inputs, how
 often depending on the SIMD code numpy dispatches to), and takes the
-separation bearing from the reverse delta, torus_delta(nearest, flock),
-since the negated forward delta rounds differently. Distances come from
-`np.hypot`, which can differ from `math.hypot` in the last bit; that
-moves a decision only at a tie within one ulp.
+separation bearing from the reverse delta, from the nearest mate to the
+flock, since the negated forward delta rounds differently. Distances
+come from `np.hypot`, which can differ from `math.hypot` in the last
+bit; that moves a decision only at a tie within one ulp.
 
-The registry is kept in sync with the cluster observations coming up
-from the individual level: observed clusters are matched to registered
-flocks by member-set overlap (Jaccard), matched flocks keep their id,
-new clusters become new flocks, vanished flocks are dropped. Fusion and
-splitting are not modelled.
+The registry is kept in sync with the flocks observed at the individual
+level: observed flocks are matched to registered ones by member-set
+overlap (Jaccard, counted from the two label columns), matched flocks
+keep their id, new ones get fresh ids, vanished ones are dropped. Fusion
+and splitting are not modelled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CouplingError
-from .geometry import (
-    TorusWorld,
-    mate_sums,
-    steer,
-    torus_delta,
-    torus_neighbours,
-    wrap_array,
-)
-from .micro import SteeringParams
+from .geometry import TorusWorld, mate_sums, steer, torus_neighbours, wrap_array
+from .micro import Columns, SteeringParams, freeze_column
 
 __all__ = [
-    "Flock",
+    "Flocks",
+    "Displacements",
+    "NO_FLOCKS",
     "MacroState",
-    "DisplacementList",
     "sync_registry",
     "macro_step",
     "displacements",
@@ -56,108 +50,123 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Flock:
-    flock_id: int
-    centroid: tuple[float, float]
-    heading: float
-    radius: float
-    members: frozenset[int]
+@dataclass(frozen=True, eq=False)
+class Flocks(Columns):
+    """The flocks of one snapshot, one read-only column per field.
+
+    x, y, heading and radius hold one value per flock (a row). members
+    holds the id of every member bird, strictly ascending, and label the
+    row of its flock. Every row has at least one member.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    heading: np.ndarray
+    radius: np.ndarray
+    members: np.ndarray
+    label: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, values in (
-            ("centroid", self.centroid),
-            ("heading", (self.heading,)),
-            ("radius", (self.radius,)),
-        ):
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-        if not self.members:
-            raise ValueError("a registered flock must have members")
+        rows = freeze_column(self, "x", np.float64).size
+        for name in ("x", "y", "heading", "radius"):
+            col = freeze_column(self, name, np.float64, rows)
+            if not np.isfinite(col).all():
+                raise ValueError(f"{name} must be finite, got {col.tolist()}")
+        if (self.radius < 0).any():
+            raise ValueError(f"radius must be >= 0, got {self.radius.tolist()}")
+        members = freeze_column(self, "members", np.int64)
+        label = freeze_column(self, "label", np.int64, members.size)
+        if (members[1:] <= members[:-1]).any():
+            bad = members[1:][members[1:] <= members[:-1]].tolist()
+            raise CouplingError(f"bird ids in two flocks or out of order: {bad}")
+        size = np.bincount(label, minlength=rows)  # raises on a negative label
+        if size.size != rows or not size.all():
+            raise ValueError(f"label must give each of {rows} rows members, got {size}")
+
+    def __len__(self) -> int:
+        return self.x.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Displacements(Flocks):
+    """The flocks after a step, with each flock's displacement (vx, vy)."""
+
+    vx: np.ndarray
+    vy: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in ("vx", "vy"):
+            freeze_column(self, name, np.float64, len(self))
+
+
+NO_FLOCKS = Flocks((), (), (), (), (), ())
+
+
+@dataclass(frozen=True, eq=False)
 class MacroState:
-    flocks: tuple[Flock, ...]
+    """The flock registry: its flocks in ascending flock id."""
+
+    flocks: Flocks
+    ids: np.ndarray
     next_id: int
     macro_tick: int
     world: TorusWorld
 
     def __post_init__(self) -> None:
-        flocks = tuple(sorted(self.flocks, key=lambda f: f.flock_id))
-        ids = [f.flock_id for f in flocks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate flock ids")
-        if ids and self.next_id <= max(ids):
+        ids = freeze_column(self, "ids", np.int64, len(self.flocks))
+        if (ids[1:] <= ids[:-1]).any():
+            raise ValueError("flock ids must be unique and ascending")
+        if ids.size and self.next_id <= ids[-1]:
             raise ValueError("next_id must exceed every issued id")
-        object.__setattr__(self, "flocks", flocks)
 
 
-# Per live flock: (flock_id, members, displacement vector, heading).
-DisplacementList = list[tuple[int, frozenset[int], tuple[float, float], float]]
-
-
-def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
-    inter = len(a & b)
-    if inter == 0:
-        return 0.0
-    return inter / len(a | b)
-
-
-def sync_registry(s: MacroState, observations: list) -> MacroState:
-    """Reconcile the registry with one batch of cluster observations.
+def sync_registry(s: MacroState, observed: Flocks) -> MacroState:
+    """Reconcile the registry with the flocks observed in one snapshot.
 
     Greedy maximum-overlap matching on member sets: pairs are taken in
     descending Jaccard order (ties by lowest existing flock id, then by
-    the observation's lowest member id); zero-overlap pairs never match.
-    Matched flocks keep their id and adopt the observed centroid, heading,
-    radius and members; leftover observations become new flocks; leftover
-    registered flocks are removed.
+    the observed flock's lowest member id); zero-overlap pairs never
+    match. Matched flocks keep their id and adopt the observed centroid,
+    heading, radius and members; the other observed flocks get fresh
+    ids in row order; the other registered flocks are removed.
     """
-    seen: set[int] = set()
-    for obs in observations:
-        dup = seen & set(obs.members)
-        if dup:
-            raise CouplingError(f"bird ids in multiple observations: {sorted(dup)}")
-        seen |= set(obs.members)
-
-    candidates = []
-    for f in s.flocks:
-        for k, obs in enumerate(observations):
-            j = _jaccard(f.members, frozenset(obs.members))
-            if j > 0.0:
-                candidates.append((j, f.flock_id, min(obs.members), k, f))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-
-    matched_flocks: set[int] = set()
-    matched_obs: set[int] = set()
-    updated: list[Flock] = []
-    for _, fid, _, k, f in candidates:
-        if fid in matched_flocks or k in matched_obs:
-            continue
-        matched_flocks.add(fid)
-        matched_obs.add(k)
-        obs = observations[k]
-        updated.append(
-            Flock(fid, obs.centroid, obs.heading, obs.radius, frozenset(obs.members))
+    old, f, k = s.flocks, len(s.flocks), len(observed)
+    ids = np.full(k, -1, dtype=np.int64)
+    if f and k:
+        _, a, b = np.intersect1d(
+            old.members, observed.members, assume_unique=True, return_indices=True
         )
-
-    next_id = s.next_id
-    for k, obs in enumerate(observations):
-        if k in matched_obs:
-            continue
-        updated.append(
-            Flock(
-                next_id, obs.centroid, obs.heading, obs.radius, frozenset(obs.members)
-            )
+        # overlap of every (registered, observed) pair, nonzero ones only
+        inter = np.bincount(old.label[a] * k + observed.label[b], minlength=f * k)
+        pair = np.flatnonzero(inter)
+        fo, ko = np.divmod(pair, k)
+        union = (
+            np.bincount(old.label, minlength=f)[fo]
+            + np.bincount(observed.label, minlength=k)[ko]
+            - inter[pair]
         )
-        next_id += 1
+        jaccard = inter[pair] / union
+        # members ascend, so a row's first member is its lowest
+        lowest = observed.members[np.unique(observed.label, return_index=True)[1]]
+        taken: set[int] = set()
+        greedy = np.lexsort((lowest[ko], s.ids[fo], -jaccard))
+        for fr, kr in zip(fo[greedy].tolist(), ko[greedy].tolist()):
+            if fr not in taken and ids[kr] < 0:
+                taken.add(fr)
+                ids[kr] = s.ids[fr]
+    fresh = np.flatnonzero(ids < 0)
+    ids[fresh] = s.next_id + np.arange(fresh.size)
 
-    return MacroState(
-        flocks=tuple(updated), next_id=next_id, macro_tick=s.macro_tick, world=s.world
-    )
+    flocks = observed
+    if (ids[1:] < ids[:-1]).any():
+        # rows in flock id order; each member's label follows its row
+        order = np.argsort(ids)
+        ids = ids[order]
+        columns = (observed.x, observed.y, observed.heading, observed.radius)
+        label = np.argsort(order)[observed.label]
+        flocks = Flocks(*(c[order] for c in columns), observed.members, label)
+    return MacroState(flocks, ids, s.next_id + fresh.size, s.macro_tick, s.world)
 
 
 def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
@@ -168,12 +177,8 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     turns the flock away; otherwise it aligns with its mates' mean heading,
     then coheres toward their summed offset. It then advances by speed.
     """
-    flocks = s.flocks
-    w = s.world
-    n = len(flocks)
-    x, y, h, r = np.array(
-        [(*f.centroid, f.heading, f.radius) for f in flocks]
-    ).reshape(n, 4).T
+    fl, w = s.flocks, s.world
+    x, y, h, r = fl.x, fl.y, fl.heading, fl.radius
 
     reach = (p.vision + 2.0 * r.max(initial=0.0)) * (1.0 + 1e-9)
     i, j, dx, dy, dist = torus_neighbours(x, y, reach, w)
@@ -181,41 +186,34 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     keep = np.flatnonzero(gap <= p.vision)
     hr = np.radians(h)
     sums = mate_sums(
-        i[keep], j[keep], gap[keep], dx[keep], dy[keep], np.cos(hr), np.sin(hr), n
+        i[keep], j[keep], gap[keep], dx[keep], dy[keep], np.cos(hr), np.sin(hr), len(fl)
     )
     h = steer(h, x, y, w, p, *sums)
     hr = np.radians(h)
     x = wrap_array(x + p.speed * np.cos(hr), w.width)
     y = wrap_array(y + p.speed * np.sin(hr), w.height)
-    new_flocks = tuple(
-        Flock(f.flock_id, c, heading, f.radius, f.members)
-        for f, c, heading in zip(flocks, zip(x.tolist(), y.tolist()), h.tolist())
-    )
-    return replace(s, flocks=new_flocks, macro_tick=s.macro_tick + 1)
+    flocks = replace(fl, x=x, y=y, heading=h)
+    return replace(s, flocks=flocks, macro_tick=s.macro_tick + 1)
 
 
-def displacements(before: MacroState, after: MacroState) -> DisplacementList:
-    """Per-flock displacement between two registry snapshots.
+def displacements(before: MacroState, after: MacroState) -> Displacements:
+    """The after state's flocks with their displacement since before.
 
-    v is the minimal torus delta between the centroids; heading and
-    members are taken from the after state.
+    (vx, vy) is the minimal torus delta between the two centroids of a
+    flock id.
     """
-    before_by_id = {f.flock_id: f for f in before.flocks}
-    after_ids = {f.flock_id for f in after.flocks}
-    if set(before_by_id) != after_ids:
+    if not np.array_equal(before.ids, after.ids):
         raise CouplingError("flock id sets differ between before and after states")
-    out: DisplacementList = []
-    for f in after.flocks:
-        v = torus_delta(before_by_id[f.flock_id].centroid, f.centroid, before.world)
-        out.append((f.flock_id, f.members, v, f.heading))
-    return out
+    a, b, w = before.flocks, after.flocks, before.world
+    vx = (b.x - a.x + w.width / 2.0) % w.width - w.width / 2.0
+    vy = (b.y - a.y + w.height / 2.0) % w.height - w.height / 2.0
+    return Displacements(b.x, b.y, b.heading, b.radius, b.members, b.label, vx, vy)
 
 
-def flock_stats(flocks: list) -> tuple[int, float, float]:
+def flock_stats(flocks: Flocks) -> tuple[int, float, float]:
     """Flock count, mean member count and mean radius (zeros when empty)."""
     n = len(flocks)
     if n == 0:
         return 0, 0.0, 0.0
-    mean_size = sum(len(f.members) for f in flocks) / n
-    mean_radius = sum(f.radius for f in flocks) / n
-    return n, mean_size, mean_radius
+    # summed one by one, left to right, as a loop over the flocks adds them
+    return n, flocks.members.size / n, sum(flocks.radius.tolist()) / n

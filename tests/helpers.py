@@ -177,7 +177,8 @@ def wrap(p, w):
     return tuple(out)
 
 
-def _torus_delta(a, b, w):
+def torus_delta(a, b, w):
+    """Minimal displacement from a to b by the closed-form wrap."""
     return (
         (b[0] - a[0] + w.width / 2.0) % w.width - w.width / 2.0,
         (b[1] - a[1] + w.height / 2.0) % w.height - w.height / 2.0,
@@ -185,7 +186,7 @@ def _torus_delta(a, b, w):
 
 
 def torus_distance(a, b, w):
-    return math.hypot(*_torus_delta(a, b, w))
+    return math.hypot(*torus_delta(a, b, w))
 
 
 def _normalize_heading(deg):
@@ -242,7 +243,7 @@ def step_autonomous(b, mates, p, w):
             mates, key=lambda m: (torus_distance(b.pos, m.pos, w), m.id)
         )
         if torus_distance(b.pos, nearest.pos, w) < p.min_separation:
-            dx, dy = _torus_delta(nearest.pos, b.pos, w)
+            dx, dy = torus_delta(nearest.pos, b.pos, w)
             away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
             heading = _turn_towards(heading, away, p.max_separate_turn)
         else:
@@ -254,7 +255,7 @@ def step_autonomous(b, mates, p, w):
             cx = 0.0
             cy = 0.0
             for m in mates:
-                dx, dy = _torus_delta(b.pos, m.pos, w)
+                dx, dy = torus_delta(b.pos, m.pos, w)
                 cx += dx
                 cy += dy
             if math.hypot(cx, cy) >= ZERO_RESULTANT_EPS:
@@ -285,7 +286,7 @@ def steer_flock(f, others, p, w):
         return heading
     nearest = min(mates, key=lambda o: (effective_distance(f, o, w), o.flock_id))
     if effective_distance(f, nearest, w) < p.min_separation:
-        dx, dy = _torus_delta(nearest.centroid, f.centroid, w)
+        dx, dy = torus_delta(nearest.centroid, f.centroid, w)
         away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
         return _turn_towards(heading, away, p.max_separate_turn)
     try:
@@ -296,7 +297,7 @@ def steer_flock(f, others, p, w):
     cx = 0.0
     cy = 0.0
     for o in mates:
-        dx, dy = _torus_delta(f.centroid, o.centroid, w)
+        dx, dy = torus_delta(f.centroid, o.centroid, w)
         cx += dx
         cy += dy
     if math.hypot(cx, cy) >= ZERO_RESULTANT_EPS:
@@ -360,6 +361,54 @@ def reify_cluster(members, obs, w):
         positions
     )
     return frozenset(ordered), centroid, heading, radius
+
+
+def table_rows(flocks):
+    """The rows of a flock table as (members, centroid, heading, radius),
+    the form reify_cluster gives, read column by column."""
+    members = [set() for _ in range(len(flocks))]
+    for bid, k in zip(flocks.members.tolist(), flocks.label.tolist()):
+        members[k].add(bid)
+    columns = (flocks.x, flocks.y, flocks.heading, flocks.radius)
+    return [
+        (frozenset(m), (x, y), h, r)
+        for m, x, y, h, r in zip(members, *(c.tolist() for c in columns))
+    ]
+
+
+def displacement_columns(rows):
+    """The columns of a displacement table (x, y, heading, radius, members,
+    label, vx, vy) of (members, (vx, vy), heading) rows, each flock at the
+    origin with radius 0; a bird in two rows is listed twice."""
+    rows = list(rows)
+    pairs = sorted((m, k) for k, row in enumerate(rows) for m in row[0])
+    zeros = [0.0] * len(rows)
+    return (
+        zeros,
+        zeros,
+        [row[2] for row in rows],
+        zeros,
+        [m for m, _ in pairs],
+        [k for _, k in pairs],
+        [row[1][0] for row in rows],
+        [row[1][1] for row in rows],
+    )
+
+
+def commands_by_id(cmds):
+    """A command table as a map bird id -> ((vx, vy), heading)."""
+    columns = (cmds.ids, cmds.vx, cmds.vy, cmds.heading)
+    return {b: ((vx, vy), h) for b, vx, vy, h in zip(*(c.tolist() for c in columns))}
+
+
+def registry_flocks(state):
+    """The flocks of a registry state as RefFlock records, by flock id."""
+    return tuple(
+        RefFlock(fid, centroid, heading, radius, members)
+        for fid, (members, centroid, heading, radius) in zip(
+            state.ids.tolist(), table_rows(state.flocks)
+        )
+    )
 
 
 # -- Whole-run reference ------------------------------------------------
@@ -518,7 +567,7 @@ def reference_run(variant, birds, horizon, seed):
             cycles.append((t, registry.flocks, stepped.flocks))
             cmds = {}
             for before, f in zip(registry.flocks, stepped.flocks):
-                vx, vy = _torus_delta(before.centroid, f.centroid, w)
+                vx, vy = torus_delta(before.centroid, f.centroid, w)
                 for bid in f.members:
                     cmds[bid] = ((vx / r, vy / r), f.heading)
             log += [

@@ -27,13 +27,16 @@ from flocklevels.experiment import (
 from flocklevels.geometry import TorusWorld
 from flocklevels.interfaces import MacroModelInterface, MicroModelInterface
 from flocklevels.kernel import MultiModel, run
-from flocklevels.macro import MacroState, sync_registry
+from flocklevels.macro import NO_FLOCKS, Displacements, Flocks, MacroState, sync_registry
 from flocklevels.micro import MicroState, SteeringParams, init_random, micro_step, observe
 from helpers import (
     best_matching,
     brute_clusters,
     columns,
+    commands_by_id,
+    displacement_columns,
     jaccard,
+    registry_flocks,
     state_key,
     torus_distance,
 )
@@ -140,9 +143,10 @@ def test_criterion_5_immergence_conservation(capfd):
             v = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
             d.append((fid, members, v, float(rng.uniform(0, 360))))
         union = sorted(b for _, m, _, _ in d for b in m)
+        table = Displacements(*displacement_columns(row[1:] for row in d))
         for r in (1, 2, 4):
             # the immergence artifact splits once per micro tick of a period
-            sets = [split_displacements(d, r) for _ in range(r)]
+            sets = [commands_by_id(split_displacements(table, r)) for _ in range(r)]
             assert len(sets) == r
             for cs in sets:
                 assert sorted(cs) == union
@@ -165,7 +169,7 @@ def test_criterion_6_flock_rigidity(capfd):
         micro=MicroModelInterface(initial, SteeringParams()),
         macro=MacroModelInterface(W, SteeringParams()),
         emergence=lambda obs: emergence_transform(obs, cluster),
-        immergence=lambda d: {b: (v, h) for _, m, v, h in d for b in m},
+        immergence=lambda d: split_displacements(d, 1),
         ratio=1,
         horizon=20,
     )
@@ -190,38 +194,37 @@ def test_criterion_6_flock_rigidity(capfd):
 
 def test_criterion_7_registry_lifecycle(capfd):
     def obs_of(members):
-        from flocklevels.coupling import FlockObservation
-
-        return FlockObservation(
-            members=frozenset(members), centroid=(50.0, 50.0), heading=0.0, radius=1.0
-        )
+        """One observed flock of the given members at (50, 50)."""
+        return Flocks([50.0], [50.0], [0.0], [1.0], sorted(members), [0] * len(members))
 
     def check_against_oracle(before, observations, after):
-        reg = {f.flock_id: set(f.members) for f in before.flocks}
+        reg = {f.flock_id: set(f.members) for f in registry_flocks(before)}
         _, assignment = best_matching(reg, [set(o) for o in observations])
-        kept = {f.flock_id: set(f.members) for f in after.flocks if f.flock_id in reg}
+        kept = {
+            f.flock_id: set(f.members) for f in registry_flocks(after) if f.flock_id in reg
+        }
         assert {fid: observations[idx] for fid, idx in assignment.items()} == {
             fid: kept[fid] for fid in assignment
         }
         assert set(kept) == set(assignment)
 
-    s0 = MacroState(flocks=(), next_id=0, macro_tick=0, world=W)
+    s0 = MacroState(NO_FLOCKS, (), next_id=0, macro_tick=0, world=W)
 
     appear = set(range(10))
-    s1 = sync_registry(s0, [obs_of(appear)])
+    s1 = sync_registry(s0, obs_of(appear))
     check_against_oracle(s0, [appear], s1)
-    assert [f.flock_id for f in s1.flocks] == [0]
+    assert s1.ids.tolist() == [0]
 
     churn = set(range(5, 15))  # 50% membership churn
-    s2 = sync_registry(s1, [obs_of(churn)])
+    s2 = sync_registry(s1, obs_of(churn))
     check_against_oracle(s1, [churn], s2)
-    assert [f.flock_id for f in s2.flocks] == [0]
-    assert s2.flocks[0].members == frozenset(churn)
+    assert s2.ids.tolist() == [0]
+    assert registry_flocks(s2)[0].members == frozenset(churn)
     assert jaccard(appear, churn) == pytest.approx(1 / 3)
 
-    s3 = sync_registry(s2, [])
+    s3 = sync_registry(s2, NO_FLOCKS)
     check_against_oracle(s2, [], s3)
-    assert s3.flocks == ()
+    assert registry_flocks(s3) == ()
     report(capfd, 7, "appear, churn-update and vanish all match the exhaustive oracle")
 
 

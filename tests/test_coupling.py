@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flocklevels.coupling import (
     ClusterParams,
-    FlockObservation,
     _components,
     detect_clusters,
     emergence_transform,
@@ -17,8 +16,18 @@ from flocklevels.coupling import (
 )
 from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld
+from flocklevels.macro import Displacements
 from flocklevels.micro import MicroState, SteeringParams, micro_step, observe
-from helpers import UnionFind, brute_clusters, columns, reify_cluster, wrap
+from helpers import (
+    UnionFind,
+    brute_clusters,
+    columns,
+    commands_by_id,
+    displacement_columns,
+    reify_cluster,
+    table_rows,
+    wrap,
+)
 
 W = TorusWorld(100.0, 100.0)
 CP = ClusterParams(d_prox=5.0, theta=30.0, min_size=2)
@@ -29,9 +38,14 @@ def snapshot(obs, w=W):
     return MicroState(*columns(obs), 0, w)
 
 
+def displacement_table(rows):
+    return Displacements(*displacement_columns(rows))
+
+
 def r_way_split(d, r):
-    """The r command sets the immergence artifact delivers over one period."""
-    return [split_displacements(d, r) for _ in range(r)]
+    """The r command tables the immergence artifact delivers over one
+    period, each as a map bird id -> ((vx, vy), heading)."""
+    return [commands_by_id(split_displacements(d, r)) for _ in range(r)]
 
 
 def random_observation(n, rng):
@@ -62,7 +76,7 @@ def oracle_flocks(obs, p, w):
 
 
 def as_tuples(flocks):
-    return [(f.members, f.centroid, f.heading, f.radius) for f in flocks]
+    return table_rows(flocks)
 
 
 class TestDetectClusters:
@@ -197,19 +211,19 @@ class TestComponents:
 class TestReify:
     def test_single_member(self):
         obs = [(3, (12.0, 34.0), 270.0)]
-        f = reify([[3]], snapshot(obs))[0]
-        assert f.centroid == (12.0, 34.0)
-        assert f.heading == 270.0
-        assert f.radius == 0.0
+        ((members, centroid, heading, radius),) = as_tuples(reify([[3]], snapshot(obs)))
+        assert members == {3}
+        assert centroid == (12.0, 34.0)
+        assert heading == 270.0
+        assert radius == 0.0
 
     def test_seam_pair(self):
         obs = [(0, (98.0, 0.0), 350.0), (1, (2.0, 0.0), 10.0)]
-        f = reify([[0, 1]], snapshot(obs))[0]
-        cx, cy = f.centroid
+        ((_, (cx, cy), heading, radius),) = as_tuples(reify([[0, 1]], snapshot(obs)))
         assert min(cx, 100 - cx) == pytest.approx(0.0, abs=1e-9)
         assert cy == pytest.approx(0.0, abs=1e-9)
-        assert f.heading == pytest.approx(0.0, abs=1e-9)
-        assert f.radius == pytest.approx(2.0, abs=1e-9)
+        assert heading == pytest.approx(0.0, abs=1e-9)
+        assert radius == pytest.approx(2.0, abs=1e-9)
 
     def test_square_cluster(self):
         obs = [
@@ -218,19 +232,20 @@ class TestReify:
             (2, (49.0, 51.0), 90.0),
             (3, (51.0, 51.0), 90.0),
         ]
-        f = reify([[0, 1, 2, 3]], snapshot(obs))[0]
-        assert f.centroid == (pytest.approx(50.0), pytest.approx(50.0))
-        assert f.heading == 90.0
-        assert f.radius == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        ((_, centroid, heading, radius),) = as_tuples(reify([[0, 1, 2, 3]], snapshot(obs)))
+        assert centroid == (pytest.approx(50.0), pytest.approx(50.0))
+        assert heading == 90.0
+        assert radius == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_zero_resultant_falls_back_to_lowest_id(self):
         obs = [(5, (10.0, 10.0), 0.0), (9, (11.0, 10.0), 180.0)]
-        f = reify([[9, 5]], snapshot(obs))[0]
-        assert f.heading == 0.0  # bird 5's heading
+        f = reify([[9, 5]], snapshot(obs))
+        assert f.heading.tolist() == [0.0]  # bird 5's heading
+        assert f.members.tolist() == [5, 9]
 
     def test_missing_member(self):
         with pytest.raises(CouplingError):
-            reify([[0, 1]], snapshot([(0, (0.0, 0.0), 0.0)]))[0]
+            reify([[0, 1]], snapshot([(0, (0.0, 0.0), 0.0)]))
         # an id between two present ones
         with pytest.raises(CouplingError, match=r"\[2\]"):
             reify([[0, 2]], snapshot([(0, (0.0, 0.0), 0.0), (5, (1.0, 0.0), 0.0)]))
@@ -286,21 +301,21 @@ class TestEmergenceTransform:
         obs = [(k, pos, h) for k, (pos, h) in enumerate(birds)]
         flocks = emergence_transform(snapshot(obs, w), p)
         assert as_tuples(flocks) == oracle_flocks(obs, p, w)
-        x_ring, y_ring, cancelled, *ordinary = flocks
-        assert x_ring.centroid[0] == math.fsum(4.0 * k for k in range(25)) / 25
-        assert y_ring.centroid[1] == math.fsum(4.0 * k for k in range(15)) / 15
-        assert cancelled.heading == 90.0  # the lowest id's heading
-        assert [len(f.members) for f in ordinary] == [3, 2]
+        x_ring, y_ring, cancelled, *ordinary = as_tuples(flocks)
+        assert x_ring[1][0] == math.fsum(4.0 * k for k in range(25)) / 25
+        assert y_ring[1][1] == math.fsum(4.0 * k for k in range(15)) / 15
+        assert cancelled[2] == 90.0  # the lowest id's heading
+        assert [len(f[0]) for f in ordinary] == [3, 2]
 
     def test_scattered_birds_no_flocks(self):
         obs = [(i, (i * 20.0, 50.0), 0.0) for i in range(5)]
-        assert emergence_transform(snapshot(obs), CP) == []
+        assert len(emergence_transform(snapshot(obs), CP)) == 0
 
     def test_tight_group_is_one_flock(self):
         obs = [(i, (50.0 + 0.3 * i, 50.0), 10.0) for i in range(10)]
         flocks = emergence_transform(snapshot(obs), CP)
         assert len(flocks) == 1
-        assert flocks[0].members == frozenset(range(10))
+        assert flocks.members.tolist() == list(range(10))
 
     def test_information_reducing(self):
         rng = np.random.default_rng(5)
@@ -312,7 +327,7 @@ class TestEmergenceTransform:
 
 class TestImmergenceTransform:
     def test_quarter_split(self):
-        d = [(0, frozenset({1, 2, 3}), (2.0, -2.0), 315.0)]
+        d = displacement_table([({1, 2, 3}, (2.0, -2.0), 315.0)])
         sets = r_way_split(d, 4)
         assert len(sets) == 4
         for cs in sets:
@@ -322,23 +337,18 @@ class TestImmergenceTransform:
                 assert h == 315.0
 
     def test_empty_displacements(self):
-        assert r_way_split([], 3) == [{}, {}, {}]
+        assert r_way_split(displacement_table([]), 3) == [{}, {}, {}]
 
     def test_cardinality_expansion(self):
-        d = [
-            (0, frozenset({1, 2, 3}), (1.0, 0.0), 0.0),
-            (1, frozenset({4, 5, 6, 7, 8}), (0.0, 1.0), 90.0),
-        ]
-        (cs,) = r_way_split(d, 1)
-        assert len(cs) == 8
+        d = displacement_table(
+            [({1, 2, 3}, (1.0, 0.0), 0.0), ({4, 5, 6, 7, 8}, (0.0, 1.0), 90.0)]
+        )
+        assert len(split_displacements(d, 1)) == 8
 
     def test_overlapping_members_rejected(self):
-        d = [
-            (0, frozenset({1, 2}), (1.0, 0.0), 0.0),
-            (1, frozenset({2, 3}), (0.0, 1.0), 90.0),
-        ]
-        with pytest.raises(CouplingError):
-            r_way_split(d, 2)
+        # a bird in two flocks is rejected when the table is built
+        with pytest.raises(CouplingError, match=r"\[2\]"):
+            displacement_table([({1, 2}, (1.0, 0.0), 0.0), ({2, 3}, (0.0, 1.0), 90.0)])
 
     def test_conservation(self):
         rng = np.random.default_rng(13)
@@ -351,8 +361,9 @@ class TestImmergenceTransform:
                 next_bird += size
                 v = (float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
                 d.append((fid, members, v, float(rng.uniform(0, 360))))
+            table = displacement_table(row[1:] for row in d)
             for r in (1, 2, 4):
-                sets = r_way_split(d, r)
+                sets = r_way_split(table, r)
                 assert len(sets) == r
                 union = set().union(*(set(cs) for cs in sets)) if sets else set()
                 for fid, members, v, h in d:
@@ -371,12 +382,12 @@ class TestRoundTrip:
         # a single isolated flock driven by its own displacement commands
         # is re-detected with the same member set
         state = snapshot([(i, (50.0 + 0.7 * i, 50.0 + 0.2 * i), 40.0) for i in range(6)])
-        (f,) = emergence_transform(observe(state), CP)
-        assert f.members == frozenset(range(6))
-        d = [(0, f.members, (1.7, -0.9), f.heading)]
-        for cs in r_way_split(d, 4):
-            state = micro_step(state, cs, SteeringParams())
-        (g,) = emergence_transform(observe(state), CP)
-        assert g.members == f.members
-        assert g.heading == pytest.approx(f.heading, abs=1e-9)
-        assert g.radius == pytest.approx(f.radius, abs=1e-9)
+        f = emergence_transform(observe(state), CP)
+        assert f.members.tolist() == list(range(6)) and len(f) == 1
+        d = displacement_table([(f.members.tolist(), (1.7, -0.9), f.heading[0])])
+        for _ in range(4):
+            state = micro_step(state, split_displacements(d, 4), SteeringParams())
+        g = emergence_transform(observe(state), CP)
+        assert g.members.tolist() == f.members.tolist() and len(g) == 1
+        assert g.heading[0] == pytest.approx(f.heading[0], abs=1e-9)
+        assert g.radius[0] == pytest.approx(f.radius[0], abs=1e-9)

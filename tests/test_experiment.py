@@ -104,6 +104,8 @@ class TestApplyConfig:
             ("micro.vision", None),
             ("micro.vision", "ten"),
             ("cluster.min_size", "x"),
+            ("micro.speed", True),
+            ("micro.vision", "12"),
         ],
     )
     def test_invalid_value_names_its_key(self, key, value):

@@ -12,13 +12,12 @@ from flocklevels.geometry import (
     heading_of_resultant,
     mate_sums,
     steer,
-    torus_delta,
     torus_neighbours,
     wrap_array,
     wrap_scalar,
 )
 from flocklevels.micro import MicroState, SteeringParams
-from helpers import brute_delta, brute_distance, naive_pairs, wrap
+from helpers import brute_delta, brute_distance, naive_pairs, torus_delta, wrap
 
 W = TorusWorld(100.0, 100.0)
 
@@ -69,6 +68,9 @@ class TestWrap:
 
 
 class TestTorusDelta:
+    """The closed-form wrap that every delta in the package and its
+    oracles uses, checked against the 9-image brute force."""
+
     def test_seam(self):
         assert torus_delta((1.0, 0.0), (99.0, 0.0), W) == (-2.0, 0.0)
 
@@ -254,8 +256,8 @@ def torus_centroid(positions, w=W):
     """The centroid reify gives one cluster of the given positions."""
     ids = range(len(positions))
     xs, ys = zip(*positions)
-    (flock,) = reify([list(ids)], MicroState(ids, xs, ys, [0.0] * len(ids), 0, w))
-    return flock.centroid
+    flock = reify([list(ids)], MicroState(ids, xs, ys, [0.0] * len(ids), 0, w))
+    return (*flock.x.tolist(), *flock.y.tolist())
 
 
 class TestTorusCentroid:

@@ -1,10 +1,19 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from flocklevels.audit import audit_cardinality, audit_causality, audit_coherence, audit_log
+from flocklevels.coupling import ClusterParams, emergence_transform
 from flocklevels.errors import DeadlockError, ProtocolError
 from flocklevels.experiment import apply_config, build_multimodel
+from flocklevels.geometry import TorusWorld
 from flocklevels.kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
+from flocklevels.macro import Displacements
+from flocklevels.micro import Commands, MicroState
 from helpers import state_key
+
+W = TorusWorld(100.0, 100.0)
 
 
 def trace(log):
@@ -313,7 +322,26 @@ class TestAuditDetectsViolations:
 
     def test_cardinality_flags_expansion_mismatch(self):
         log = EventLog()
-        d = [(0, frozenset({1, 2, 3}), (1.0, 0.0), 0.0)]
+        # one flock of three members, but a command for one bird only
+        d = Displacements([5.0], [5.0], [0.0], [1.0], [1, 2, 3], [0, 0, 0], [1.0], [0.0])
         log.append("A_M", "write", "i", 1, "DisplacementList", d, cycle=1)
-        log.append("A_m", "read", "i", 1, "CommandSet", {1: ((1.0, 0.0), 0.0)}, cycle=1)
+        cmds = Commands([1], [1.0], [0.0], [0.0])
+        log.append("A_m", "read", "i", 1, "CommandSet", cmds, cycle=1)
         assert any("cardinality" in s for s in audit_cardinality(log, 3))
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_coherence_flags_a_flock_table_one_ulp_off(self, ulps):
+        # an e read is checked against the transformer of the written state
+        state = MicroState(range(4), [10.0, 11.0, 12.0, 40.0], [10.0] * 4, [0.0] * 4, 0, W)
+        cluster = ClusterParams(min_size=3)
+        e = CouplingArtifact("e", lambda obs: emergence_transform(obs, cluster))
+        good = e.transformer(state)
+        radius = good.radius.copy()
+        for _ in range(ulps):
+            radius[0] = np.nextafter(radius[0], np.inf)
+        read = replace(good, radius=radius)
+        log = EventLog()
+        log.append("A_m", "write", "e", 0, "MicroObservation", state, cycle=0)
+        log.append("A_M", "read", "e", 0, "FlockObservationList", read, cycle=0)
+        flagged = [s for s in audit_coherence(log, {"e": e}) if "transformer" in s]
+        assert len(flagged) == ulps

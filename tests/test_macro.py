@@ -2,16 +2,17 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocklevels.coupling import FlockObservation
 from flocklevels.errors import CouplingError
 from flocklevels.experiment import VARIANTS
-from flocklevels.geometry import TorusWorld, torus_delta
+from flocklevels.geometry import TorusWorld
 from flocklevels.macro import (
-    Flock,
+    Displacements,
+    Flocks,
     MacroState,
     displacements,
     macro_step,
@@ -19,10 +20,14 @@ from flocklevels.macro import (
 )
 from flocklevels.micro import SteeringParams
 from helpers import (
+    RefFlock,
+    Registry,
     best_matching,
     effective_distance,
     jaccard,
     per_flock_step,
+    registry_flocks,
+    torus_delta,
     torus_distance,
     wrap,
 )
@@ -31,20 +36,45 @@ W = TorusWorld(100.0, 100.0)
 P = SteeringParams()
 
 
-def obs(members, centroid=(50.0, 50.0), heading=0.0, radius=1.0):
-    return FlockObservation(
-        members=frozenset(members), centroid=centroid, heading=heading, radius=radius
+def table(rows):
+    """The flock table of (members, centroid, heading, radius) rows; a
+    bird in two rows is listed twice."""
+    rows = list(rows)
+    pairs = sorted((m, k) for k, row in enumerate(rows) for m in row[0])
+    return Flocks(
+        [row[1][0] for row in rows],
+        [row[1][1] for row in rows],
+        [row[2] for row in rows],
+        [row[3] for row in rows],
+        [m for m, _ in pairs],
+        [k for _, k in pairs],
     )
 
 
-def state(flocks, next_id=None):
+def obs(members, centroid=(50.0, 50.0), heading=0.0, radius=1.0):
+    return (frozenset(members), centroid, heading, radius)
+
+
+def state(flocks, next_id=None, world=W):
+    """The registry of the given RefFlock records."""
+    flocks = sorted(flocks, key=lambda f: f.flock_id)
     if next_id is None:
         next_id = max((f.flock_id for f in flocks), default=-1) + 1
-    return MacroState(flocks=tuple(flocks), next_id=next_id, macro_tick=0, world=W)
+    return MacroState(
+        table((f.members, f.centroid, f.heading, f.radius) for f in flocks),
+        [f.flock_id for f in flocks],
+        next_id=next_id,
+        macro_tick=0,
+        world=world,
+    )
 
 
 def flock(fid, members, centroid=(50.0, 50.0), heading=0.0, radius=1.0):
-    return Flock(fid, centroid, heading, radius, frozenset(members))
+    return RefFlock(fid, centroid, heading, radius, frozenset(members))
+
+
+def sync(s, observations):
+    return sync_registry(s, table(observations))
 
 
 class TestFlock:
@@ -61,13 +91,43 @@ class TestFlock:
         ],
     )
     def test_rejects_non_finite_or_negative(self, field, value):
-        fields = dict(
-            flock_id=0, centroid=(1.0, 2.0), heading=3.0, radius=1.0,
-            members=frozenset({1}),
-        )
+        fields = dict(centroid=(1.0, 2.0), heading=3.0, radius=1.0)
         fields[field] = value
-        with pytest.raises(ValueError, match=field):
-            Flock(**fields)
+        # the centroid is the x and y columns
+        column = {"centroid": "^x must|^y must"}.get(field, field)
+        with pytest.raises(ValueError, match=column):
+            table([obs({1}, **fields)])
+
+    def test_bird_in_two_flocks_rejected(self):
+        with pytest.raises(CouplingError, match=r"\[7\]"):
+            table([obs({1, 7}), obs({7, 9})])
+
+    def test_members_out_of_order_rejected(self):
+        with pytest.raises(CouplingError, match=r"\[2\]"):
+            Flocks([0.0], [0.0], [0.0], [0.0], [5, 2], [0, 0])
+
+    def test_flock_without_members_rejected(self):
+        with pytest.raises(ValueError, match=r"label .* rows members, got \[1 0\]"):
+            Flocks([0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [3], [0])
+
+    def test_label_outside_the_rows_rejected(self):
+        with pytest.raises(ValueError, match="label"):
+            Flocks([0.0], [0.0], [0.0], [0.0], [3, 4], [0, 1])
+
+    def test_columns_are_read_only_copies(self):
+        x = np.array([1.0, 2.0])
+        f = Flocks(x, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4, 5], [1, 0])
+        assert x.flags.writeable and not f.x.flags.writeable
+        x[0] = 9.0
+        assert f.x.tolist() == [1.0, 2.0]
+
+    def test_equal_by_value_of_every_column(self):
+        a = table([obs({1, 2}), obs({3}, radius=2.0)])
+        assert a == table([obs({1, 2}), obs({3}, radius=2.0)])
+        assert a != table([obs({1, 2}), obs({3}, radius=math.nextafter(2.0, 3.0))])
+        assert a != table([obs({1, 3}), obs({2}, radius=2.0)])
+        d = Displacements(a.x, a.y, a.heading, a.radius, a.members, a.label, [0, 0], [0, 0])
+        assert a != d and d != a
 
 
 class TestMacroParams:
@@ -91,37 +151,37 @@ class TestMacroParams:
 
 class TestSyncRegistry:
     def test_empty_registry_adds_all(self):
-        s = sync_registry(state([]), [obs({1, 2, 3}), obs({4, 5, 6})])
-        assert [f.flock_id for f in s.flocks] == [0, 1]
+        s = sync(state([]), [obs({1, 2, 3}), obs({4, 5, 6})])
+        assert s.ids.tolist() == [0, 1]
         assert s.next_id == 2
 
     def test_overlap_keeps_id(self):
         s0 = state([flock(0, {1, 2, 3})])
-        s1 = sync_registry(s0, [obs({2, 3, 4}, centroid=(10.0, 10.0), heading=42.0)])
+        s1 = sync(s0, [obs({2, 3, 4}, centroid=(10.0, 10.0), heading=42.0)])
         assert len(s1.flocks) == 1
-        f = s1.flocks[0]
+        (f,) = registry_flocks(s1)
         assert f.flock_id == 0
         assert f.members == frozenset({2, 3, 4})
         assert f.centroid == (10.0, 10.0) and f.heading == 42.0
 
     def test_vanished_removed(self):
         s0 = state([flock(0, {1, 2, 3})])
-        assert sync_registry(s0, []).flocks == ()
+        assert registry_flocks(sync(s0, [])) == ()
 
     def test_zero_overlap_never_matches(self):
         s0 = state([flock(0, {1, 2, 3})])
-        s1 = sync_registry(s0, [obs({7, 8, 9})])
-        assert [f.flock_id for f in s1.flocks] == [1]
+        s1 = sync(s0, [obs({7, 8, 9})])
+        assert s1.ids.tolist() == [1]
 
     def test_duplicate_member_across_observations(self):
         with pytest.raises(CouplingError):
-            sync_registry(state([]), [obs({1, 2}), obs({2, 3})])
+            sync(state([]), [obs({1, 2}), obs({2, 3})])
 
     def test_removed_id_never_resurrected(self):
         s = state([flock(0, {1, 2, 3})])
-        s = sync_registry(s, [])
-        s = sync_registry(s, [obs({1, 2, 3})])
-        assert [f.flock_id for f in s.flocks] == [1]
+        s = sync(s, [])
+        s = sync(s, [obs({1, 2, 3})])
+        assert s.ids.tolist() == [1]
 
     def test_output_partitions_observed_ids(self):
         rng = random.Random(4)
@@ -134,8 +194,8 @@ class TestSyncRegistry:
             for sz in sizes:
                 groups.append(set(pool[k : k + sz]))
                 k += sz
-            s = sync_registry(s, [obs(g) for g in groups])
-            got = sorted(m for f in s.flocks for m in f.members)
+            s = sync(s, [obs(g) for g in groups])
+            got = sorted(m for f in registry_flocks(s) for m in f.members)
             assert got == sorted(m for g in groups for m in g)
 
     def test_greedy_equals_exhaustive_on_churn_instances(self):
@@ -168,10 +228,10 @@ class TestSyncRegistry:
                 fresh += 3
             rng.shuffle(observations)
             s0 = state([flock(fid, m) for fid, m in reg.items()])
-            s1 = sync_registry(s0, [obs(m) for m in observations])
+            s1 = sync(s0, [obs(m) for m in observations])
             greedy_total = sum(
                 jaccard(reg[f.flock_id], f.members)
-                for f in s1.flocks
+                for f in registry_flocks(s1)
                 if f.flock_id in reg
             )
             best_total, _ = best_matching(reg, observations)
@@ -181,8 +241,7 @@ class TestSyncRegistry:
 class TestMacroStep:
     def test_single_flock_straight_line(self):
         s0 = state([flock(0, {1, 2, 3}, centroid=(50.0, 50.0), heading=30.0)])
-        s1 = macro_step(s0, P)
-        f = s1.flocks[0]
+        (f,) = registry_flocks(macro_step(s0, P))
         assert f.heading == 30.0
         assert torus_distance((50.0, 50.0), f.centroid, W) == pytest.approx(
             P.speed, abs=1e-9
@@ -194,14 +253,13 @@ class TestMacroStep:
         b = flock(1, {4, 5, 6}, centroid=(52.0, 50.0), heading=90.0, radius=2.0)
         s1 = macro_step(state([a, b]), P)
         # flock 0 aligns toward flock 1's heading, so it must have turned
-        assert s1.flocks[0].heading != 0.0
+        assert s1.flocks.heading[0] != 0.0
 
     def test_point_flocks_beyond_vision_ignore_each_other(self):
         a = flock(0, {1, 2, 3}, centroid=(10.0, 10.0), heading=0.0, radius=0.0)
         b = flock(1, {4, 5, 6}, centroid=(50.0, 50.0), heading=90.0, radius=0.0)
         s1 = macro_step(state([a, b]), P)
-        assert s1.flocks[0].heading == 0.0
-        assert s1.flocks[1].heading == 90.0
+        assert s1.flocks.heading.tolist() == [0.0, 90.0]
 
     def test_flock_count_invariant(self):
         s0 = state(
@@ -217,7 +275,7 @@ class TestMacroStep:
             ]
         )
         s1 = macro_step(s0, P)
-        for f0, f1 in zip(s0.flocks, s1.flocks):
+        for f0, f1 in zip(registry_flocks(s0), registry_flocks(s1)):
             assert torus_distance(f0.centroid, f1.centroid, W) == pytest.approx(
                 P.speed, abs=1e-9
             )
@@ -230,30 +288,31 @@ class TestMacroStep:
         ]
         a = macro_step(state(flocks), P)
         b = macro_step(state(list(reversed(flocks))), P)
-        assert a == b
+        assert registry_flocks(a) == registry_flocks(b)
 
     def test_radius_not_evolved(self):
         s0 = state([flock(0, {1, 2}, radius=3.5)])
-        assert macro_step(s0, P).flocks[0].radius == 3.5
+        assert macro_step(s0, P).flocks.radius.tolist() == [3.5]
 
     def test_zero_flocks_is_legal(self):
-        assert macro_step(state([]), P).flocks == ()
+        assert registry_flocks(macro_step(state([]), P)) == ()
 
 
 class TestDisplacements:
     def test_stationary(self):
         s = state([flock(0, {1, 2})])
-        (fid, members, v, heading), = displacements(s, s)
-        assert fid == 0 and v == (0.0, 0.0)
+        d = displacements(s, s)
+        assert (d.vx.tolist(), d.vy.tolist()) == ([0.0], [0.0])
+        assert d.members.tolist() == [1, 2] and d.label.tolist() == [0, 0]
 
     def test_wrap_seam(self):
         before = state([flock(0, {1, 2}, centroid=(99.0, 0.0))])
         after = state([flock(0, {1, 2}, centroid=(1.0, 0.0))])
-        (_, _, v, _), = displacements(before, after)
-        assert v == (2.0, 0.0)
+        d = displacements(before, after)
+        assert (d.vx.tolist(), d.vy.tolist()) == ([2.0], [0.0])
 
     def test_zero_flocks(self):
-        assert displacements(state([]), state([])) == []
+        assert len(displacements(state([]), state([]))) == 0
 
     def test_id_mismatch(self):
         with pytest.raises(CouplingError):
@@ -262,11 +321,12 @@ class TestDisplacements:
     def test_roundtrip(self):
         before = state([flock(0, {1, 2}, centroid=(10.0, 10.0), heading=35.0)])
         after = macro_step(before, P)
-        (_, _, v, heading), = displacements(before, after)
-        moved = wrap((10.0 + v[0], 10.0 + v[1]), W)
-        assert moved[0] == pytest.approx(after.flocks[0].centroid[0], abs=1e-9)
-        assert moved[1] == pytest.approx(after.flocks[0].centroid[1], abs=1e-9)
-        assert heading == after.flocks[0].heading
+        d = displacements(before, after)
+        moved = wrap((10.0 + d.vx[0], 10.0 + d.vy[0]), W)
+        assert moved[0] == pytest.approx(after.flocks.x[0], abs=1e-9)
+        assert moved[1] == pytest.approx(after.flocks.y[0], abs=1e-9)
+        assert d.heading[0] == after.flocks.heading[0]
+        assert (d.vx[0], d.vy[0]) == torus_delta((10.0, 10.0), moved, W)
 
 
 # The three coupled parameter sets, and two that let every bit of a
@@ -282,15 +342,16 @@ PARAM_SETS["exact-cohere"] = SteeringParams(
 
 
 def assert_matches_per_flock_rule(s, p):
-    got, want = macro_step(s, p), per_flock_step(s, p)
-    for g, w in zip(got.flocks, want.flocks):
+    got = registry_flocks(macro_step(s, p))
+    want = per_flock_step(Registry(registry_flocks(s), s.world), p).flocks
+    for g, w in zip(got, want):
         assert g == w, f"flock {w.flock_id} differs"
     assert got == want
 
 
 def random_state(rng, world, n, max_radius):
     flocks = [
-        Flock(
+        RefFlock(
             k,
             (rng.uniform(0.0, world.width), rng.uniform(0.0, world.height)),
             rng.uniform(0.0, 360.0),
@@ -299,7 +360,7 @@ def random_state(rng, world, n, max_radius):
         )
         for k in range(n)
     ]
-    return MacroState(flocks=tuple(flocks), next_id=n, macro_tick=0, world=world)
+    return state(flocks, world=world)
 
 
 class TestMatchesPerFlockRule:
@@ -331,9 +392,10 @@ class TestMatchesPerFlockRule:
                 flock(2, {3}, centroid=(50.0, 50.0), heading=0.0, radius=3.0),
             ]
         )
-        assert effective_distance(s.flocks[2], s.flocks[1], W) == 0.0
+        f = registry_flocks(s)
+        assert effective_distance(f[2], f[1], W) == 0.0
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks[2].heading == 90.0
+        assert macro_step(s, p).flocks.heading[2] == 90.0
 
     def test_across_the_seam(self):
         # the mates are only close across the x and y seams
@@ -357,7 +419,7 @@ class TestMatchesPerFlockRule:
         s = state([a, b])
         assert (effective_distance(a, b, W) == p.vision) == (extra == 0.0)
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks[0].heading == (90.0 if extra == 0.0 else 0.0)
+        assert macro_step(s, p).flocks.heading[0] == (90.0 if extra == 0.0 else 0.0)
 
     @pytest.mark.parametrize("extra", [0.0, -1e-12])
     def test_gap_exactly_at_min_separation(self, extra):
@@ -372,7 +434,7 @@ class TestMatchesPerFlockRule:
         s = state([a, b])
         assert (effective_distance(a, b, W) == p.min_separation) == (extra == 0.0)
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks[0].heading == (90.0 if extra == 0.0 else 180.0)
+        assert macro_step(s, p).flocks.heading[0] == (90.0 if extra == 0.0 else 180.0)
 
     def test_gap_rounding_beyond_the_candidate_radius(self):
         # vision 12.599, radii 0.781: the centroid distance rounds to one
@@ -385,7 +447,7 @@ class TestMatchesPerFlockRule:
         assert torus_distance(a.centroid, b.centroid, W) > p.vision + 2.0 * 0.781
         assert effective_distance(a, b, W) <= p.vision
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks[0].heading == 90.0
+        assert macro_step(s, p).flocks.heading[0] == 90.0
 
 
 # Half-unit lattice centroids with radii in quarter units: gaps land
@@ -404,13 +466,8 @@ lattice_flocks = st.lists(
 
 
 def registry(flocks, world):
-    return MacroState(
-        flocks=tuple(
-            Flock(k, (x, y), h, r, frozenset({k}))
-            for k, (x, y, h, r) in enumerate(flocks)
-        ),
-        next_id=len(flocks),
-        macro_tick=0,
+    return state(
+        [RefFlock(k, (x, y), h, r, frozenset({k})) for k, (x, y, h, r) in enumerate(flocks)],
         world=world,
     )
 

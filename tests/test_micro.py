@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flocklevels.errors import CouplingError
-from flocklevels.geometry import TorusWorld, torus_delta
+from flocklevels.geometry import TorusWorld
 from flocklevels.micro import (
     Bird,
+    Commands,
     MicroState,
     SteeringParams,
     init_random,
@@ -21,6 +22,7 @@ from helpers import (
     state_key,
     step_autonomous,
     step_commanded,
+    torus_delta,
     torus_distance,
 )
 
@@ -31,6 +33,17 @@ COLUMNS = ("ids", "x", "y", "heading")
 
 def make_state(birds, tick=0):
     return MicroState(*columns((b.id, b.pos, b.heading) for b in birds), tick, W)
+
+
+def commands(by_id):
+    """The command table of a map bird id -> ((vx, vy), heading)."""
+    rows = sorted(by_id.items())
+    return Commands(
+        [b for b, _ in rows],
+        [v[0] for _, (v, _) in rows],
+        [v[1] for _, (v, _) in rows],
+        [h for _, (_, h) in rows],
+    )
 
 
 class TestInitRandom:
@@ -172,7 +185,7 @@ class TestMicroStep:
 
     def test_all_commanded_translates_population(self):
         s = init_random(10, W, np.random.default_rng(3))
-        cmds = {b.id: ((1.0, 0.0), 0.0) for b in s.birds}
+        cmds = commands({b.id: ((1.0, 0.0), 0.0) for b in s.birds})
         stepped = micro_step(s, cmds, P)
         for b, a in zip(s.birds, stepped.birds):
             dx, dy = torus_delta(b.pos, a.pos, W)
@@ -185,7 +198,7 @@ class TestMicroStep:
         crowded = make_state(
             [Bird(0, (50.0, 50.0), 10.0), Bird(1, (50.4, 50.0), 200.0)]
         )
-        cmd = {0: ((0.5, 0.5), 77.0)}
+        cmd = commands({0: ((0.5, 0.5), 77.0)})
         a = micro_step(lone, cmd, P).birds[0]
         b = next(x for x in micro_step(crowded, cmd, P).birds if x.id == 0)
         assert a.pos == b.pos and a.heading == b.heading == 77.0
@@ -194,7 +207,7 @@ class TestMicroStep:
         s = init_random(3, W, np.random.default_rng(0))
         for bid in (99, -1):
             with pytest.raises(CouplingError, match=rf"\[{bid}\]"):
-                micro_step(s, {1: ((0.0, 0.0), 0.0), bid: ((0.0, 0.0), 0.0)}, P)
+                micro_step(s, commands({1: ((0.0, 0.0), 0.0), bid: ((0.0, 0.0), 0.0)}), P)
 
     def test_id_set_preserved_and_tick_advances(self):
         s = init_random(12, W, np.random.default_rng(5))
@@ -223,7 +236,7 @@ class TestMicroStep:
         b = init_random(25, W, np.random.default_rng(21))
         for _ in range(10):
             a = micro_step(a, None, P)
-            b = micro_step(b, {}, P)
+            b = micro_step(b, commands({}), P)
         assert state_key(a) == state_key(b)
 
     def test_empty_population(self):
@@ -234,7 +247,7 @@ class TestMicroStep:
         # the event log keeps every published state by reference
         s = init_random(30, W, np.random.default_rng(17))
         before = state_key(s)
-        cmds = {bid: ((0.5, -0.25), 10.0) for bid in range(0, 30, 3)}
+        cmds = commands({bid: ((0.5, -0.25), 10.0) for bid in range(0, 30, 3)})
         stepped = micro_step(s, cmds, P)
         assert state_key(s) == before
         for name in COLUMNS:

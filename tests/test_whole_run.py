@@ -12,7 +12,7 @@ from itertools import zip_longest
 import pytest
 
 from flocklevels import experiment, interfaces
-from helpers import REFERENCE_VARIANTS, reference_run
+from helpers import REFERENCE_VARIANTS, reference_run, registry_flocks
 
 BIRDS = 50
 HORIZON = 100
@@ -59,7 +59,7 @@ def package_run(monkeypatch, variant, seed):
             for s in states
         ],
         "cycles": [
-            (k * ratio, a.flocks, b and b.flocks)
+            (k * ratio, registry_flocks(a), b and registry_flocks(b))
             for k, (a, b) in enumerate(zip_longest(synced, stepped))
         ],
         "log": result.event_log_lines,
