@@ -72,14 +72,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    result = run_replicated(cfg)
-    write_records_csv(args.out, cfg.variant.name, result.records)
-    agg_path = aggregate_path(args.out)
-    write_aggregate_csv(agg_path, cfg.variant.name, aggregate(result.records))
-    if args.event_log:
-        with open(args.event_log, "w", encoding="utf-8", newline="\n") as fh:
-            for line in result.event_log_lines:
-                fh.write(line + "\n")
+    # a replication that aborts, or an output that cannot be written
+    try:
+        result = run_replicated(cfg)
+        write_records_csv(args.out, cfg.variant.name, result.records)
+        agg_path = aggregate_path(args.out)
+        write_aggregate_csv(agg_path, cfg.variant.name, aggregate(result.records))
+        if args.event_log:
+            with open(args.event_log, "w", encoding="utf-8", newline="\n") as fh:
+                for line in result.event_log_lines:
+                    fh.write(line + "\n")
+    except (RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(result.records)} records to {args.out} (+ {agg_path})")
     return 0
 

@@ -92,13 +92,22 @@ def coordinate_of_resultant(
 
 
 def torus_neighbours(
-    x: np.ndarray, y: np.ndarray, r: float, world: TorusWorld
+    x: np.ndarray,
+    y: np.ndarray,
+    r: float,
+    world: TorusWorld,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every ordered pair of points within torus distance r (closed).
 
     Returns (i, j, dx, dy, dist): the index pairs with i != j, sorted by
     (i, j); the delta (b - a + extent / 2) % extent - extent / 2 from point
     i to point j per axis; and np.hypot(dx, dy). A pair is kept iff dist <= r.
+
+    rows, when given, are the ascending indices of the query points: only
+    the pairs whose i is in rows are returned, while j still ranges over
+    every point. They are the same pairs, with the same bits, as those of
+    the full search whose i is in rows.
 
     Candidates come from a periodic grid of cells at least r wide, so a
     point is only compared with the points of its own and the 8 adjacent
@@ -129,12 +138,13 @@ def torus_neighbours(
     # each adjacent cell once, also on axes with fewer than 3 cells
     ox = np.array(sorted({-1 % nx, 0, 1 % nx}))
     oy = np.array(sorted({-1 % ny, 0, 1 % ny}))
+    qx, qy, q = (cx, cy, np.arange(n)) if rows is None else (cx[rows], cy[rows], rows)
     near = (
-        ((cx[:, None, None] + ox[None, :, None]) % nx) * ny
-        + (cy[:, None, None] + oy[None, None, :]) % ny
+        ((qx[:, None, None] + ox[None, :, None]) % nx) * ny
+        + (qy[:, None, None] + oy[None, None, :]) % ny
     ).reshape(-1)
     per_cell = counts[near]
-    i = np.repeat(np.arange(n).repeat(ox.size * oy.size), per_cell)
+    i = np.repeat(q.repeat(ox.size * oy.size), per_cell)
     first = np.repeat(starts[near] - (np.cumsum(per_cell) - per_cell), per_cell)
     j = order[first + np.arange(i.size)]
 

@@ -12,6 +12,10 @@ ascending id. The update is synchronous (double-buffered): every bird's
 new state is computed from the pre-step state into new arrays, so
 storage order never affects the outcome and a published state never
 changes.
+
+Steering runs only for the uncommanded birds, each against the whole
+pre-step population: the neighbour search, the mate sums and the turn
+skip the commanded rows, whose headings the commands overwrite.
 """
 
 from __future__ import annotations
@@ -193,11 +197,19 @@ def init_random(n: int, world: TorusWorld, rng: np.random.Generator) -> MicroSta
     return MicroState(np.arange(n), xs, ys, hs, tick=0, world=world)
 
 
-def _step_all_autonomous(
-    x: np.ndarray, y: np.ndarray, h: np.ndarray, p: SteeringParams, w: TorusWorld
+def _steer_free(
+    x: np.ndarray,
+    y: np.ndarray,
+    h: np.ndarray,
+    free: np.ndarray | None,
+    p: SteeringParams,
+    w: TorusWorld,
 ) -> np.ndarray:
-    """Boids headings for the whole population (pre-move), mates by distance."""
-    i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w)
+    """Boids headings (pre-move) of the free rows, all rows when None, with
+    mates by distance among the whole population; other rows keep theirs."""
+    if free is not None and free.size == 0:
+        return h.copy()
+    i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w, free)
     hr = np.radians(h)
     sums = mate_sums(i, j, dist, dx, dy, np.cos(hr), np.sin(hr), x.shape[0])
     return steer(h, x, y, w, p, *sums)
@@ -207,19 +219,24 @@ def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> Micro
     """Advance the whole population by one tick.
 
     Commanded birds move rigidly per their command; every other bird runs
-    the boids rules against the pre-step state.
+    the boids rules against the whole pre-step state, commanded birds
+    included as mates. Only the uncommanded birds are searched and turned.
     """
+    free = None
     if cmds:
         rows, unknown = s.rows_of(cmds.ids)
         if unknown.size:
             raise CouplingError(
                 f"commands for unknown bird ids: {sorted(unknown.tolist())}"
             )
+        is_free = np.ones(len(s), dtype=bool)
+        is_free[rows] = False
+        free = np.flatnonzero(is_free)
     if len(s) == 0:
         return replace(s, tick=s.tick + 1)
 
     x, y = s.x, s.y
-    new_h = _step_all_autonomous(x, y, s.heading, p, s.world)
+    new_h = _steer_free(x, y, s.heading, free, p, s.world)
     hr = np.radians(new_h)
     new_x = x + p.speed * np.cos(hr)
     new_y = y + p.speed * np.sin(hr)

@@ -299,3 +299,25 @@ class TestCli:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_aborted_replication_returns_1(self, tmp_path, capsys):
+        # finite values whose sum overflows: the run aborts at tick 2
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(
+            {"world.width": 1.5e308, "world.height": 1.5e308, "micro.speed": 1e308}
+        ))
+        with np.errstate(all="ignore"):
+            rc = main(["--variant", "m", "--birds", "5", "--ticks", "3",
+                       "--config", str(cfgfile), "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: replication 0 aborted:")
+        assert "at tick 2" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unwritable_out_returns_1(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        rc = main(["--variant", "m", "--birds", "5", "--ticks", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err

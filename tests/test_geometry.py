@@ -367,6 +367,25 @@ class TestTorusNeighbours:
                 if a != b and abs(d - r) > 1e-9:
                     assert ((a, b) in found) == (d < r)
 
+    @given(boundary_clouds(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_row_subset_is_the_full_search_filtered(self, cloud, data):
+        points, r, w = cloud
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        n = len(points)
+        picked = data.draw(
+            st.one_of(
+                st.just(set()), st.just(set(range(n))), st.sets(st.integers(0, n - 1))
+            )
+        )
+        rows = np.array(sorted(picked), dtype=np.int64)
+        full = torus_neighbours(x, y, r, w)
+        keep = np.isin(full[0], rows)
+        got = torus_neighbours(x, y, r, w, rows)
+        for name, a, b in zip(("i", "j", "dx", "dy", "dist"), got, full):
+            assert a.dtype == b.dtype and a.tobytes() == b[keep].tobytes(), name
+
     def test_seeded_pairs_straddling_cell_edges(self):
         # worlds 4 to 7 r wide: grids of 3 to 6 cells, where not every
         # cell is adjacent to every other
@@ -396,6 +415,12 @@ class TestTorusNeighbours:
         for n in (0, 1):
             out = torus_neighbours(np.zeros(n), np.zeros(n), 5.0, W)
             assert all(a.size == 0 for a in out)
+
+    def test_rows_on_empty_and_single(self):
+        for n in (0, 1):
+            for k in range(n + 1):
+                out = torus_neighbours(np.zeros(n), np.zeros(n), 5.0, W, np.arange(k))
+                assert all(a.size == 0 for a in out)
 
     def test_zero_radius_keeps_coincident_points(self):
         x = np.array([3.0, 7.0, 3.0, 3.0])

@@ -167,6 +167,45 @@ class TestMicroStep:
                 want = step_autonomous(b, flockmates(b, s, p), p, world)
                 assert got == want, f"bird {b.id} differs"
 
+    def test_mixed_crowd_matches_per_bird_rules(self):
+        # about half of a crowd commanded: every free bird still counts the
+        # commanded birds among its mates, at their pre-step state
+        exact = SteeringParams(
+            max_separate_turn=180.0, max_align_turn=180.0, max_cohere_turn=180.0
+        )
+        crowd = TorusWorld(30.0, 30.0)
+        rng = np.random.default_rng(29)
+        s = init_random(300, crowd, rng)
+        by_id = {
+            b: ((float(vx), float(vy)), float(h))
+            for b, vx, vy, h in zip(
+                range(300), rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300),
+                rng.uniform(-400, 400, 300),
+            )
+            if rng.random() < 0.5
+        }
+        assert 100 < len(by_id) < 200
+        for p in (P, exact):
+            stepped = micro_step(s, commands(by_id), p)
+            for b, got in zip(s.birds, stepped.birds):
+                if b.id in by_id:
+                    want = step_commanded(b, by_id[b.id], crowd)
+                else:
+                    want = step_autonomous(b, flockmates(b, s, p), p, crowd)
+                assert got == want, f"bird {b.id} differs"
+
+    def test_free_bird_coheres_to_a_commanded_mate(self):
+        # bird 1 is bird 0's only mate; its command does not hide it, and
+        # bird 0 aligns with its pre-step heading 90 and coheres toward it
+        free = Bird(0, (50.0, 50.0), 90.0)
+        mate = Bird(1, (55.0, 50.0), 90.0)
+        s = make_state([free, mate])
+        got = micro_step(s, commands({1: ((0.0, 3.0), 200.0)}), P).birds
+        assert got[0] == step_autonomous(free, [mate], P, W)
+        assert got[0].heading == 87.0
+        assert got[1] == step_commanded(mate, ((0.0, 3.0), 200.0), W)
+        assert micro_step(make_state([free]), None, P).birds[0].heading == 90.0
+
     def test_separation_bearing_from_the_reverse_delta(self):
         # across the seam, the delta from bird 1 to bird 0 and the negated
         # delta from bird 0 to bird 1 round apart, and so do their bearings
