@@ -7,7 +7,7 @@ coordination kernel keeps the two models causally consistent and logs
 every exchange for auditing.
 """
 
-from .coupling import ClusterParams, detect_clusters, emergence_transform, reify
+from .coupling import ClusterParams, Clusters, detect_clusters, emergence_transform, reify
 from .errors import ConfigError, CouplingError, DeadlockError, ProtocolError
 from .geometry import TorusWorld
 from .kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
@@ -18,6 +18,7 @@ __all__ = [
     "ABSENT",
     "Bird",
     "ClusterParams",
+    "Clusters",
     "ConfigError",
     "CouplingArtifact",
     "CouplingError",

@@ -1,9 +1,11 @@
 """The two level-crossing transformations.
 
 Upward (information-reducing): detect clusters of nearby, similarly
-headed birds in a population snapshot and reify them as one `Flocks`
-table (per flock a centroid, mean heading and dispersion radius; per
-member bird its flock's row).
+headed birds in a population snapshot, as one `Clusters` table (the
+snapshot rows in a cluster and each row's cluster), from the links of
+the neighbour search alone, and reify that table as one `Flocks` table
+(per flock a centroid, mean heading and dispersion radius; per member
+bird its flock's row).
 
 Downward (information-increasing): index the `Displacements` table by
 its label column to give every member one r-th of its flock's
@@ -15,24 +17,19 @@ transformers of the corresponding coupling artifacts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CouplingError
-from .geometry import (
-    UndefinedMeanError,
-    coordinate_of_resultant,
-    heading_of_resultant,
-    torus_neighbours,
-)
+from .geometry import ZERO_RESULTANT_EPS, torus_links, wrap_array
 from .macro import NO_FLOCKS, Displacements, Flocks
-from .micro import Commands, MicroState
+from .micro import Columns, Commands, MicroState, freeze_column
 
 __all__ = [
     "ClusterParams",
+    "Clusters",
     "detect_clusters",
     "reify",
     "emergence_transform",
@@ -78,31 +75,50 @@ def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
             label = up
 
 
-def detect_clusters(obs: MicroState, p: ClusterParams) -> list[list[int]]:
+@dataclass(frozen=True, eq=False)
+class Clusters(Columns):
+    """The clusters of one snapshot as two read-only columns: rows, the
+    strictly ascending snapshot rows that lie in a cluster, and cluster,
+    the index of each row's cluster, numbered in order of lowest member.
+    Its length is the number of clusters."""
+
+    rows: np.ndarray
+    cluster: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = freeze_column(self, "rows", np.int64)
+        cluster = freeze_column(self, "cluster", np.int64, rows.size)
+        if rows.size and (rows[0] < 0 or (rows[1:] <= rows[:-1]).any()):
+            raise CouplingError(f"rows in two clusters or out of order: {rows.tolist()}")
+        # each index first appears after all smaller ones, so none is skipped
+        if cluster.size and (
+            cluster[0] != 0 or (cluster[1:] > np.maximum.accumulate(cluster)[:-1] + 1).any()
+        ):
+            raise ValueError(f"clusters not numbered by lowest member: {cluster.tolist()}")
+
+    def __len__(self) -> int:
+        return int(self.cluster.max()) + 1 if self.cluster.size else 0
+
+
+def detect_clusters(obs: MicroState, p: ClusterParams) -> Clusters:
     """Connected components of the proximity-and-alignment graph.
 
     Two birds are linked iff their torus distance is <= d_prox and their
     heading difference is <= theta (both thresholds closed). Components
-    smaller than min_size are dropped. Each component is an ascending id
-    list; components are ordered by their minimum member id.
+    smaller than min_size are dropped; the others are numbered in order
+    of their lowest member.
     """
-    ids, h = obs.ids, obs.heading
-    i, j, _, _, _ = torus_neighbours(obs.x, obs.y, p.d_prox, obs.world)
+    h = obs.heading
+    i, j = torus_links(obs.x, obs.y, p.d_prox, obs.world)
     aligned = np.abs((h[j] - h[i] + 180.0) % 360.0 - 180.0) <= p.theta
-    # rows are in ascending id, so a label is its component's minimum id
-    label = _components(i[aligned], j[aligned], ids.size)
-    size = np.bincount(label, minlength=ids.size)
-    kept = np.flatnonzero(size[label] >= p.min_size)
-    members = ids[kept[np.argsort(label[kept], kind="stable")]].tolist()
-    return [members[a:b] for a, b in _spans(size[size >= p.min_size].tolist())]
+    # rows are in ascending id, so a label is its component's lowest row
+    label = _components(i[aligned], j[aligned], len(obs))
+    kept = np.bincount(label, minlength=len(obs)) >= p.min_size
+    rows = np.flatnonzero(kept[label])
+    return Clusters(rows, (np.cumsum(kept) - 1)[label[rows]])
 
 
-def _spans(sizes: list[int]) -> list[tuple[int, int]]:
-    """(start, end) of consecutive runs of the given sizes."""
-    return [(e - m, e) for m, e in zip(sizes, itertools.accumulate(sizes))]
-
-
-def reify(clusters: list[list[int]], obs: MicroState) -> Flocks:
+def reify(clusters: Clusters, obs: MicroState) -> Flocks:
     """Promote every cluster of one snapshot to a row of one flock table.
 
     Centroid is the torus center of gravity of the member positions (per
@@ -112,21 +128,17 @@ def reify(clusters: list[list[int]], obs: MicroState) -> Flocks:
     mean member distance to the centroid. Every sum runs over the members
     in ascending id, as a per-cluster loop adds them; cos, sin, atan2 and
     hypot are taken with `math`, since numpy's can differ in the last bit.
-    A bird in two clusters raises CouplingError.
+    A row beyond the observation raises CouplingError.
     """
-    if not clusters:
-        return NO_FLOCKS
-    sizes = [len(c) for c in clusters]
-    if not all(sizes):
-        raise ValueError("reify of empty member set")
     f = len(clusters)
-    cluster = np.repeat(np.arange(f), sizes)
-    flat = np.fromiter(itertools.chain.from_iterable(map(sorted, clusters)), np.int64)
-    row, missing = obs.rows_of(flat)
-    if missing.size:
-        raise CouplingError(f"members not in observation: {missing.tolist()}")
-    mx, my, mh = obs.x[row], obs.y[row], obs.heading[row]
+    if not f:
+        return NO_FLOCKS
+    rows, cluster = clusters.rows, clusters.cluster
+    if rows[-1] >= len(obs):
+        raise CouplingError(f"rows not in observation: {rows[rows >= len(obs)].tolist()}")
+    mx, my, mh = obs.x[rows], obs.y[rows], obs.heading[rows]
     w = obs.world
+    size = np.bincount(cluster)
 
     # x and y scaled to a full turn and the headings in radians (h * (pi /
     # 180) is math.radians(h)), summed per cluster in bins k, f + k, 2f + k
@@ -142,35 +154,29 @@ def reify(clusters: list[list[int]], obs: MicroState) -> Flocks:
         np.bincount(bins, np.fromiter(map(fn, turns), float, len(turns)), 3 * f).tolist()
         for fn in (math.cos, math.sin)
     )
-    xc, yc, hc = cos[:f], cos[f : 2 * f], cos[2 * f :]
-    xs, ys, hs = sin[:f], sin[f : 2 * f], sin[2 * f :]
+    # each resultant's length and bearing; x * (180 / pi) is math.degrees(x)
+    norm = np.fromiter(map(math.hypot, cos, sin), float, 3 * f)
+    angle = np.fromiter(map(math.atan2, sin, cos), float, 3 * f)
+    x = wrap_array(angle[:f] / (2.0 * math.pi / w.width), w.width)
+    y = wrap_array(angle[f : 2 * f] / (2.0 * math.pi / w.height), w.height)
+    heading = wrap_array(angle[2 * f :] * (180.0 / math.pi), 360.0)
+    sizes = size.tolist()
+    zx, zy, zh = (norm < ZERO_RESULTANT_EPS * np.tile(size, 3)).reshape(3, f)
+    # on a zero resultant: the arithmetic mean, the lowest member's heading
+    for col, coords, zero in ((x, mx, zx), (y, my, zy)):
+        for k in np.flatnonzero(zero).tolist():
+            col[k] = math.fsum(coords[cluster == k].tolist()) / sizes[k]
+    for k in np.flatnonzero(zh).tolist():
+        heading[k] = mh[np.argmax(cluster == k)]
 
-    xl, yl, headings = mx.tolist(), my.tolist(), mh.tolist()
-    spans = _spans(sizes)
-    centroids = np.array(
-        [
-            (
-                coordinate_of_resultant(xc[k], xs[k], xl[a:b], w.width),
-                coordinate_of_resultant(yc[k], ys[k], yl[a:b], w.height),
-            )
-            for k, (a, b) in enumerate(spans)
-        ]
-    )
-    cx, cy = centroids[cluster].T
-    # the wrapped delta from the centroid to each member
-    dx = (mx - cx + w.width / 2.0) % w.width - w.width / 2.0
-    dy = (my - cy + w.height / 2.0) % w.height - w.height / 2.0
-    dist = list(map(math.hypot, dx.tolist(), dy.tolist()))
-
-    heading, radius = [], []
-    for k, (a, b) in enumerate(spans):
-        try:
-            heading.append(heading_of_resultant(hc[k], hs[k], b - a))
-        except UndefinedMeanError:
-            heading.append(headings[a])
-        radius.append(math.fsum(dist[a:b]) / (b - a))
-    order = np.argsort(flat, kind="stable")
-    return Flocks(*centroids.T, heading, radius, flat[order], cluster[order])
+    # the wrapped delta from the centroid to each member, grouped by cluster
+    dx = (mx - x[cluster] + w.width / 2.0) % w.width - w.width / 2.0
+    dy = (my - y[cluster] + w.height / 2.0) % w.height - w.height / 2.0
+    order = np.argsort(cluster, kind="stable")
+    dist = list(map(math.hypot, dx[order].tolist(), dy[order].tolist()))
+    ends = np.cumsum(size).tolist()
+    radius = [math.fsum(dist[e - m : e]) / m for m, e in zip(sizes, ends)]
+    return Flocks(x, y, heading, radius, obs.ids[rows], cluster)
 
 
 def emergence_transform(obs: MicroState, p: ClusterParams) -> Flocks:

@@ -3,6 +3,12 @@ cell-grid search for all pairs of points within a radius, the per-point
 sums over those pairs and the bounded-turn steering rule that birds and
 flocks share.
 
+The search comes in two forms on one candidate step (grid, gather and a
+prefilter on the unsigned wrapped gaps): `torus_neighbours` returns the
+pairs sorted, with their deltas and distances, for the steering rules;
+`torus_links` returns only the pairs, unsorted, for cluster detection,
+and skips the exact delta wherever the squared gap already decides.
+
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
 Positions live in the half-open box [0, width) x [0, height); opposite
@@ -23,8 +29,8 @@ __all__ = [
     "wrap_array",
     "normalize_heading",
     "heading_of_resultant",
-    "coordinate_of_resultant",
     "torus_neighbours",
+    "torus_links",
     "mate_sums",
     "steer",
 ]
@@ -59,7 +65,8 @@ def wrap_scalar(x: float, extent: float) -> float:
 
 
 def wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
-    """Reduce every value into [0, extent), as wrap_scalar does one."""
+    """Reduce every finite value into [0, extent), as wrap_scalar does
+    one. A non-finite value, which wrap_scalar rejects, gives NaN."""
     r = a % extent
     return np.where(r >= extent, 0.0, r)
 
@@ -80,44 +87,30 @@ def heading_of_resultant(sx: float, sy: float, n: int) -> float:
     return normalize_heading(math.degrees(math.atan2(sy, sx)))
 
 
-def coordinate_of_resultant(
-    sx: float, sy: float, coords: list[float], extent: float
-) -> float:
-    """Circular mean of coords on an axis of the given extent, from the
-    resultant (sx, sy) of their angles c * 2 pi / extent; the arithmetic
-    mean of coords when the resultant is (numerically) zero."""
-    if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * len(coords):
-        return math.fsum(coords) / len(coords)
-    return wrap_scalar(math.atan2(sy, sx) / (2.0 * math.pi / extent), extent)
-
-
-def torus_neighbours(
+def _candidates(
     x: np.ndarray,
     y: np.ndarray,
     r: float,
     world: TorusWorld,
-    rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered pair of points within torus distance r (closed).
+    rows: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Candidate pairs for a search at radius r, from a periodic grid.
 
-    Returns (i, j, dx, dy, dist): the index pairs with i != j, sorted by
-    (i, j); the delta (b - a + extent / 2) % extent - extent / 2 from point
-    i to point j per axis; and np.hypot(dx, dy). A pair is kept iff dist <= r.
+    Returns (i, j, g2, reach): every pair of a query point i (rows, or
+    every point) and a point j of its own or an adjacent cell, i == j
+    included; the squared unsigned wrapped gap of each pair; and the
+    rounding slack over r. Every pair within torus distance r (closed)
+    has g2 <= reach * reach.
 
-    rows, when given, are the ascending indices of the query points: only
-    the pairs whose i is in rows are returned, while j still ranges over
-    every point. They are the same pairs, with the same bits, as those of
-    the full search whose i is in rows.
-
-    Candidates come from a periodic grid of cells at least r wide, so a
-    point is only compared with the points of its own and the 8 adjacent
-    cells. Memory is O(n + candidate pairs).
+    The cells are at least reach wide, so a point is only compared with
+    the points of its own and the 8 adjacent cells. Memory is O(n +
+    candidate pairs).
     """
     n = x.shape[0]
     width, height = world.width, world.height
     # Slack for rounding: a point near a cell edge may get either cell
-    # index, and the cheap prefilter below may differ from the exact
-    # delta by a few ulps of the extent.
+    # index, and the unsigned gap may differ from the exact delta by a
+    # few ulps of the extent.
     reach = r * (1.0 + 1e-9) + 1e-12 * max(width, height)
     # cells at least reach wide; the second bound caps the grid at about
     # n cells, also for r = 0
@@ -148,22 +141,82 @@ def torus_neighbours(
     first = np.repeat(starts[near] - (np.cumsum(per_cell) - per_cell), per_cell)
     j = order[first + np.arange(i.size)]
 
-    # cheap prefilter on the unsigned wrapped gaps, a superset of the
-    # exact test
     gx = np.abs(xw[j] - xw[i])
     gx = np.minimum(gx, width - gx)
     gy = np.abs(yw[j] - yw[i])
     gy = np.minimum(gy, height - gy)
-    pre = np.flatnonzero((gx * gx + gy * gy <= reach * reach) & (i != j))
-    i, j = i[pre], j[pre]
+    return i, j, gx * gx + gy * gy, reach
 
+
+def _exact(x, y, i, j, world: TorusWorld):
+    """The wrapped delta (dx, dy) from point i to point j, and its length."""
+    width, height = world.width, world.height
     dx = (x[j] - x[i] + width / 2.0) % width - width / 2.0
     dy = (y[j] - y[i] + height / 2.0) % height - height / 2.0
-    dist = np.hypot(dx, dy)
+    return dx, dy, np.hypot(dx, dy)
+
+
+def torus_neighbours(
+    x: np.ndarray,
+    y: np.ndarray,
+    r: float,
+    world: TorusWorld,
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair of points within torus distance r (closed).
+
+    Returns (i, j, dx, dy, dist): the index pairs with i != j, sorted by
+    (i, j); the delta (b - a + extent / 2) % extent - extent / 2 from point
+    i to point j per axis; and np.hypot(dx, dy). A pair is kept iff dist <= r.
+
+    rows, when given, are the ascending indices of the query points: only
+    the pairs whose i is in rows are returned, while j still ranges over
+    every point. They are the same pairs, with the same bits, as those of
+    the full search whose i is in rows.
+    """
+    i, j, g2, reach = _candidates(x, y, r, world, rows)
+    # the unsigned gaps give a superset of the exact test
+    pre = np.flatnonzero((g2 <= reach * reach) & (i != j))
+    i, j = i[pre], j[pre]
+    dx, dy, dist = _exact(x, y, i, j, world)
     keep = np.flatnonzero(dist <= r)
     # each candidate pair occurs once, so the (i, j) keys are unique
-    keep = keep[np.argsort(i[keep] * n + j[keep])]
+    keep = keep[np.argsort(i[keep] * x.shape[0] + j[keep])]
     return i[keep], j[keep], dx[keep], dy[keep], dist[keep]
+
+
+# Below this a square may have lost bits to underflow (tiny / eps).
+_SQUARE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def torus_links(
+    x: np.ndarray, y: np.ndarray, r: float, world: TorusWorld
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) pairs of torus_neighbours(x, y, r, world), unsorted.
+
+    A two-sided test on the squared unsigned gap: a pair within the inner
+    bound, r less the slack that torus_neighbours adds for rounding, is
+    within r by the exact test too, and is kept without computing its
+    delta; a pair beyond reach is dropped. Only the pairs in between get
+    the exact delta and np.hypot. Where a square overflows or may have
+    lost bits to underflow, every candidate gets the exact test.
+    """
+    i, j, g2, reach = _candidates(x, y, r, world, None)
+    inner = r * (1.0 - 1e-9) - 1e-12 * max(world.width, world.height)
+    inner2, reach2 = inner * inner, reach * reach
+    if inner > 0.0 and inner2 >= _SQUARE_FLOOR and reach2 < math.inf:
+        sure = g2 <= inner2
+        links = np.flatnonzero(sure & (i != j))
+        test = np.flatnonzero(~sure & (g2 <= reach2))
+    else:
+        links = np.empty(0, np.int64)
+        test = np.flatnonzero((g2 <= reach2) & (i != j))
+    ti, tj = i[test], j[test]
+    ok = _exact(x, y, ti, tj, world)[2] <= r
+    return (
+        np.concatenate((i[links], ti[ok])),
+        np.concatenate((j[links], tj[ok])),
+    )
 
 
 def mate_sums(i, j, d, dx, dy, ux, uy, n: int) -> tuple[np.ndarray, ...]:

@@ -376,6 +376,24 @@ def table_rows(flocks):
     ]
 
 
+def cluster_lists(clusters, state):
+    """A cluster table of state as ascending id lists in cluster order,
+    the form brute_clusters gives, read column by column."""
+    ids = state.ids.tolist()
+    lists = [[] for _ in range(len(clusters))]
+    for row, k in zip(clusters.rows.tolist(), clusters.cluster.tolist()):
+        lists[k].append(ids[row])
+    return lists
+
+
+def cluster_columns(lists, state):
+    """The columns (rows, cluster) of the cluster table of id lists that
+    are ordered by lowest member; an id not in state raises KeyError."""
+    row = {b: k for k, b in enumerate(state.ids.tolist())}
+    pairs = sorted((row[b], k) for k, members in enumerate(lists) for b in members)
+    return [r for r, _ in pairs], [k for _, k in pairs]
+
+
 def displacement_columns(rows):
     """The columns of a displacement table (x, y, heading, radius, members,
     label, vx, vy) of (members, (vx, vy), heading) rows, each flock at the

@@ -32,6 +32,7 @@ from flocklevels.micro import MicroState, SteeringParams, init_random, micro_ste
 from helpers import (
     best_matching,
     brute_clusters,
+    cluster_lists,
     columns,
     commands_by_id,
     displacement_columns,
@@ -74,7 +75,8 @@ def test_criterion_1_clustering_oracle(capfd):
                 zip(rng.uniform(0, 100, 50), rng.uniform(0, 100, 50), rng.uniform(0, 360, 50))
             )
         ]
-        got = detect_clusters(MicroState(*columns(obs), 0, W), params)
+        state = MicroState(*columns(obs), 0, W)
+        got = cluster_lists(detect_clusters(state, params), state)
         want = brute_clusters(obs, 5.0, 30.0, 2, 100.0, 100.0)
         assert got == want
     elapsed = time.perf_counter() - start

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flocklevels import coupling
 from flocklevels.coupling import (
     ClusterParams,
+    Clusters,
     _components,
     detect_clusters,
     emergence_transform,
@@ -21,6 +23,8 @@ from flocklevels.micro import MicroState, SteeringParams, micro_step, observe
 from helpers import (
     UnionFind,
     brute_clusters,
+    cluster_columns,
+    cluster_lists,
     columns,
     commands_by_id,
     displacement_columns,
@@ -36,6 +40,16 @@ CP = ClusterParams(d_prox=5.0, theta=30.0, min_size=2)
 def snapshot(obs, w=W):
     """(id, (x, y), heading) rows as the package's population state."""
     return MicroState(*columns(obs), 0, w)
+
+
+def detect(state, p):
+    """detect_clusters, its table read as the id lists of brute_clusters."""
+    return cluster_lists(detect_clusters(state, p), state)
+
+
+def reify_lists(lists, state):
+    """reify of the clusters given as id lists ordered by lowest member."""
+    return reify(Clusters(*cluster_columns(lists, state)), state)
 
 
 def displacement_table(rows):
@@ -81,10 +95,10 @@ def as_tuples(flocks):
 
 class TestDetectClusters:
     def test_empty(self):
-        assert detect_clusters(snapshot([]), CP) == []
+        assert detect(snapshot([]), CP) == []
 
     def test_lone_bird_is_not_a_cluster(self):
-        assert detect_clusters(snapshot([(0, (5.0, 5.0), 0.0)]), CP) == []
+        assert detect(snapshot([(0, (5.0, 5.0), 0.0)]), CP) == []
 
     def test_pair_plus_outlier(self):
         obs = [
@@ -93,18 +107,18 @@ class TestDetectClusters:
             (2, (50.0, 50.0), 0.0),
         ]
         p = ClusterParams(d_prox=5.0, theta=10.0, min_size=2)
-        assert detect_clusters(snapshot(obs), p) == [[0, 1]]
+        assert detect(snapshot(obs), p) == [[0, 1]]
         assert brute_clusters(obs, 5.0, 10.0, 2, 100.0, 100.0) == [[0, 1]]
 
     def test_heading_threshold_cuts_edges(self):
         obs = [(0, (0.0, 0.0), 0.0), (1, (1.0, 0.0), 90.0)]
-        assert detect_clusters(snapshot(obs), CP) == []
+        assert detect(snapshot(obs), CP) == []
 
     def test_matches_union_find_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             obs = random_observation(50, rng)
-            got = detect_clusters(snapshot(obs), CP)
+            got = detect(snapshot(obs), CP)
             want = brute_clusters(obs, CP.d_prox, CP.theta, CP.min_size, 100.0, 100.0)
             assert got == want
 
@@ -129,7 +143,7 @@ class TestDetectClusters:
         obs = [(k, (x, y), h) for k, (x, y, h) in enumerate(birds)]
         p = ClusterParams(d_prox=d_prox, theta=theta, min_size=min_size)
         want = brute_clusters(obs, d_prox, theta, min_size, w.width, w.height)
-        assert detect_clusters(snapshot(obs, w), p) == want
+        assert detect(snapshot(obs, w), p) == want
 
     def test_seam_invariance(self):
         rng = np.random.default_rng(23)
@@ -138,8 +152,8 @@ class TestDetectClusters:
             shifted = [
                 (i, wrap((p[0] + 48.3, p[1] - 67.1), W), h) for i, p, h in obs
             ]
-            clusters = detect_clusters(snapshot(obs), CP)
-            assert clusters == detect_clusters(snapshot(shifted), CP)
+            clusters = detect(snapshot(obs), CP)
+            assert clusters == detect(snapshot(shifted), CP)
 
     def test_unordered_observation_gives_ascending_id_clusters(self):
         rng = np.random.default_rng(29)
@@ -149,8 +163,8 @@ class TestDetectClusters:
             obs = [(int(b), pos, h) for b, (_, pos, h) in zip(ids, random_observation(150, rng))]
             in_order = sorted(obs)
             want = brute_clusters(obs, CP.d_prox, CP.theta, CP.min_size, 100.0, 100.0)
-            assert detect_clusters(snapshot(obs), CP) == want
-            assert detect_clusters(snapshot(in_order), CP) == want
+            assert detect(snapshot(obs), CP) == want
+            assert detect(snapshot(in_order), CP) == want
             flocks = emergence_transform(snapshot(obs), CP)
             assert flocks == emergence_transform(snapshot(in_order), CP)
             found += len(want)
@@ -159,7 +173,7 @@ class TestDetectClusters:
     def test_disjoint_and_min_size(self):
         rng = np.random.default_rng(31)
         obs = random_observation(50, rng)
-        clusters = detect_clusters(snapshot(obs), CP)
+        clusters = detect(snapshot(obs), CP)
         seen = set()
         for c in clusters:
             assert len(c) >= CP.min_size
@@ -177,7 +191,7 @@ class TestComponents:
         w = TorusWorld(2.0 * n + 100.0, 10.0)
         obs = sorted((int(ids[k]), (2.0 * k, 5.0), 0.0) for k in range(n))
         p = ClusterParams(d_prox=3.0, theta=0.0, min_size=2)
-        assert detect_clusters(snapshot(obs, w), p) == [list(range(n))]
+        assert detect(snapshot(obs, w), p) == [list(range(n))]
         i = np.concatenate((ids[:-1], ids[1:]))
         j = np.concatenate((ids[1:], ids[:-1]))
         t0 = time.perf_counter()
@@ -211,7 +225,7 @@ class TestComponents:
 class TestReify:
     def test_single_member(self):
         obs = [(3, (12.0, 34.0), 270.0)]
-        ((members, centroid, heading, radius),) = as_tuples(reify([[3]], snapshot(obs)))
+        ((members, centroid, heading, radius),) = as_tuples(reify_lists([[3]], snapshot(obs)))
         assert members == {3}
         assert centroid == (12.0, 34.0)
         assert heading == 270.0
@@ -219,7 +233,7 @@ class TestReify:
 
     def test_seam_pair(self):
         obs = [(0, (98.0, 0.0), 350.0), (1, (2.0, 0.0), 10.0)]
-        ((_, (cx, cy), heading, radius),) = as_tuples(reify([[0, 1]], snapshot(obs)))
+        ((_, (cx, cy), heading, radius),) = as_tuples(reify_lists([[0, 1]], snapshot(obs)))
         assert min(cx, 100 - cx) == pytest.approx(0.0, abs=1e-9)
         assert cy == pytest.approx(0.0, abs=1e-9)
         assert heading == pytest.approx(0.0, abs=1e-9)
@@ -232,26 +246,70 @@ class TestReify:
             (2, (49.0, 51.0), 90.0),
             (3, (51.0, 51.0), 90.0),
         ]
-        ((_, centroid, heading, radius),) = as_tuples(reify([[0, 1, 2, 3]], snapshot(obs)))
+        ((_, centroid, heading, radius),) = as_tuples(reify_lists([[0, 1, 2, 3]], snapshot(obs)))
         assert centroid == (pytest.approx(50.0), pytest.approx(50.0))
         assert heading == 90.0
         assert radius == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_zero_resultant_falls_back_to_lowest_id(self):
         obs = [(5, (10.0, 10.0), 0.0), (9, (11.0, 10.0), 180.0)]
-        f = reify([[9, 5]], snapshot(obs))
+        f = reify_lists([[9, 5]], snapshot(obs))
         assert f.heading.tolist() == [0.0]  # bird 5's heading
         assert f.members.tolist() == [5, 9]
 
     def test_missing_member(self):
+        # a row beyond the observation
         with pytest.raises(CouplingError):
-            reify([[0, 1]], snapshot([(0, (0.0, 0.0), 0.0)]))
-        # an id between two present ones
+            reify(Clusters([0, 1], [0, 0]), snapshot([(0, (0.0, 0.0), 0.0)]))
+        # one past the last row
+        two = snapshot([(0, (0.0, 0.0), 0.0), (5, (1.0, 0.0), 0.0)])
         with pytest.raises(CouplingError, match=r"\[2\]"):
-            reify([[0, 2]], snapshot([(0, (0.0, 0.0), 0.0), (5, (1.0, 0.0), 0.0)]))
+            reify(Clusters([0, 2], [0, 0]), two)
+
+
+class TestClusters:
+    def test_length_is_the_cluster_count(self):
+        assert len(Clusters([], [])) == 0
+        assert len(Clusters([1, 4, 6, 7], [0, 1, 0, 2])) == 3
+
+    def test_columns_are_read_only(self):
+        c = Clusters([1, 4], [0, 0])
+        with pytest.raises(ValueError):
+            c.rows[0] = 0
+
+    @pytest.mark.parametrize("rows", [[2, 2], [3, 1], [-1, 0]])
+    def test_rows_strictly_ascending(self, rows):
+        with pytest.raises(CouplingError):
+            Clusters(rows, [0, 0])
+
+    @pytest.mark.parametrize("cluster", [[1, 0], [0, 2], [0, 0, 2]])
+    def test_numbered_by_lowest_member(self, cluster):
+        with pytest.raises(ValueError, match="lowest member"):
+            Clusters(list(range(len(cluster))), cluster)
 
 
 class TestEmergenceTransform:
+    def test_calls_detect_and_reify_once_through_module_globals(self, monkeypatch):
+        # the benchmark times the two layers by wrapping them there
+        calls = []
+
+        def spy(name):
+            fn = getattr(coupling, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(coupling, name, wrapped)
+
+        spy("detect_clusters")
+        spy("reify")
+        state = snapshot(random_observation(200, np.random.default_rng(3)))
+        flocks = emergence_transform(state, CP)
+        assert calls == ["detect_clusters", "reify"]
+        assert len(flocks) > 0
+        assert len(detect_clusters(state, CP)) == len(flocks)
+
     def test_matches_per_cluster_reify(self):
         # one batched pass gives every flock bit for bit as the oracle
         # reifies it alone
@@ -260,7 +318,7 @@ class TestEmergenceTransform:
         assert len(flocks) > 10
         assert as_tuples(flocks) == oracle_flocks(obs, CP, W)
         with pytest.raises(CouplingError, match=r"\[1000\]"):
-            reify([[0, 1], [2, 1000]], snapshot(obs))
+            reify(Clusters([0, 1, 2, 1000], [0, 0, 1, 1]), snapshot(obs))
 
     def test_matches_oracle_on_random_worlds(self):
         rng = np.random.default_rng(41)

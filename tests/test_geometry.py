@@ -5,19 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocklevels.coupling import reify
+from flocklevels.coupling import Clusters, reify
 from flocklevels.geometry import (
     TorusWorld,
     UndefinedMeanError,
     heading_of_resultant,
     mate_sums,
     steer,
+    torus_links,
     torus_neighbours,
     wrap_array,
     wrap_scalar,
 )
 from flocklevels.micro import MicroState, SteeringParams
-from helpers import brute_delta, brute_distance, naive_pairs, torus_delta, wrap
+from helpers import (
+    brute_delta,
+    brute_distance,
+    cluster_columns,
+    naive_pairs,
+    torus_delta,
+    wrap,
+)
 
 W = TorusWorld(100.0, 100.0)
 
@@ -256,7 +264,8 @@ def torus_centroid(positions, w=W):
     """The centroid reify gives one cluster of the given positions."""
     ids = range(len(positions))
     xs, ys = zip(*positions)
-    flock = reify([list(ids)], MicroState(ids, xs, ys, [0.0] * len(ids), 0, w))
+    state = MicroState(ids, xs, ys, [0.0] * len(ids), 0, w)
+    flock = reify(Clusters(*cluster_columns([list(ids)], state)), state)
     return (*flock.x.tolist(), *flock.y.tolist())
 
 
@@ -428,3 +437,75 @@ class TestTorusNeighbours:
         i, j, _, _, dist = torus_neighbours(x, y, 0.0, W)
         assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (2, 0)]
         assert dist.tolist() == [0.0, 0.0]
+
+
+def link_set(x, y, r, w):
+    """torus_links as a set of (i, j) pairs, checked to hold each once."""
+    i, j = torus_links(x, y, r, w)
+    links = list(zip(i.tolist(), j.tolist()))
+    assert len(set(links)) == len(links)
+    return set(links)
+
+
+def neighbour_set(x, y, r, w):
+    i, j, _, _, _ = torus_neighbours(x, y, r, w)
+    return set(zip(i.tolist(), j.tolist()))
+
+
+class TestTorusLinks:
+    @given(boundary_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_of_torus_neighbours_on_boundaries(self, cloud):
+        points, r, w = cloud
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        assert link_set(x, y, r, w) == neighbour_set(x, y, r, w)
+
+    def test_lattice_ties_and_seam_pairs(self):
+        # a half-unit lattice in a 20 x 12.5 world: many pairs lie exactly
+        # r apart, along an axis, across a seam and as 3-4-5 triangles
+        w = TorusWorld(20.0, 12.5)
+        k = np.arange(40 * 25)
+        x, y = (k // 25) / 2.0, (k % 25) / 2.0
+        for r in (0.5, 2.5, 5.0, 7.5):
+            links = link_set(x, y, r, w)
+            assert links == neighbour_set(x, y, r, w)
+            assert (0, 25 * 39) in links  # (0, 0) and (19.5, 0), across x
+
+    @pytest.mark.parametrize(
+        "extent,r,spread",
+        [
+            (1e300, 1e299, 3e299),  # squares overflow
+            (1e-155, 1e-162, 3e-162),  # squares of r and the gaps are subnormal
+            (1e15, 1.0, 3.0),  # one ulp of a coordinate is 0.125
+        ],
+    )
+    def test_float_extremes(self, extent, r, spread):
+        w = TorusWorld(extent, extent)
+        rng = np.random.default_rng(7)
+        # clumps around random points and the seam, the first points twice
+        centres = np.concatenate((rng.uniform(0.0, extent, 6), [0.0, extent / 2.0]))
+        cx = np.repeat(centres, 12) + rng.uniform(-spread, spread, 96)
+        cy = np.repeat(np.roll(centres, 3), 12) + rng.uniform(-spread, spread, 96)
+        x = np.array([wrap_scalar(v, extent) for v in cx.tolist()])
+        y = np.array([wrap_scalar(v, extent) for v in cy.tolist()])
+        x, y = np.concatenate((x, x[:8])), np.concatenate((y, y[:8]))
+        with np.errstate(over="ignore"):
+            want = neighbour_set(x, y, r, w)
+            got = link_set(x, y, r, w)
+        assert len(want) >= 16 and got == want
+
+    def test_gaps_whose_squares_underflow_to_zero(self):
+        # points 1e-170 apart in a world of 1, r = 1e-300: every gap
+        # squares to 0, and the closed-form wrap, which adds half the
+        # extent, rounds every delta to 0, so every pair is a link
+        k = np.arange(10)
+        x, y = k * 1e-170, k[::-1] * 1e-170
+        got = link_set(x, y, 1e-300, TorusWorld(1.0, 1.0))
+        assert got == neighbour_set(x, y, 1e-300, TorusWorld(1.0, 1.0))
+        assert len(got) == 90
+
+    def test_empty_and_single(self):
+        for n in (0, 1):
+            i, j = torus_links(np.zeros(n), np.zeros(n), 5.0, W)
+            assert i.size == j.size == 0
