@@ -12,7 +12,12 @@ its label column to give every member one r-th of its flock's
 displacement per micro tick of a macro step of r ticks (`Commands`).
 
 Both directions are pure functions; they are installed as the
-transformers of the corresponding coupling artifacts.
+transformers of the corresponding coupling artifacts. Emergence takes a
+batch of snapshots of one world: it stacks them into one table in rows
+ordered by (snapshot, id), searches it once with the snapshot as the
+group of the neighbour search, detects and reifies once, and splits the
+one flock table into one table per snapshot, each equal to the table its
+snapshot gets alone. One snapshot is its own stack.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingError
-from .geometry import ZERO_RESULTANT_EPS, torus_links, wrap_array
+from .geometry import MAX_RADIUS, ZERO_RESULTANT_EPS, torus_links, wrap_array
 from .macro import NO_FLOCKS, Displacements, Flocks
 from .micro import Columns, Commands, MicroState, freeze_column
 
@@ -44,8 +49,8 @@ class ClusterParams:
     min_size: int = 3
 
     def __post_init__(self) -> None:
-        if not self.d_prox > 0:
-            raise ValueError("d_prox must be positive")
+        if not 0 < self.d_prox <= MAX_RADIUS:
+            raise ValueError(f"d_prox must be positive and at most {MAX_RADIUS!r}")
         if not (0.0 <= self.theta <= 180.0):
             raise ValueError("theta must be in [0, 180]")
         if self.min_size < 2:
@@ -100,16 +105,20 @@ class Clusters(Columns):
         return int(self.cluster.max()) + 1 if self.cluster.size else 0
 
 
-def detect_clusters(obs: MicroState, p: ClusterParams) -> Clusters:
+def detect_clusters(obs, p: ClusterParams, group: np.ndarray | None = None) -> Clusters:
     """Connected components of the proximity-and-alignment graph.
 
     Two birds are linked iff their torus distance is <= d_prox and their
     heading difference is <= theta (both thresholds closed). Components
     smaller than min_size are dropped; the others are numbered in order
     of their lowest member.
+
+    obs is one snapshot, or several stacked in rows ordered by (snapshot,
+    id) with group the snapshot of each row, ascending. No link crosses
+    snapshots then, so the clusters are numbered snapshot by snapshot.
     """
     h = obs.heading
-    i, j = torus_links(obs.x, obs.y, p.d_prox, obs.world)
+    i, j = torus_links(obs.x, obs.y, p.d_prox, obs.world, group)
     aligned = np.abs((h[j] - h[i] + 180.0) % 360.0 - 180.0) <= p.theta
     # rows are in ascending id, so a label is its component's lowest row
     label = _components(i[aligned], j[aligned], len(obs))
@@ -118,8 +127,8 @@ def detect_clusters(obs: MicroState, p: ClusterParams) -> Clusters:
     return Clusters(rows, (np.cumsum(kept) - 1)[label[rows]])
 
 
-def reify(clusters: Clusters, obs: MicroState) -> Flocks:
-    """Promote every cluster of one snapshot to a row of one flock table.
+def reify(clusters: Clusters, obs) -> Flocks:
+    """Promote every cluster of a snapshot to a row of one flock table.
 
     Centroid is the torus center of gravity of the member positions (per
     axis, the circular mean of the scaled coordinate, or the arithmetic
@@ -179,10 +188,69 @@ def reify(clusters: Clusters, obs: MicroState) -> Flocks:
     return Flocks(x, y, heading, radius, obs.ids[rows], cluster)
 
 
-def emergence_transform(obs: MicroState, p: ClusterParams) -> Flocks:
-    """Detect and reify all clusters in one population snapshot."""
+class _Stack:
+    """Snapshots of one world as one table for detect_clusters and reify:
+    the rows ordered by (snapshot, id), and ids the row numbers, so that
+    the members of reify's table are rows."""
+
+    __slots__ = ("ids", "x", "y", "heading", "world")
+
+    def __init__(self, states: list[MicroState]) -> None:
+        self.ids = np.arange(sum(map(len, states)))
+        for c in ("x", "y", "heading"):
+            setattr(self, c, np.concatenate([getattr(s, c) for s in states]))
+        self.world = states[0].world
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+
+def emergence_transform(states: list[MicroState], p: ClusterParams) -> list[Flocks]:
+    """The flock table of each snapshot of a batch, all of one world.
+
+    The snapshots are stacked as one table in rows ordered by (snapshot,
+    id), with the snapshot as the search group, so no link crosses
+    snapshots; one detect_clusters and one reify call cover the batch.
+    The one flock table is then split by snapshot: a snapshot's members
+    are its own ids at its rows, and its labels are the global cluster
+    numbers less its first. Every table equals, bit for bit, the one its
+    snapshot gets alone. One snapshot is its own stack, so its columns
+    are not copied and its table needs no split.
+    """
+    if not states:
+        return []
+    if any(s.world != states[0].world for s in states):
+        raise ValueError("the snapshots of one emergence call must share one world")
+    sizes = [len(s) for s in states]
+    if len(states) == 1:
+        stack, group = states[0], None
+    else:
+        stack, group = _Stack(states), np.repeat(np.arange(len(states)), sizes)
     # looked up as module globals, so a wrapper installed there sees each call
-    return reify(detect_clusters(obs, p), obs)
+    flocks = reify(detect_clusters(stack, p, group), stack)
+    if group is None:
+        return [flocks]
+
+    # a snapshot's members and clusters are runs of the stacked table; the
+    # first cluster of a run is that of its first member
+    start = np.cumsum([0, *sizes])
+    cut = np.searchsorted(flocks.members, start).tolist()
+    label = flocks.label
+    first = [label[c] if c < label.size else len(flocks) for c in cut]
+    out = []
+    for k, s in enumerate(states):
+        rows, clusters = slice(cut[k], cut[k + 1]), slice(first[k], first[k + 1])
+        out.append(
+            flocks.derive(
+                x=flocks.x[clusters],
+                y=flocks.y[clusters],
+                heading=flocks.heading[clusters],
+                radius=flocks.radius[clusters],
+                members=s.ids[flocks.members[rows] - start[k]],
+                label=label[rows] - first[k],
+            )
+        )
+    return out
 
 
 def split_displacements(d: Displacements, r: int) -> Commands:

@@ -126,9 +126,11 @@ def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
     return MultiModel(
         micro=MicroModelInterface(init_random(cfg.birds, cfg.world, rng), cfg.micro),
         macro=MacroModelInterface(cfg.world, v.macro_params),
-        emergence=lambda obs: emergence_transform(obs, cfg.cluster),
+        emergence=lambda states: emergence_transform(states, cfg.cluster),
         immergence=(
-            (lambda d: split_displacements(d, v.ratio)) if v.immergence else None
+            (lambda ds: [split_displacements(d, v.ratio) for d in ds])
+            if v.immergence
+            else None
         ),
         ratio=v.ratio,
         horizon=cfg.horizon,

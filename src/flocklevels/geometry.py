@@ -1,13 +1,20 @@
-"""Toroidal 2-D world arithmetic, circular (angular) statistics, a
-cell-grid search for all pairs of points within a radius, the per-point
-sums over those pairs and the bounded-turn steering rule that birds and
-flocks share.
+"""Toroidal 2-D world arithmetic, a cell-grid search for all pairs of
+points within a radius, the per-point sums over those pairs and the
+bounded-turn steering rule that birds and flocks share.
 
 The search comes in two forms on one candidate step (grid, gather and a
 prefilter on the unsigned wrapped gaps): `torus_neighbours` returns the
 pairs sorted, with their deltas and distances, for the steering rules;
 `torus_links` returns only the pairs, unsorted, for cluster detection,
-and skips the exact delta wherever the squared gap already decides.
+and skips the exact delta wherever the squared gap already decides. The
+candidate step and `torus_links` take an optional group column, so that
+several point sets of one world share one search: cells are keyed by
+(group, cell), no pair crosses groups, and each group gets the pairs, and
+the grid, it would get alone.
+
+Extents, speeds and search radii are bounded so that the deltas, moves
+and search reaches formed from them stay finite (`MAX_EXTENT`,
+`MAX_SPEED`, `MAX_RADIUS`).
 
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
@@ -23,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_EXTENT",
+    "MAX_SPEED",
+    "MAX_RADIUS",
     "TorusWorld",
-    "UndefinedMeanError",
-    "wrap_scalar",
     "wrap_array",
-    "normalize_heading",
-    "heading_of_resultant",
     "torus_neighbours",
     "torus_links",
     "mate_sums",
@@ -38,9 +44,15 @@ __all__ = [
 # Resultant vectors shorter than this are treated as zero (undefined mean).
 ZERO_RESULTANT_EPS = 1e-9
 
-
-class UndefinedMeanError(ValueError):
-    """Raised when a circular mean is requested for a zero-resultant set."""
+# The largest parameters whose arithmetic stays finite. A wrapped delta
+# forms up to 1.5 x an extent; a move forms up to an extent plus a speed;
+# the flock search forms its reach (vision + 2 x radius)(1 + 1e-9) and
+# then widens it once more, and a flock's radius is at most half the
+# diagonal of the world. Each is the largest float for which its formula
+# stays finite at the largest values of the others.
+MAX_EXTENT = 1.1984620899082103e308
+MAX_SPEED = 5.992310449541056e307
+MAX_RADIUS = 1.0281178972753611e307
 
 
 @dataclass(frozen=True)
@@ -51,40 +63,23 @@ class TorusWorld:
     def __post_init__(self) -> None:
         for name in ("width", "height"):
             extent = getattr(self, name)
-            if not (extent > 0 and math.isfinite(extent)):
-                raise ValueError(f"{name} must be positive and finite, got {extent!r}")
-
-
-def wrap_scalar(x: float, extent: float) -> float:
-    """Reduce one coordinate into [0, extent)."""
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite coordinate: {x!r}")
-    r = x % extent
-    # float modulo can land exactly on the extent for tiny negative inputs
-    return 0.0 if r >= extent else r
+            if not 0 < extent <= MAX_EXTENT:
+                raise ValueError(
+                    f"{name} must be positive and at most {MAX_EXTENT!r}, got {extent!r}"
+                )
 
 
 def wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
-    """Reduce every finite value into [0, extent), as wrap_scalar does
-    one. A non-finite value, which wrap_scalar rejects, gives NaN."""
+    """Reduce every finite value into [0, extent): a % extent, except that
+    a value just below 0 whose remainder rounds to the extent itself gives
+    0. A non-finite value gives NaN."""
     r = a % extent
     return np.where(r >= extent, 0.0, r)
 
 
-def normalize_heading(deg: float) -> float:
-    """Reduce an angle to [0, 360)."""
-    h = deg % 360.0
-    return 0.0 if h >= 360.0 else h
-
-
-def heading_of_resultant(sx: float, sy: float, n: int) -> float:
-    """Heading of the resultant (sx, sy) of n heading unit vectors.
-
-    Raises UndefinedMeanError when the resultant is (numerically) zero.
-    """
-    if math.hypot(sx, sy) < ZERO_RESULTANT_EPS * n:
-        raise UndefinedMeanError("zero resultant, mean undefined")
-    return normalize_heading(math.degrees(math.atan2(sy, sx)))
+# offsets to the adjacent cells along an axis; on an axis of c cells the
+# first min(c, 3) of them name distinct cells
+_ADJACENT = np.array([0, 1, -1])
 
 
 def _candidates(
@@ -93,6 +88,7 @@ def _candidates(
     r: float,
     world: TorusWorld,
     rows: np.ndarray | None,
+    group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Candidate pairs for a search at radius r, from a periodic grid.
 
@@ -101,6 +97,11 @@ def _candidates(
     included; the squared unsigned wrapped gap of each pair; and the
     rounding slack over r. Every pair within torus distance r (closed)
     has g2 <= reach * reach.
+
+    group, when given, is the ascending group number (0, 1, ...) of every
+    point, for several point sets in one world. Cells are keyed by
+    (group, cell), so no pair crosses groups, and each group gets the
+    grid it would get alone. None is one group of every point.
 
     The cells are at least reach wide, so a point is only compared with
     the points of its own and the 8 adjacent cells. Memory is O(n +
@@ -112,40 +113,72 @@ def _candidates(
     # index, and the unsigned gap may differ from the exact delta by a
     # few ulps of the extent.
     reach = r * (1.0 + 1e-9) + 1e-12 * max(width, height)
-    # cells at least reach wide; the second bound caps the grid at about
-    # n cells, also for r = 0
-    cell = max(reach, math.sqrt(width * height / max(n, 1)))
-    nx = max(1, int(width // cell))
-    ny = max(1, int(height // cell))
+    # the grid of each group, from its point count alone; the second bound
+    # caps it at about that many cells, also for r = 0
+    nx, ny = [], []
+    for size in [n] if group is None else np.bincount(group).tolist():
+        cell = max(reach, math.sqrt(width * height / max(size, 1)))
+        nx.append(max(1, int(width // cell)))
+        ny.append(max(1, int(height // cell)))
+    cells = [a * b for a, b in zip(nx, ny)]
+    # each adjacent cell once, also on axes with fewer than 3 cells: the
+    # widest grid needs the first kx, ky offsets, and a narrower one masks
+    # those it has fewer cells for
+    kx, ky = min(max(nx, default=1), 3), min(max(ny, default=1), 3)
+    masked = min(nx, default=kx) < kx or min(ny, default=ky) < ky
+    q = np.arange(n) if rows is None else rows
+    # the grid of every point and of every query point, which for one
+    # group is a scalar (numpy divides by one fastest), and its first cell
+    if group is None:
+        pnx, pny, pbase = qnx, qny, qbase = nx[0], ny[0], 0
+    else:
+        nx, ny, cells = (np.array(v, dtype=np.int64) for v in (nx, ny, cells))
+        base = np.cumsum(cells) - cells
+        pnx, pny, pbase = nx[group], ny[group], base[group]
+        qg = group[q]
+        qnx, qny, qbase = nx[qg][:, None], ny[qg][:, None], base[qg][:, None]
     xw, yw = x % width, y % height
     # % nx: a coordinate just below the extent may round up to index nx
-    cx = (xw * (nx / width)).astype(np.int64) % nx
-    cy = (yw * (ny / height)).astype(np.int64) % ny
+    cx = (xw * (pnx / width)).astype(np.int64) % pnx
+    cy = (yw * (pny / height)).astype(np.int64) % pny
 
     # points grouped by cell
-    cid = cx * ny + cy
+    cid = cx * pny + cy + pbase
     order = np.argsort(cid)
-    counts = np.bincount(cid, minlength=nx * ny)
+    counts = np.bincount(cid, minlength=int(sum(cells)))
     starts = np.cumsum(counts) - counts
 
-    # each adjacent cell once, also on axes with fewer than 3 cells
-    ox = np.array(sorted({-1 % nx, 0, 1 % nx}))
-    oy = np.array(sorted({-1 % ny, 0, 1 % ny}))
-    qx, qy, q = (cx, cy, np.arange(n)) if rows is None else (cx[rows], cy[rows], rows)
-    near = (
-        ((qx[:, None, None] + ox[None, :, None]) % nx) * ny
-        + (qy[:, None, None] + oy[None, None, :]) % ny
-    ).reshape(-1)
+    qx, qy = (cx, cy) if rows is None else (cx[rows], cy[rows])
+    ax = (qx[:, None] + _ADJACENT[:kx]) % qnx
+    ay = (qy[:, None] + _ADJACENT[:ky]) % qny
+    near = (ax * qny + qbase)[:, :, None] + ay[:, None, :]
+    if masked:
+        distinct = (np.arange(kx) < qnx)[:, :, None] & (np.arange(ky) < qny)[:, None, :]
+        q, near = np.broadcast_to(q[:, None, None], near.shape)[distinct], near[distinct]
+    else:
+        q, near = q.repeat(kx * ky), near.reshape(-1)
     per_cell = counts[near]
-    i = np.repeat(q.repeat(ox.size * oy.size), per_cell)
-    first = np.repeat(starts[near] - (np.cumsum(per_cell) - per_cell), per_cell)
-    j = order[first + np.arange(i.size)]
+    i = np.repeat(q, per_cell)
+    j = np.repeat(starts[near] - (np.cumsum(per_cell) - per_cell), per_cell)
+    j += np.arange(i.size)
+    j = order[j]
 
-    gx = np.abs(xw[j] - xw[i])
-    gx = np.minimum(gx, width - gx)
-    gy = np.abs(yw[j] - yw[i])
-    gy = np.minimum(gy, height - gy)
-    return i, j, gx * gx + gy * gy, reach
+    # the per-pair columns are the large arrays of a search; computing in
+    # place keeps their count, and so the allocator's work, down
+    g2 = _unsigned_gap(xw, i, j, width)
+    g2 *= g2
+    gy = _unsigned_gap(yw, i, j, height)
+    gy *= gy
+    g2 += gy
+    return i, j, g2, reach
+
+
+def _unsigned_gap(c, i, j, extent):
+    """min(|c[j] - c[i]|, extent - |c[j] - c[i]|) per pair."""
+    g = c[j]
+    g -= c[i]
+    np.abs(g, out=g)
+    return np.minimum(g, extent - g, out=g)
 
 
 def _exact(x, y, i, j, world: TorusWorld):
@@ -190,9 +223,17 @@ _SQUARE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def torus_links(
-    x: np.ndarray, y: np.ndarray, r: float, world: TorusWorld
+    x: np.ndarray,
+    y: np.ndarray,
+    r: float,
+    world: TorusWorld,
+    group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (i, j) pairs of torus_neighbours(x, y, r, world), unsorted.
+
+    group, when given, is the ascending group number of every point: the
+    pairs are then those of each group's own search, offset by the
+    group's first point, with the same bits.
 
     A two-sided test on the squared unsigned gap: a pair within the inner
     bound, r less the slack that torus_neighbours adds for rounding, is
@@ -201,22 +242,18 @@ def torus_links(
     the exact delta and np.hypot. Where a square overflows or may have
     lost bits to underflow, every candidate gets the exact test.
     """
-    i, j, g2, reach = _candidates(x, y, r, world, None)
+    i, j, g2, reach = _candidates(x, y, r, world, None, group)
     inner = r * (1.0 - 1e-9) - 1e-12 * max(world.width, world.height)
     inner2, reach2 = inner * inner, reach * reach
     if inner > 0.0 and inner2 >= _SQUARE_FLOOR and reach2 < math.inf:
-        sure = g2 <= inner2
-        links = np.flatnonzero(sure & (i != j))
-        test = np.flatnonzero(~sure & (g2 <= reach2))
+        keep = g2 <= inner2
+        test = np.flatnonzero(~keep & (g2 <= reach2))
     else:
-        links = np.empty(0, np.int64)
-        test = np.flatnonzero((g2 <= reach2) & (i != j))
-    ti, tj = i[test], j[test]
-    ok = _exact(x, y, ti, tj, world)[2] <= r
-    return (
-        np.concatenate((i[links], ti[ok])),
-        np.concatenate((j[links], tj[ok])),
-    )
+        keep = np.zeros(i.size, dtype=bool)
+        test = np.flatnonzero(g2 <= reach2)
+    keep[test[_exact(x, y, i[test], j[test], world)[2] <= r]] = True
+    keep &= i != j
+    return i[keep], j[keep]
 
 
 def mate_sums(i, j, d, dx, dy, ux, uy, n: int) -> tuple[np.ndarray, ...]:

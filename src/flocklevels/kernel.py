@@ -17,6 +17,11 @@ horizon, it builds one event log, the `e` and `i` coupling artifacts and
 both model agents. The macro agent steps its model exactly when the `i`
 artifact is wired.
 
+A coupling artifact's transformer maps a sequence of raw payloads to the
+list of their delivered payloads, in order. A read applies it to a
+one-element list; the audit re-applies it to many written payloads at
+once.
+
 Every read and write is appended to the event log, which can be exported
 and audited for causality, coherence and cardinality after the fact.
 Artifacts assume this single-threaded lockstep contract: nothing but the
@@ -146,21 +151,27 @@ class CouplingArtifact:
     reached delivers the transformed payload (or ABSENT when the producer
     passed the tick without writing). A read beyond the producer clock
     raises DeadlockError at once: in the lockstep run only the scheduler
-    advances the clock, so waiting could not help. The transformer must be
-    a deterministic pure function, so repeated reads are idempotent; it
-    may shrink or grow the payload's cardinality.
+    advances the clock, so waiting could not help.
+
+    The transformer maps a sequence of raw payloads to the list of their
+    delivered payloads, in order; a read or peek applies it to a
+    one-element list, and the audit to many at once. It must be a
+    deterministic pure function of each payload alone, so repeated reads
+    are idempotent and a payload is delivered alike in any batch; it may
+    shrink or grow a payload's cardinality. The default delivers every
+    payload as written.
     """
 
     def __init__(
         self,
         name: str,
-        transformer: Callable[[Any], Any] | None = None,
+        transformer: Callable[[list], list] | None = None,
         write_kind: str = "payload",
         read_kind: str = "payload",
         log: EventLog | None = None,
     ) -> None:
         self.name = name
-        self.transformer = transformer or (lambda p: p)
+        self.transformer = transformer or list
         self.write_kind = write_kind
         self.read_kind = read_kind
         self.log = log if log is not None else EventLog()
@@ -183,7 +194,7 @@ class CouplingArtifact:
 
     def _lookup(self, t: SimTime) -> Any:
         payload = self.buffer.get(t, ABSENT)
-        return ABSENT if payload is ABSENT else self.transformer(payload)
+        return ABSENT if payload is ABSENT else self.transformer([payload])[0]
 
     def read(
         self, t: SimTime, agent: str = "external", cycle: int | None = None
@@ -311,8 +322,8 @@ class MultiModel:
         self,
         micro: InterfaceArtifact,
         macro: InterfaceArtifact,
-        emergence: Callable[[Any], Any],
-        immergence: Callable[[Any], Any] | None,
+        emergence: Callable[[list], list],
+        immergence: Callable[[list], list] | None,
         ratio: int,
         horizon: SimTime,
     ) -> None:

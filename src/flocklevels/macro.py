@@ -67,21 +67,30 @@ class Flocks(Columns):
     label: np.ndarray
 
     def __post_init__(self) -> None:
+        self.check("x", "y", "heading", "radius", "members", "label")
+
+    def check(self, *names: str) -> None:
+        """Check the named columns: dtype and length, and every invariant
+        that involves them. A table derived from a checked one checks only
+        the columns it puts in."""
         rows = freeze_column(self, "x", np.float64).size
         for name in ("x", "y", "heading", "radius"):
-            col = freeze_column(self, name, np.float64, rows)
-            if not np.isfinite(col).all():
-                raise ValueError(f"{name} must be finite, got {col.tolist()}")
-        if (self.radius < 0).any():
+            if name in names:
+                col = freeze_column(self, name, np.float64, rows)
+                if not np.isfinite(col).all():
+                    raise ValueError(f"{name} must be finite, got {col.tolist()}")
+        if "radius" in names and (self.radius < 0).any():
             raise ValueError(f"radius must be >= 0, got {self.radius.tolist()}")
-        members = freeze_column(self, "members", np.int64)
-        label = freeze_column(self, "label", np.int64, members.size)
-        if (members[1:] <= members[:-1]).any():
-            bad = members[1:][members[1:] <= members[:-1]].tolist()
-            raise CouplingError(f"bird ids in two flocks or out of order: {bad}")
-        size = np.bincount(label, minlength=rows)  # raises on a negative label
-        if size.size != rows or not size.all():
-            raise ValueError(f"label must give each of {rows} rows members, got {size}")
+        if "members" in names:
+            members = freeze_column(self, "members", np.int64)
+            if (members[1:] <= members[:-1]).any():
+                bad = members[1:][members[1:] <= members[:-1]].tolist()
+                raise CouplingError(f"bird ids in two flocks or out of order: {bad}")
+        if "label" in names:
+            label = freeze_column(self, "label", np.int64, self.members.size)
+            size = np.bincount(label, minlength=rows)  # raises on a negative label
+            if size.size != rows or not size.all():
+                raise ValueError(f"label must give each of {rows} rows members, got {size}")
 
     def __len__(self) -> int:
         return self.x.size
@@ -95,9 +104,13 @@ class Displacements(Flocks):
     vy: np.ndarray
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        self.check("x", "y", "heading", "radius", "members", "label", "vx", "vy")
+
+    def check(self, *names: str) -> None:
+        super().check(*names)
         for name in ("vx", "vy"):
-            freeze_column(self, name, np.float64, len(self))
+            if name in names:
+                freeze_column(self, name, np.float64, len(self))
 
 
 NO_FLOCKS = Flocks((), (), (), (), (), ())
@@ -160,12 +173,12 @@ def sync_registry(s: MacroState, observed: Flocks) -> MacroState:
 
     flocks = observed
     if (ids[1:] < ids[:-1]).any():
-        # rows in flock id order; each member's label follows its row
+        # rows in flock id order; each member's label follows its row. A
+        # permutation of a checked table's rows, so nothing is re-checked.
         order = np.argsort(ids)
         ids = ids[order]
-        columns = (observed.x, observed.y, observed.heading, observed.radius)
-        label = np.argsort(order)[observed.label]
-        flocks = Flocks(*(c[order] for c in columns), observed.members, label)
+        columns = {c: getattr(observed, c)[order] for c in ("x", "y", "heading", "radius")}
+        flocks = observed.derive(**columns, label=np.argsort(order)[observed.label])
     return MacroState(flocks, ids, s.next_id + fresh.size, s.macro_tick, s.world)
 
 
@@ -192,7 +205,8 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     hr = np.radians(h)
     x = wrap_array(x + p.speed * np.cos(hr), w.width)
     y = wrap_array(y + p.speed * np.sin(hr), w.height)
-    flocks = replace(fl, x=x, y=y, heading=h)
+    flocks = fl.derive(x=x, y=y, heading=h)
+    flocks.check("x", "y", "heading")
     return replace(s, flocks=flocks, macro_tick=s.macro_tick + 1)
 
 
@@ -207,7 +221,9 @@ def displacements(before: MacroState, after: MacroState) -> Displacements:
     a, b, w = before.flocks, after.flocks, before.world
     vx = (b.x - a.x + w.width / 2.0) % w.width - w.width / 2.0
     vy = (b.y - a.y + w.height / 2.0) % w.height - w.height / 2.0
-    return Displacements(b.x, b.y, b.heading, b.radius, b.members, b.label, vx, vy)
+    table = b.derive(Displacements, vx=vx, vy=vy)
+    table.check("vx", "vy")
+    return table
 
 
 def flock_stats(flocks: Flocks) -> tuple[int, float, float]:

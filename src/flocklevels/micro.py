@@ -20,13 +20,14 @@ skip the commanded rows, whose headings the commands overwrite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CouplingError
 from .geometry import (
+    MAX_RADIUS,
+    MAX_SPEED,
     TorusWorld,
     mate_sums,
     steer,
@@ -73,6 +74,21 @@ class Columns:
             return NotImplemented
         theirs = vars(other)
         return all(v.tobytes() == theirs[k].tobytes() for k, v in vars(self).items())
+
+    def derive(self, cls=None, **columns):
+        """A table of type cls (this one's by default) with this table's
+        columns, the given ones put in or added and made read-only.
+
+        Nothing is checked: the given columns must be arrays of the right
+        dtype, derived from checked tables so that every invariant that
+        involves them still holds (a permutation or a slice of rows), or
+        checked by the caller."""
+        table = object.__new__(cls or type(self))
+        for col in columns.values():
+            col.flags.writeable = False
+        for name, col in {**vars(self), **columns}.items():
+            object.__setattr__(table, name, col)
+        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +141,11 @@ class SteeringParams:
         ):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if not math.isfinite(self.speed):
-            raise ValueError("speed must be finite")
+        # the limits keep every move and search finite (geometry)
+        for name, limit in (("speed", MAX_SPEED), ("vision", MAX_RADIUS)):
+            value = getattr(self, name)
+            if value > limit:
+                raise ValueError(f"{name} must be at most {limit!r}, got {value!r}")
         if self.vision < self.min_separation:
             raise ValueError("vision must be >= min_separation")
 

@@ -169,6 +169,15 @@ class UndefinedMeanError(ValueError):
     pass
 
 
+def wrap_scalar(x, extent):
+    """Reduce one coordinate into [0, extent)."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite coordinate: {x!r}")
+    r = x % extent
+    # float modulo can land exactly on the extent for tiny negative inputs
+    return 0.0 if r >= extent else r
+
+
 def wrap(p, w):
     out = []
     for c, extent in ((p[0], w.width), (p[1], w.height)):
@@ -199,7 +208,7 @@ def _heading_unit(deg):
     return (math.cos(r), math.sin(r))
 
 
-def _circular_mean(headings):
+def circular_mean(headings):
     sx = 0.0
     sy = 0.0
     for h in headings:
@@ -248,7 +257,7 @@ def step_autonomous(b, mates, p, w):
             heading = _turn_towards(heading, away, p.max_separate_turn)
         else:
             try:
-                mean_h = _circular_mean([m.heading for m in mates])
+                mean_h = circular_mean([m.heading for m in mates])
                 heading = _turn_towards(heading, mean_h, p.max_align_turn)
             except UndefinedMeanError:
                 pass
@@ -290,7 +299,7 @@ def steer_flock(f, others, p, w):
         away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
         return _turn_towards(heading, away, p.max_separate_turn)
     try:
-        mean_h = _circular_mean([o.heading for o in mates])
+        mean_h = circular_mean([o.heading for o in mates])
         heading = _turn_towards(heading, mean_h, p.max_align_turn)
     except UndefinedMeanError:
         pass
@@ -354,7 +363,7 @@ def reify_cluster(members, obs, w):
         _axis_circular_mean([p[1] for p in positions], w.height),
     )
     try:
-        heading = _circular_mean(headings)
+        heading = circular_mean(headings)
     except UndefinedMeanError:
         heading = headings[0]
     radius = math.fsum(torus_distance(centroid, p, w) for p in positions) / len(

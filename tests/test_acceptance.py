@@ -124,7 +124,7 @@ def test_criterion_4_no_immergence_equivalence(capfd):
         # the coupled run publishes its raw snapshot at every boundary;
         # with ratio 1 that is every tick, so trajectories compare exactly
         assert state_key(mm.emergence.buffer[t]) == state_key(observe(state))
-        counts.append(len(emergence_transform(observe(state), cfg.cluster)))
+        counts.append(len(emergence_transform([observe(state)], cfg.cluster)[0]))
 
     stats = mm.macro_agent.interface.stats
     sampled = {k * mm.ratio: n for k, (n, _, _) in enumerate(stats)}
@@ -170,8 +170,8 @@ def test_criterion_6_flock_rigidity(capfd):
     mm = MultiModel(
         micro=MicroModelInterface(initial, SteeringParams()),
         macro=MacroModelInterface(W, SteeringParams()),
-        emergence=lambda obs: emergence_transform(obs, cluster),
-        immergence=lambda d: split_displacements(d, 1),
+        emergence=lambda states: emergence_transform(states, cluster),
+        immergence=lambda ds: [split_displacements(d, 1) for d in ds],
         ratio=1,
         horizon=20,
     )
@@ -190,7 +190,7 @@ def test_criterion_6_flock_rigidity(capfd):
                 d1 = torus_distance(p1[i], p1[j], W)
                 assert abs(d1 - d0) < 1e-9
         # the flock stayed one flock throughout
-        assert len(emergence_transform(after, cluster)) == 1
+        assert len(emergence_transform([after], cluster)[0]) == 1
     report(capfd, 6, "one commanded flock stayed rigid across 20 macro periods")
 
 

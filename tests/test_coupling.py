@@ -17,7 +17,9 @@ from flocklevels.coupling import (
     split_displacements,
 )
 from flocklevels.errors import CouplingError
+from flocklevels.experiment import apply_config, build_multimodel
 from flocklevels.geometry import TorusWorld
+from flocklevels.kernel import run
 from flocklevels.macro import Displacements
 from flocklevels.micro import MicroState, SteeringParams, micro_step, observe
 from helpers import (
@@ -165,8 +167,8 @@ class TestDetectClusters:
             want = brute_clusters(obs, CP.d_prox, CP.theta, CP.min_size, 100.0, 100.0)
             assert detect(snapshot(obs), CP) == want
             assert detect(snapshot(in_order), CP) == want
-            flocks = emergence_transform(snapshot(obs), CP)
-            assert flocks == emergence_transform(snapshot(in_order), CP)
+            flocks = emergence_transform([snapshot(obs)], CP)[0]
+            assert flocks == emergence_transform([snapshot(in_order)], CP)[0]
             found += len(want)
         assert found > 50
 
@@ -305,16 +307,81 @@ class TestEmergenceTransform:
         spy("detect_clusters")
         spy("reify")
         state = snapshot(random_observation(200, np.random.default_rng(3)))
-        flocks = emergence_transform(state, CP)
+        flocks = emergence_transform([state], CP)[0]
         assert calls == ["detect_clusters", "reify"]
         assert len(flocks) > 0
         assert len(detect_clusters(state, CP)) == len(flocks)
+
+    def test_batch_calls_detect_and_reify_once(self, monkeypatch):
+        calls = []
+        for name in ("detect_clusters", "reify"):
+            fn = getattr(coupling, name)
+
+            def wrapped(*args, fn=fn, name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(coupling, name, wrapped)
+        rng = np.random.default_rng(4)
+        states = [snapshot(random_observation(150, rng)) for _ in range(5)]
+        tables = emergence_transform(states, CP)
+        assert calls == ["detect_clusters", "reify"]
+        assert [len(t) for t in tables] == [len(detect_clusters(s, CP)) for s in states]
+
+    def test_one_snapshot_is_stacked_without_a_copy(self, monkeypatch):
+        seen = []
+        detect = coupling.detect_clusters
+
+        def spy(stack, p, group):
+            seen.append((stack, group))
+            return detect(stack, p, group)
+
+        monkeypatch.setattr(coupling, "detect_clusters", spy)
+        state = snapshot(random_observation(50, np.random.default_rng(6)))
+        emergence_transform([state], CP)
+        ((stack, group),) = seen
+        assert stack.x is state.x and stack.y is state.y
+        assert stack.heading is state.heading
+        assert group is None
+
+    def test_snapshots_of_two_worlds_rejected(self):
+        obs = [(0, (1.0, 1.0), 0.0)]
+        with pytest.raises(ValueError, match="one world"):
+            emergence_transform([snapshot(obs), snapshot(obs, TorusWorld(50.0, 50.0))], CP)
+
+    def test_no_snapshots(self):
+        assert emergence_transform([], CP) == []
+
+    @pytest.mark.parametrize("variant", ["m", "M", "M1", "M2", "M3"])
+    def test_batches_of_a_run_equal_one_snapshot_calls(self, variant):
+        # every snapshot a run wrote, with an empty snapshot and one
+        # without a cluster put in at the ends and in the middle
+        for seed in (1, 2, 3):
+            cfg = apply_config(variant, birds=50, horizon=100, base_seed=seed)
+            mm = build_multimodel(cfg, 0)
+            run(mm)
+            snaps = [mm.emergence.buffer[t] for t in sorted(mm.emergence.buffer)]
+            w = cfg.world
+            empty = MicroState([], [], [], [], 0, w)
+            scattered = snapshot([(k, (20.0 * k, 50.0), 0.0) for k in range(5)], w)
+            middle = len(snaps) // 2
+            snaps = [empty, scattered, *snaps[:middle], empty, scattered,
+                     *snaps[middle:], scattered, empty]
+            alone = [emergence_transform([s], cfg.cluster)[0] for s in snaps]
+            assert len(alone[1]) == 0 and sum(map(len, alone)) > 0
+            for size in (1, 3, 7, len(snaps)):
+                batched = []
+                for k in range(0, len(snaps), size):
+                    batched += emergence_transform(snaps[k : k + size], cfg.cluster)
+                assert len(batched) == len(snaps)
+                for t, (got, want) in enumerate(zip(batched, alone)):
+                    assert got == want, (variant, seed, size, t)
 
     def test_matches_per_cluster_reify(self):
         # one batched pass gives every flock bit for bit as the oracle
         # reifies it alone
         obs = random_observation(400, np.random.default_rng(8))
-        flocks = emergence_transform(snapshot(obs), CP)
+        flocks = emergence_transform([snapshot(obs)], CP)[0]
         assert len(flocks) > 10
         assert as_tuples(flocks) == oracle_flocks(obs, CP, W)
         with pytest.raises(CouplingError, match=r"\[1000\]"):
@@ -336,7 +403,7 @@ class TestEmergenceTransform:
                 min_size=int(rng.integers(2, 6)),
             )
             obs = clumped_observation(int(rng.integers(0, 120)), w, rng)
-            got = as_tuples(emergence_transform(snapshot(obs, w), p))
+            got = as_tuples(emergence_transform([snapshot(obs, w)], p)[0])
             assert got == oracle_flocks(obs, p, w)
             flocks += len(got)
         assert flocks > 100
@@ -357,7 +424,7 @@ class TestEmergenceTransform:
             + [((10.0, 45.0 + k), 300.0 + 10.0 * k) for k in range(2)]
         )
         obs = [(k, pos, h) for k, (pos, h) in enumerate(birds)]
-        flocks = emergence_transform(snapshot(obs, w), p)
+        flocks = emergence_transform([snapshot(obs, w)], p)[0]
         assert as_tuples(flocks) == oracle_flocks(obs, p, w)
         x_ring, y_ring, cancelled, *ordinary = as_tuples(flocks)
         assert x_ring[1][0] == math.fsum(4.0 * k for k in range(25)) / 25
@@ -367,11 +434,11 @@ class TestEmergenceTransform:
 
     def test_scattered_birds_no_flocks(self):
         obs = [(i, (i * 20.0, 50.0), 0.0) for i in range(5)]
-        assert len(emergence_transform(snapshot(obs), CP)) == 0
+        assert len(emergence_transform([snapshot(obs)], CP)[0]) == 0
 
     def test_tight_group_is_one_flock(self):
         obs = [(i, (50.0 + 0.3 * i, 50.0), 10.0) for i in range(10)]
-        flocks = emergence_transform(snapshot(obs), CP)
+        flocks = emergence_transform([snapshot(obs)], CP)[0]
         assert len(flocks) == 1
         assert flocks.members.tolist() == list(range(10))
 
@@ -379,7 +446,7 @@ class TestEmergenceTransform:
         rng = np.random.default_rng(5)
         for _ in range(20):
             obs = random_observation(50, rng)
-            flocks = emergence_transform(snapshot(obs), CP)
+            flocks = emergence_transform([snapshot(obs)], CP)[0]
             assert len(flocks) <= len(obs) // CP.min_size
 
 
@@ -440,12 +507,12 @@ class TestRoundTrip:
         # a single isolated flock driven by its own displacement commands
         # is re-detected with the same member set
         state = snapshot([(i, (50.0 + 0.7 * i, 50.0 + 0.2 * i), 40.0) for i in range(6)])
-        f = emergence_transform(observe(state), CP)
+        f = emergence_transform([observe(state)], CP)[0]
         assert f.members.tolist() == list(range(6)) and len(f) == 1
         d = displacement_table([(f.members.tolist(), (1.7, -0.9), f.heading[0])])
         for _ in range(4):
             state = micro_step(state, split_displacements(d, 4), SteeringParams())
-        g = emergence_transform(observe(state), CP)
+        g = emergence_transform([observe(state)], CP)[0]
         assert g.members.tolist() == f.members.tolist() and len(g) == 1
         assert g.heading[0] == pytest.approx(f.heading[0], abs=1e-9)
         assert g.radius[0] == pytest.approx(f.radius[0], abs=1e-9)

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from flocklevels import interfaces
 from flocklevels.cli import main
 from flocklevels.coupling import emergence_transform
 from flocklevels.errors import ConfigError
+from flocklevels.geometry import MAX_EXTENT, MAX_RADIUS, MAX_SPEED
 from flocklevels.experiment import (
     VARIANTS,
     aggregate,
@@ -112,6 +114,24 @@ class TestApplyConfig:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             apply_config("M", {key: value})
 
+    @pytest.mark.parametrize(
+        "key,limit",
+        [
+            ("world.width", MAX_EXTENT),
+            ("world.height", MAX_EXTENT),
+            ("micro.speed", MAX_SPEED),
+            ("macro.speed", MAX_SPEED),
+            ("micro.vision", MAX_RADIUS),
+            ("macro.vision", MAX_RADIUS),
+            ("cluster.d_prox", MAX_RADIUS),
+        ],
+    )
+    def test_limit_accepted_and_one_ulp_above_named(self, key, limit):
+        # the largest values whose arithmetic stays finite (geometry)
+        apply_config("M", {key: limit})
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.") + " must be"):
+            apply_config("M", {key: float(np.nextafter(limit, math.inf))})
+
     def test_integral_float_min_size_accepted(self):
         assert apply_config("M", {"cluster.min_size": 4.0}).cluster.min_size == 4
 
@@ -180,7 +200,7 @@ class TestRunReplicated:
         for t in range(cfg.horizon + 1):
             if t > 0:
                 state = micro_step(state, None, cfg.micro)
-            flocks = emergence_transform(observe(state), cfg.cluster)
+            flocks = emergence_transform([observe(state)], cfg.cluster)[0]
             expected.append(len(flocks))
         assert [r.flock_count for r in recs] == expected
 
@@ -300,19 +320,35 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_aborted_replication_returns_1(self, tmp_path, capsys):
-        # finite values whose sum overflows: the run aborts at tick 2
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps(
-            {"world.width": 1.5e308, "world.height": 1.5e308, "micro.speed": 1e308}
-        ))
-        with np.errstate(all="ignore"):
-            rc = main(["--variant", "m", "--birds", "5", "--ticks", "3",
-                       "--config", str(cfgfile), "--out", str(tmp_path / "r.csv")])
+    def test_aborted_replication_returns_1(self, tmp_path, capsys, monkeypatch):
+        # a micro step that fails on its second call: the run aborts at tick 2
+        step = interfaces.micro_step
+
+        def failing(s, cmds, p):
+            if s.tick == 1:
+                raise ValueError("x must be finite, got nan")
+            return step(s, cmds, p)
+
+        monkeypatch.setattr(interfaces, "micro_step", failing)
+        rc = main(["--variant", "m", "--birds", "5", "--ticks", "3",
+                   "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: replication 0 aborted:")
         assert "at tick 2" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_overflowing_config_returns_2(self, tmp_path, capsys):
+        # finite values whose sums overflow are rejected before the run
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(
+            {"world.width": 1.5e308, "world.height": 1.5e308, "micro.speed": 1e308}
+        ))
+        rc = main(["--variant", "m", "--birds", "5", "--ticks", "3",
+                   "--config", str(cfgfile), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: world.width must be positive and at most")
         assert not (tmp_path / "r.csv").exists()
 
     def test_unwritable_out_returns_1(self, tmp_path, capsys):

@@ -7,24 +7,27 @@ from hypothesis import strategies as st
 
 from flocklevels.coupling import Clusters, reify
 from flocklevels.geometry import (
+    MAX_EXTENT,
+    MAX_RADIUS,
+    MAX_SPEED,
     TorusWorld,
-    UndefinedMeanError,
-    heading_of_resultant,
     mate_sums,
     steer,
     torus_links,
     torus_neighbours,
     wrap_array,
-    wrap_scalar,
 )
 from flocklevels.micro import MicroState, SteeringParams
 from helpers import (
+    UndefinedMeanError,
     brute_delta,
     brute_distance,
+    circular_mean,
     cluster_columns,
     naive_pairs,
     torus_delta,
     wrap,
+    wrap_scalar,
 )
 
 W = TorusWorld(100.0, 100.0)
@@ -44,6 +47,52 @@ class TestTorusWorld:
     def test_rejects_bad_extents(self, width, height):
         with pytest.raises(ValueError, match="width|height"):
             TorusWorld(width, height)
+
+
+def up(v):
+    """The next float above v."""
+    return float(np.nextafter(v, math.inf))
+
+
+class TestLimits:
+    """Each limit is the largest value for which its formula stays finite
+    at the largest values of the others, one ulp either side."""
+
+    def test_wrapped_delta_forms_one_and_a_half_extents(self):
+        assert math.isfinite(MAX_EXTENT + MAX_EXTENT / 2.0)
+        assert math.isinf(up(MAX_EXTENT) + up(MAX_EXTENT) / 2.0)
+
+    def test_move_forms_a_coordinate_plus_the_speed(self):
+        # the largest coordinate lies just below the largest extent
+        x = float(np.nextafter(MAX_EXTENT, 0.0))
+        assert math.isfinite(x + MAX_SPEED)
+        assert math.isinf(x + up(MAX_SPEED))
+
+    def test_flock_reach_forms_vision_and_two_radii(self):
+        # a flock's radius is at most half the diagonal of the world; the
+        # macro step widens the reach once and the search once more
+        radius = math.hypot(MAX_EXTENT / 2.0, MAX_EXTENT / 2.0)
+
+        def reach(vision):
+            r = (vision + 2.0 * radius) * (1.0 + 1e-9)
+            return r * (1.0 + 1e-9) + 1e-12 * MAX_EXTENT
+
+        assert math.isfinite(reach(MAX_RADIUS))
+        assert math.isinf(reach(up(MAX_RADIUS)))
+
+    def test_parameter_classes_reject_one_ulp_above(self):
+        TorusWorld(MAX_EXTENT, MAX_EXTENT)
+        SteeringParams(vision=MAX_RADIUS, speed=MAX_SPEED)
+        for build, name in (
+            (lambda v: TorusWorld(v, 1.0), "width"),
+            (lambda v: TorusWorld(1.0, v), "height"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                build(up(MAX_EXTENT))
+        with pytest.raises(ValueError, match="^speed must be at most"):
+            SteeringParams(speed=up(MAX_SPEED))
+        with pytest.raises(ValueError, match="^vision must be at most"):
+            SteeringParams(vision=up(MAX_RADIUS))
 
 
 class TestWrap:
@@ -129,15 +178,9 @@ class TestTorusDistance:
         assert dab <= torus_distance(a, c) + torus_distance(c, b) + 1e-9
 
 
-def circular_mean(headings):
-    """heading_of_resultant of the unit vectors of the headings, summed in order."""
-    units = [(math.cos(math.radians(h)), math.sin(math.radians(h))) for h in headings]
-    return heading_of_resultant(
-        sum(u for u, _ in units), sum(v for _, v in units), len(headings)
-    )
-
-
 class TestCircularMean:
+    """The circular mean of the steering oracles in helpers.py."""
+
     def test_wraparound(self):
         assert circular_mean([350.0, 10.0]) == pytest.approx(0.0, abs=1e-9)
 
@@ -317,16 +360,23 @@ ulp_steps = st.integers(-2, 2)
 
 
 @st.composite
-def boundary_clouds(draw):
-    """Pairs of points r apart give or take a few ulps (along an axis,
-    across the seam, diagonal, coincident), one of each pair on or near a
-    cell edge, plus enough filler for a grid of cells about r wide."""
+def boundary_worlds(draw):
+    """A radius r and a world from under 3 to several r wide each way."""
     r = draw(st.sampled_from([0.0, 1.0, 2.5, 5.0, 7.77, 10.0]))
     base = max(r, 1.0)
     # fewer than 3 cells along an axis up to several
     fx = draw(st.sampled_from([1.0, 1.5, 2.0, 2.9999999, 3.0, 4.0, 5.0, 7.0]))
     fy = draw(st.sampled_from([0.7, 1.0, 2.5, 3.0, 4.0]))
-    width, height = base * fx, base * fy
+    return r, TorusWorld(base * fx, base * fy)
+
+
+@st.composite
+def boundary_points(draw, r, w):
+    """Pairs of points r apart give or take a few ulps (along an axis,
+    across the seam, diagonal, coincident), one of each pair on or near a
+    cell edge, plus enough filler for a grid of cells about r wide."""
+    base = max(r, 1.0)
+    width, height = w.width, w.height
 
     def edge(extent):
         # an edge of a grid whose cells are about r wide
@@ -351,10 +401,29 @@ def boundary_clouds(draw):
         st.floats(0.0, width, exclude_max=True), st.floats(0.0, height, exclude_max=True)
     )
     # the grid has about one cell per point at most
-    dense = math.ceil(fx * fy)
+    dense = math.ceil(width * height / (base * base))
     points += draw(st.lists(filler, min_size=dense, max_size=dense + 10))
     order = draw(st.permutations(range(len(points))))
-    return [points[k] for k in order], r, TorusWorld(width, height)
+    return [points[k] for k in order]
+
+
+@st.composite
+def boundary_clouds(draw):
+    """boundary_points in a boundary world: (points, r, world)."""
+    r, w = draw(boundary_worlds())
+    return draw(boundary_points(r, w)), r, w
+
+
+@st.composite
+def grouped_clouds(draw):
+    """1 to 4 boundary_points clouds of one radius and world."""
+    r, w = draw(boundary_worlds())
+    clouds = []
+    for _ in range(draw(st.integers(1, 4))):
+        # now and then an empty group, as an empty snapshot gives
+        empty = draw(st.integers(0, 4)) == 0
+        clouds.append([] if empty else draw(boundary_points(r, w)))
+    return clouds, r, w
 
 
 class TestTorusNeighbours:
@@ -460,6 +529,27 @@ class TestTorusLinks:
         x = np.array([p[0] for p in points])
         y = np.array([p[1] for p in points])
         assert link_set(x, y, r, w) == neighbour_set(x, y, r, w)
+
+    @given(grouped_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_groups_give_the_pairs_of_each_group_alone(self, grouped):
+        clouds, r, w = grouped
+        points = [p for cloud in clouds for p in cloud]
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        sizes = [len(cloud) for cloud in clouds]
+        group = np.repeat(np.arange(len(clouds)), sizes)
+        gi, gj = torus_links(x, y, r, w, group)
+        assert gi.dtype == gj.dtype == np.int64
+        assert (group[gi] == group[gj]).all()
+        want = set()
+        for first, cloud in zip(np.cumsum([0, *sizes]).tolist(), clouds):
+            cx = np.array([p[0] for p in cloud])
+            cy = np.array([p[1] for p in cloud])
+            i, j = torus_links(cx, cy, r, w)
+            want |= set(zip((i + first).tolist(), (j + first).tolist()))
+        links = list(zip(gi.tolist(), gj.tolist()))
+        assert len(links) == len(set(links)) and set(links) == want
 
     def test_lattice_ties_and_seam_pairs(self):
         # a half-unit lattice in a 20 x 12.5 world: many pairs lie exactly

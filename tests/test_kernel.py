@@ -3,7 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flocklevels.audit import audit_cardinality, audit_causality, audit_coherence, audit_log
+from flocklevels.audit import (
+    CHUNK_ROWS,
+    audit_cardinality,
+    audit_causality,
+    audit_coherence,
+    audit_log,
+)
 from flocklevels.coupling import ClusterParams, emergence_transform
 from flocklevels.errors import DeadlockError, ProtocolError
 from flocklevels.experiment import apply_config, build_multimodel
@@ -46,9 +52,28 @@ class TestCouplingArtifact:
             a.write(2, ["y"])
 
     def test_direct_delivery_applies_transformer(self):
-        a = CouplingArtifact("i", transformer=lambda p: [x * 2 for x in p])
+        a = CouplingArtifact("i", transformer=lambda ps: [[x * 2 for x in p] for p in ps])
         a.write(1, [1, 2])
         assert a.read(1) == [2, 4]
+
+    def test_read_and_peek_apply_the_transformer_to_one_payload(self):
+        batches = []
+
+        def transformer(payloads):
+            batches.append(list(payloads))
+            return [p[::-1] for p in payloads]
+
+        a = CouplingArtifact("e", transformer)
+        a.write(0, [1, 2])
+        assert a.read(0) == [2, 1]
+        assert a.peek(0) == [2, 1]
+        assert batches == [[[1, 2]], [[1, 2]]]
+
+    def test_default_transformer_delivers_as_written(self):
+        a = CouplingArtifact("e")
+        assert a.transformer(([1], "x")) == [[1], "x"]
+        a.write(0, [3])
+        assert a.read(0) == [3]
 
     def test_absent_when_producer_passed(self):
         a = CouplingArtifact("i")
@@ -61,7 +86,7 @@ class TestCouplingArtifact:
         assert a.read(0) == a.read(0)
 
     def test_interpretation_artifact_may_reduce(self):
-        a = CouplingArtifact("e", transformer=lambda p: p[:1])
+        a = CouplingArtifact("e", transformer=lambda ps: [p[:1] for p in ps])
         a.write(0, [1, 2, 3])
         assert a.read(0) == [1]
 
@@ -334,8 +359,8 @@ class TestAuditDetectsViolations:
         # an e read is checked against the transformer of the written state
         state = MicroState(range(4), [10.0, 11.0, 12.0, 40.0], [10.0] * 4, [0.0] * 4, 0, W)
         cluster = ClusterParams(min_size=3)
-        e = CouplingArtifact("e", lambda obs: emergence_transform(obs, cluster))
-        good = e.transformer(state)
+        e = CouplingArtifact("e", lambda states: emergence_transform(states, cluster))
+        good = e.transformer([state])[0]
         radius = good.radius.copy()
         for _ in range(ulps):
             radius[0] = np.nextafter(radius[0], np.inf)
@@ -345,3 +370,37 @@ class TestAuditDetectsViolations:
         log.append("A_M", "read", "e", 0, "FlockObservationList", read, cycle=0)
         flagged = [s for s in audit_coherence(log, {"e": e}) if "transformer" in s]
         assert len(flagged) == ulps
+
+    def test_coherence_flags_a_corrupted_read_in_the_middle_of_a_chunk(self):
+        # chunks of per_chunk snapshots of 100 birds, every one full
+        per_chunk = CHUNK_ROWS // 100
+        assert per_chunk >= 3 and CHUNK_ROWS % 100 == 0
+        cfg = apply_config("M1", birds=100, horizon=10 * per_chunk, base_seed=13)
+        mm = build_multimodel(cfg, 0)
+        run(mm)
+        # an e read neither first nor last in its chunk, with flocks
+        k, rec = next(
+            (k, r)
+            for k, r in enumerate(mm.log.records)
+            if r.op == "read" and r.artifact == "e" and len(r.payload)
+            and 0 < r.timestamp % per_chunk < per_chunk - 1
+        )
+        radius = rec.payload.radius.copy()
+        radius[0] = np.nextafter(radius[0], np.inf)
+        mm.log.records[k] = replace(rec, payload=replace(rec.payload, radius=radius))
+
+        batches = []
+        transformer = mm.emergence.transformer
+
+        def recording(states):
+            batches.append([s.tick for s in states])
+            return transformer(states)
+
+        mm.emergence.transformer = recording
+        issues = audit_coherence(mm.log, {"e": mm.emergence, "i": mm.immergence})
+        assert issues == [
+            f"coherence: e@{rec.timestamp} delivered payload differs from "
+            f"transformer(written payload)"
+        ]
+        assert rec.timestamp in batches[rec.timestamp // per_chunk]
+        assert all(len(b) == per_chunk for b in batches)
