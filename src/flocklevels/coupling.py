@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingError
-from .geometry import MAX_RADIUS, ZERO_RESULTANT_EPS, torus_links, wrap_array
+from .geometry import (
+    LENGTH_BOUND,
+    ZERO_RESULTANT_EPS,
+    torus_links,
+    wrap_array,
+    wrapped_delta,
+)
 from .macro import NO_FLOCKS, Displacements, Flocks
 from .micro import Columns, Commands, MicroState, freeze_column
 
@@ -49,8 +55,8 @@ class ClusterParams:
     min_size: int = 3
 
     def __post_init__(self) -> None:
-        if not 0 < self.d_prox <= MAX_RADIUS:
-            raise ValueError(f"d_prox must be positive and at most {MAX_RADIUS!r}")
+        if not 0 < self.d_prox <= LENGTH_BOUND:
+            raise ValueError(f"d_prox must be positive and at most {LENGTH_BOUND!r}")
         if not (0.0 <= self.theta <= 180.0):
             raise ValueError("theta must be in [0, 180]")
         if self.min_size < 2:
@@ -179,8 +185,8 @@ def reify(clusters: Clusters, obs) -> Flocks:
         heading[k] = mh[np.argmax(cluster == k)]
 
     # the wrapped delta from the centroid to each member, grouped by cluster
-    dx = (mx - x[cluster] + w.width / 2.0) % w.width - w.width / 2.0
-    dy = (my - y[cluster] + w.height / 2.0) % w.height - w.height / 2.0
+    dx = wrapped_delta(x[cluster], mx, w.width)
+    dy = wrapped_delta(y[cluster], my, w.height)
     order = np.argsort(cluster, kind="stable")
     dist = list(map(math.hypot, dx[order].tolist(), dy[order].tolist()))
     ends = np.cumsum(size).tolist()

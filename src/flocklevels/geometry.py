@@ -8,13 +8,14 @@ pairs sorted, with their deltas and distances, for the steering rules;
 `torus_links` returns only the pairs, unsorted, for cluster detection,
 and skips the exact delta wherever the squared gap already decides. The
 candidate step and `torus_links` take an optional group column, so that
-several point sets of one world share one search: cells are keyed by
-(group, cell), no pair crosses groups, and each group gets the pairs, and
-the grid, it would get alone.
+several point sets of one world share one search: every group shares one
+grid, cells are keyed by (group, cell), and no pair crosses groups, so
+each group gets the pairs it would get alone. The grid has at most one
+cell per point of the mean group, whatever the world's shape.
 
-Extents, speeds and search radii are bounded so that the deltas, moves
-and search reaches formed from them stay finite (`MAX_EXTENT`,
-`MAX_SPEED`, `MAX_RADIUS`).
+Extents lie in [1 / LENGTH_BOUND, LENGTH_BOUND], and speeds and search
+radii are at most LENGTH_BOUND, so that every delta, move, search reach
+and square formed from them stays finite and nonzero where it must.
 
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
@@ -30,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_EXTENT",
-    "MAX_SPEED",
-    "MAX_RADIUS",
+    "LENGTH_BOUND",
     "TorusWorld",
     "wrap_array",
+    "wrapped_delta",
     "torus_neighbours",
     "torus_links",
     "mate_sums",
@@ -44,15 +44,14 @@ __all__ = [
 # Resultant vectors shorter than this are treated as zero (undefined mean).
 ZERO_RESULTANT_EPS = 1e-9
 
-# The largest parameters whose arithmetic stays finite. A wrapped delta
-# forms up to 1.5 x an extent; a move forms up to an extent plus a speed;
-# the flock search forms its reach (vision + 2 x radius)(1 + 1e-9) and
-# then widens it once more, and a flock's radius is at most half the
-# diagonal of the world. Each is the largest float for which its formula
-# stays finite at the largest values of the others.
-MAX_EXTENT = 1.1984620899082103e308
-MAX_SPEED = 5.992310449541056e307
-MAX_RADIUS = 1.0281178972753611e307
+# The bound on every length: extents lie in [1 / LENGTH_BOUND,
+# LENGTH_BOUND], and speed, vision and d_prox are at most LENGTH_BOUND.
+# The largest value formed is the squared reach of the flock search,
+# (vision + 2 x radius)^2, widened twice by 1 + 1e-9: about 5.9 L^2 for
+# L = LENGTH_BOUND, since a flock's radius is at most half the diagonal
+# of the world, which is finite. The lower bound keeps the search reach
+# and the world's area nonzero.
+LENGTH_BOUND = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,10 @@ class TorusWorld:
     def __post_init__(self) -> None:
         for name in ("width", "height"):
             extent = getattr(self, name)
-            if not 0 < extent <= MAX_EXTENT:
+            if not 1.0 / LENGTH_BOUND <= extent <= LENGTH_BOUND:
                 raise ValueError(
-                    f"{name} must be positive and at most {MAX_EXTENT!r}, got {extent!r}"
+                    f"{name} must be positive and at most {LENGTH_BOUND!r}, and at"
+                    f" least {1.0 / LENGTH_BOUND!r}, got {extent!r}"
                 )
 
 
@@ -75,6 +75,12 @@ def wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
     0. A non-finite value gives NaN."""
     r = a % extent
     return np.where(r >= extent, 0.0, r)
+
+
+def wrapped_delta(a, b, extent: float):
+    """The minimal signed delta from a to b on an axis of the given extent,
+    (b - a + extent / 2) % extent - extent / 2, per element."""
+    return (b - a + extent / 2.0) % extent - extent / 2.0
 
 
 # offsets to the adjacent cells along an axis; on an axis of c cells the
@@ -99,13 +105,14 @@ def _candidates(
     has g2 <= reach * reach.
 
     group, when given, is the ascending group number (0, 1, ...) of every
-    point, for several point sets in one world. Cells are keyed by
-    (group, cell), so no pair crosses groups, and each group gets the
-    grid it would get alone. None is one group of every point.
+    point, for several point sets in one world. Every group shares one
+    grid and cells are keyed by (group, cell), so no pair crosses groups.
+    None is one group of every point.
 
     The cells are at least reach wide, so a point is only compared with
-    the points of its own and the 8 adjacent cells. Memory is O(n +
-    candidate pairs).
+    the points of its own and the 8 adjacent cells. The grid has at most
+    m = max(1, ceil(n / groups)) cells, one per point of the mean group,
+    so memory is O(n + candidate pairs).
     """
     n = x.shape[0]
     width, height = world.width, world.height
@@ -113,52 +120,39 @@ def _candidates(
     # index, and the unsigned gap may differ from the exact delta by a
     # few ulps of the extent.
     reach = r * (1.0 + 1e-9) + 1e-12 * max(width, height)
-    # the grid of each group, from its point count alone; the second bound
-    # caps it at about that many cells, also for r = 0
-    nx, ny = [], []
-    for size in [n] if group is None else np.bincount(group).tolist():
-        cell = max(reach, math.sqrt(width * height / max(size, 1)))
-        nx.append(max(1, int(width // cell)))
-        ny.append(max(1, int(height // cell)))
-    cells = [a * b for a, b in zip(nx, ny)]
-    # each adjacent cell once, also on axes with fewer than 3 cells: the
-    # widest grid needs the first kx, ky offsets, and a narrower one masks
-    # those it has fewer cells for
-    kx, ky = min(max(nx, default=1), 3), min(max(ny, default=1), 3)
-    masked = min(nx, default=kx) < kx or min(ny, default=ky) < ky
-    q = np.arange(n) if rows is None else rows
-    # the grid of every point and of every query point, which for one
-    # group is a scalar (numpy divides by one fastest), and its first cell
-    if group is None:
-        pnx, pny, pbase = qnx, qny, qbase = nx[0], ny[0], 0
-    else:
-        nx, ny, cells = (np.array(v, dtype=np.int64) for v in (nx, ny, cells))
-        base = np.cumsum(cells) - cells
-        pnx, pny, pbase = nx[group], ny[group], base[group]
-        qg = group[q]
-        qnx, qny, qbase = nx[qg][:, None], ny[qg][:, None], base[qg][:, None]
+    groups = 1 if group is None else int(group.max(initial=0)) + 1
+    m = max(1, math.ceil(n / groups))
+    # cells at least reach wide and about area / m large; each axis is
+    # capped so that the grid has at most m cells, also for r = 0 and in
+    # a thin world
+    cell = max(reach, math.sqrt(width * height / m))
+    nx = min(max(1, int(width // cell)), m)
+    ny = min(max(1, int(height // cell)), m // nx)
     xw, yw = x % width, y % height
     # % nx: a coordinate just below the extent may round up to index nx
-    cx = (xw * (pnx / width)).astype(np.int64) % pnx
-    cy = (yw * (pny / height)).astype(np.int64) % pny
+    cx = (xw * (nx / width)).astype(np.int64) % nx
+    cy = (yw * (ny / height)).astype(np.int64) % ny
+
+    # each adjacent cell once, also on axes with fewer than 3 cells
+    kx, ky = min(nx, 3), min(ny, 3)
+    qx, qy, q = (cx, cy, np.arange(n)) if rows is None else (cx[rows], cy[rows], rows)
+    ax = (qx[:, None] + _ADJACENT[:kx]) % nx
+    ay = (qy[:, None] + _ADJACENT[:ky]) % ny
+    near = (ax * ny)[:, :, None] + ay[:, None, :]
+    cid = cx * ny + cy
+    if group is not None:
+        # cells keyed by (group, cell): no pair crosses groups
+        cid += group * (nx * ny)
+        near += (group[q] * (nx * ny))[:, None, None]
 
     # points grouped by cell
-    cid = cx * pny + cy + pbase
     order = np.argsort(cid)
-    counts = np.bincount(cid, minlength=int(sum(cells)))
+    counts = np.bincount(cid, minlength=groups * nx * ny)
     starts = np.cumsum(counts) - counts
 
-    qx, qy = (cx, cy) if rows is None else (cx[rows], cy[rows])
-    ax = (qx[:, None] + _ADJACENT[:kx]) % qnx
-    ay = (qy[:, None] + _ADJACENT[:ky]) % qny
-    near = (ax * qny + qbase)[:, :, None] + ay[:, None, :]
-    if masked:
-        distinct = (np.arange(kx) < qnx)[:, :, None] & (np.arange(ky) < qny)[:, None, :]
-        q, near = np.broadcast_to(q[:, None, None], near.shape)[distinct], near[distinct]
-    else:
-        q, near = q.repeat(kx * ky), near.reshape(-1)
+    near = near.reshape(-1)
     per_cell = counts[near]
-    i = np.repeat(q, per_cell)
+    i = np.repeat(q.repeat(kx * ky), per_cell)
     j = np.repeat(starts[near] - (np.cumsum(per_cell) - per_cell), per_cell)
     j += np.arange(i.size)
     j = order[j]
@@ -183,9 +177,8 @@ def _unsigned_gap(c, i, j, extent):
 
 def _exact(x, y, i, j, world: TorusWorld):
     """The wrapped delta (dx, dy) from point i to point j, and its length."""
-    width, height = world.width, world.height
-    dx = (x[j] - x[i] + width / 2.0) % width - width / 2.0
-    dy = (y[j] - y[i] + height / 2.0) % height - height / 2.0
+    dx = wrapped_delta(x[i], x[j], world.width)
+    dy = wrapped_delta(y[i], y[j], world.height)
     return dx, dy, np.hypot(dx, dy)
 
 
@@ -239,13 +232,13 @@ def torus_links(
     bound, r less the slack that torus_neighbours adds for rounding, is
     within r by the exact test too, and is kept without computing its
     delta; a pair beyond reach is dropped. Only the pairs in between get
-    the exact delta and np.hypot. Where a square overflows or may have
-    lost bits to underflow, every candidate gets the exact test.
+    the exact delta and np.hypot. Where a square may have lost bits to
+    underflow, every candidate gets the exact test.
     """
     i, j, g2, reach = _candidates(x, y, r, world, None, group)
     inner = r * (1.0 - 1e-9) - 1e-12 * max(world.width, world.height)
     inner2, reach2 = inner * inner, reach * reach
-    if inner > 0.0 and inner2 >= _SQUARE_FLOOR and reach2 < math.inf:
+    if inner > 0.0 and inner2 >= _SQUARE_FLOOR:
         keep = g2 <= inner2
         test = np.flatnonzero(~keep & (g2 <= reach2))
     else:
@@ -314,9 +307,9 @@ def steer(h, x, y, world: TorusWorld, p, count, nearest, nearest_d, sx, sy, cx, 
     sep = nearest_d < p.min_separation
     rows = np.flatnonzero(sep)
     if rows.size:
-        mate, width, height = nearest[rows], world.width, world.height
-        dx = (x[rows] - x[mate] + width / 2.0) % width - width / 2.0
-        dy = (y[rows] - y[mate] + height / 2.0) % height - height / 2.0
+        mate = nearest[rows]
+        dx = wrapped_delta(x[mate], x[rows], world.width)
+        dy = wrapped_delta(y[mate], y[rows], world.height)
         out[rows] = _turn(h[rows], _bearing(dx, dy), p.max_separate_turn)
     free = (count > 0) & ~sep
     rows = np.flatnonzero(free & (np.hypot(sx, sy) >= ZERO_RESULTANT_EPS * count))

@@ -10,13 +10,6 @@ scheduler, in the only dependency order the data admits:
     micro state @T  ->  macro cycle  ->  commands @T+1..T+r  ->
     micro ticks T+1..T+r  ->  micro state @T+r
 
-`MultiModel` is the one place where a run is wired. From the two
-interface artifacts, the emergence transformer, the immergence
-transformer (or None for upward-only coupling), one ratio and the
-horizon, it builds one event log, the `e` and `i` coupling artifacts and
-both model agents. The macro agent steps its model exactly when the `i`
-artifact is wired.
-
 A coupling artifact's transformer maps a sequence of raw payloads to the
 list of their delivered payloads, in order. A read applies it to a
 one-element list; the audit re-applies it to many written payloads at

@@ -35,7 +35,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CouplingError
-from .geometry import TorusWorld, mate_sums, steer, torus_neighbours, wrap_array
+from .geometry import (
+    TorusWorld,
+    mate_sums,
+    steer,
+    torus_neighbours,
+    wrap_array,
+    wrapped_delta,
+)
 from .micro import Columns, SteeringParams, freeze_column
 
 __all__ = [
@@ -219,8 +226,8 @@ def displacements(before: MacroState, after: MacroState) -> Displacements:
     if not np.array_equal(before.ids, after.ids):
         raise CouplingError("flock id sets differ between before and after states")
     a, b, w = before.flocks, after.flocks, before.world
-    vx = (b.x - a.x + w.width / 2.0) % w.width - w.width / 2.0
-    vy = (b.y - a.y + w.height / 2.0) % w.height - w.height / 2.0
+    vx = wrapped_delta(a.x, b.x, w.width)
+    vy = wrapped_delta(a.y, b.y, w.height)
     table = b.derive(Displacements, vx=vx, vy=vy)
     table.check("vx", "vy")
     return table

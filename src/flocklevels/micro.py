@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import CouplingError
 from .geometry import (
-    MAX_RADIUS,
-    MAX_SPEED,
+    LENGTH_BOUND,
     TorusWorld,
     mate_sums,
     steer,
@@ -141,11 +140,11 @@ class SteeringParams:
         ):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        # the limits keep every move and search finite (geometry)
-        for name, limit in (("speed", MAX_SPEED), ("vision", MAX_RADIUS)):
+        # the bound keeps every move and search finite (geometry)
+        for name in ("speed", "vision"):
             value = getattr(self, name)
-            if value > limit:
-                raise ValueError(f"{name} must be at most {limit!r}, got {value!r}")
+            if value > LENGTH_BOUND:
+                raise ValueError(f"{name} must be at most {LENGTH_BOUND!r}, got {value!r}")
         if self.vision < self.min_separation:
             raise ValueError("vision must be >= min_separation")
 

@@ -4,12 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocklevels import interfaces
 from flocklevels.cli import main
 from flocklevels.coupling import emergence_transform
 from flocklevels.errors import ConfigError
-from flocklevels.geometry import MAX_EXTENT, MAX_RADIUS, MAX_SPEED
+from flocklevels.geometry import LENGTH_BOUND
 from flocklevels.experiment import (
     VARIANTS,
     aggregate,
@@ -108,6 +110,7 @@ class TestApplyConfig:
             ("cluster.min_size", "x"),
             ("micro.speed", True),
             ("micro.vision", "12"),
+            ("world.height", 1e-300),
         ],
     )
     def test_invalid_value_names_its_key(self, key, value):
@@ -117,13 +120,13 @@ class TestApplyConfig:
     @pytest.mark.parametrize(
         "key,limit",
         [
-            ("world.width", MAX_EXTENT),
-            ("world.height", MAX_EXTENT),
-            ("micro.speed", MAX_SPEED),
-            ("macro.speed", MAX_SPEED),
-            ("micro.vision", MAX_RADIUS),
-            ("macro.vision", MAX_RADIUS),
-            ("cluster.d_prox", MAX_RADIUS),
+            ("world.width", LENGTH_BOUND),
+            ("world.height", LENGTH_BOUND),
+            ("micro.speed", LENGTH_BOUND),
+            ("macro.speed", LENGTH_BOUND),
+            ("micro.vision", LENGTH_BOUND),
+            ("macro.vision", LENGTH_BOUND),
+            ("cluster.d_prox", LENGTH_BOUND),
         ],
     )
     def test_limit_accepted_and_one_ulp_above_named(self, key, limit):
@@ -134,6 +137,41 @@ class TestApplyConfig:
 
     def test_integral_float_min_size_accepted(self):
         assert apply_config("M", {"cluster.min_size": 4.0}).cluster.min_size == 4
+
+
+# the bound on every length, its inverse and one ulp either side of each
+EXTENTS = [
+    v for b in (LENGTH_BOUND, 1.0 / LENGTH_BOUND)
+    for v in (float(np.nextafter(b, 0.0)), b, float(np.nextafter(b, math.inf)))
+]
+LENGTHS = [0.0, math.ulp(0.0), LENGTH_BOUND]
+
+
+class TestExtremeConfigs:
+    @given(
+        st.sampled_from(EXTENTS),
+        st.sampled_from(EXTENTS),
+        st.fixed_dictionaries({
+            key: st.sampled_from(LENGTHS)
+            for key in ("micro.speed", "micro.vision", "macro.speed", "macro.vision",
+                        "cluster.d_prox")
+        }),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refused_or_runs_without_overflow(self, width, height, lengths):
+        values = {"world.width": width, "world.height": height, **lengths}
+        # the default min_separation of 1, unless vision is smaller
+        for level in ("micro", "macro"):
+            values[f"{level}.min_separation"] = min(values[f"{level}.vision"], 1.0)
+        for variant in ("m", "M", "M3"):
+            try:
+                cfg = apply_config(variant, values, birds=12, horizon=8)
+            except ConfigError:
+                continue
+            # underflow is left out: where a square may have lost bits to
+            # it, the exact test decides the pair (geometry.torus_links)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                run_replicated(cfg)
 
 
 class TestLoadConfigFile:

@@ -1,21 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocklevels.coupling import Clusters, reify
+from flocklevels.coupling import ClusterParams, Clusters, reify
 from flocklevels.geometry import (
-    MAX_EXTENT,
-    MAX_RADIUS,
-    MAX_SPEED,
+    LENGTH_BOUND,
     TorusWorld,
     mate_sums,
     steer,
     torus_links,
     torus_neighbours,
     wrap_array,
+    wrapped_delta,
 )
 from flocklevels.micro import MicroState, SteeringParams
 from helpers import (
@@ -55,44 +55,55 @@ def up(v):
 
 
 class TestLimits:
-    """Each limit is the largest value for which its formula stays finite
-    at the largest values of the others, one ulp either side."""
+    """LENGTH_BOUND bounds every length: extents lie in [1 / L, L], and
+    speed, vision and d_prox are at most L."""
 
-    def test_wrapped_delta_forms_one_and_a_half_extents(self):
-        assert math.isfinite(MAX_EXTENT + MAX_EXTENT / 2.0)
-        assert math.isinf(up(MAX_EXTENT) + up(MAX_EXTENT) / 2.0)
-
-    def test_move_forms_a_coordinate_plus_the_speed(self):
+    def test_every_formula_is_finite_at_the_bound(self):
+        big = LENGTH_BOUND
         # the largest coordinate lies just below the largest extent
-        x = float(np.nextafter(MAX_EXTENT, 0.0))
-        assert math.isfinite(x + MAX_SPEED)
-        assert math.isinf(x + up(MAX_SPEED))
-
-    def test_flock_reach_forms_vision_and_two_radii(self):
+        x = float(np.nextafter(big, 0.0))
         # a flock's radius is at most half the diagonal of the world; the
-        # macro step widens the reach once and the search once more
-        radius = math.hypot(MAX_EXTENT / 2.0, MAX_EXTENT / 2.0)
-
-        def reach(vision):
-            r = (vision + 2.0 * radius) * (1.0 + 1e-9)
-            return r * (1.0 + 1e-9) + 1e-12 * MAX_EXTENT
-
-        assert math.isfinite(reach(MAX_RADIUS))
-        assert math.isinf(reach(up(MAX_RADIUS)))
+        # macro step widens the flock reach once and the search once more
+        radius = math.hypot(big / 2.0, big / 2.0)
+        reach = (big + 2.0 * radius) * (1.0 + 1e-9)
+        reach = reach * (1.0 + 1e-9) + 1e-12 * big
+        gap = big / 2.0
+        formed = {
+            "wrapped delta": x + big / 2.0,
+            "move": x + big,
+            "squared gaps": gap * gap + gap * gap,
+            "squared reach": reach * reach,
+            "area": big * big,
+        }
+        assert all(math.isfinite(v) for v in formed.values()), formed
+        # the largest is the squared flock reach, about 5.9 L^2
+        assert max(formed, key=formed.get) == "squared reach"
+        assert 5.8 < reach * reach / (big * big) < 5.9
+        # at the smallest extent the search reach at r = 0 and the area
+        # are nonzero
+        small = 1.0 / LENGTH_BOUND
+        assert 1e-12 * small > 0.0 and small * small > 0.0
 
     def test_parameter_classes_reject_one_ulp_above(self):
-        TorusWorld(MAX_EXTENT, MAX_EXTENT)
-        SteeringParams(vision=MAX_RADIUS, speed=MAX_SPEED)
+        big, small = LENGTH_BOUND, 1.0 / LENGTH_BOUND
+        TorusWorld(big, big)
+        TorusWorld(small, small)
+        SteeringParams(vision=big, speed=big)
+        ClusterParams(d_prox=big)
+        down = float(np.nextafter(small, 0.0))
         for build, name in (
             (lambda v: TorusWorld(v, 1.0), "width"),
             (lambda v: TorusWorld(1.0, v), "height"),
         ):
-            with pytest.raises(ValueError, match=f"^{name} must be"):
-                build(up(MAX_EXTENT))
+            for v in (up(big), down):
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    build(v)
         with pytest.raises(ValueError, match="^speed must be at most"):
-            SteeringParams(speed=up(MAX_SPEED))
+            SteeringParams(speed=up(big))
         with pytest.raises(ValueError, match="^vision must be at most"):
-            SteeringParams(vision=up(MAX_RADIUS))
+            SteeringParams(vision=up(big))
+        with pytest.raises(ValueError, match="^d_prox must be positive and at most"):
+            ClusterParams(d_prox=up(big))
 
 
 class TestWrap:
@@ -142,6 +153,7 @@ class TestTorusDelta:
     @given(in_world, in_world)
     def test_matches_oracle_and_roundtrips(self, a, b):
         dx, dy = torus_delta(a, b, W)
+        assert wrapped_delta(np.array(a), np.array(b), 100.0).tolist() == [dx, dy]
         ox, oy = brute_delta(a, b, 100.0, 100.0)
         assert math.hypot(dx, dy) == pytest.approx(math.hypot(ox, oy), abs=1e-9)
         assert abs(dx) <= 50.0 and abs(dy) <= 50.0
@@ -565,8 +577,7 @@ class TestTorusLinks:
     @pytest.mark.parametrize(
         "extent,r,spread",
         [
-            (1e300, 1e299, 3e299),  # squares overflow
-            (1e-155, 1e-162, 3e-162),  # squares of r and the gaps are subnormal
+            (1e-150, 1e-160, 3e-160),  # squares of r and the gaps are subnormal
             (1e15, 1.0, 3.0),  # one ulp of a coordinate is 0.125
         ],
     )
@@ -580,9 +591,8 @@ class TestTorusLinks:
         x = np.array([wrap_scalar(v, extent) for v in cx.tolist()])
         y = np.array([wrap_scalar(v, extent) for v in cy.tolist()])
         x, y = np.concatenate((x, x[:8])), np.concatenate((y, y[:8]))
-        with np.errstate(over="ignore"):
-            want = neighbour_set(x, y, r, w)
-            got = link_set(x, y, r, w)
+        want = neighbour_set(x, y, r, w)
+        got = link_set(x, y, r, w)
         assert len(want) >= 16 and got == want
 
     def test_gaps_whose_squares_underflow_to_zero(self):
@@ -599,3 +609,46 @@ class TestTorusLinks:
         for n in (0, 1):
             i, j = torus_links(np.zeros(n), np.zeros(n), 5.0, W)
             assert i.size == j.size == 0
+
+
+def traced_peak(search, *args):
+    """The peak of the memory traced while search(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        search(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridCap:
+    """The grid has at most one cell per point of the mean group, so a
+    thin world, whose cells would otherwise be many along its long axis,
+    is searched in memory of the order of its points."""
+
+    @pytest.mark.parametrize("r", [1e-3, 0.0])
+    def test_thin_world_is_searched_in_bounded_memory(self, r):
+        # 100 points in a 1e5 x 1e-5 world, whose area gives cells 0.1
+        # wide: uncapped, 1e6 of them along x
+        w = TorusWorld(1e5, 1e-5)
+        rng = np.random.default_rng(3)
+        # clumps of 5 points 1e-3 wide, the first 10 points twice
+        x = np.repeat(rng.uniform(0.0, 1e5, 20), 5) + rng.uniform(0.0, 1e-3, 100)
+        x, y = wrap_array(x, w.width), rng.uniform(0.0, w.height, 100)
+        x[90:], y[90:] = x[:10], y[:10]
+        points = list(zip(x.tolist(), y.tolist()))
+        want = naive_pairs(points, r, w.width, w.height)
+        assert len(want) >= 20
+
+        assert traced_peak(torus_neighbours, x, y, r, w) < 2**20
+        i, j, dx, dy, _ = torus_neighbours(x, y, r, w)
+        assert list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist())) == want
+
+        # one group, and four groups of 25 points, the pairs within each
+        group = np.repeat(np.arange(4), 25)
+        for g in (None, group):
+            assert traced_peak(torus_links, x, y, r, w, g) < 2**20
+            i, j = torus_links(x, y, r, w, g)
+            links = list(zip(i.tolist(), j.tolist()))
+            same = [(a, b) for a, b, _, _ in want if g is None or g[a] == g[b]]
+            assert len(links) == len(set(links)) and set(links) == set(same)
