@@ -58,26 +58,28 @@ class TestLimits:
     """LENGTH_BOUND bounds every length: extents lie in [1 / L, L], and
     speed, vision and d_prox are at most L."""
 
-    def test_every_formula_is_finite_at_the_bound(self):
+    def test_wrapped_delta_forms_one_and_a_half_extents(self):
         big = LENGTH_BOUND
-        # the largest coordinate lies just below the largest extent
         x = float(np.nextafter(big, 0.0))
+        gap = big / 2.0
+        assert math.isfinite(x + big / 2.0)
+        assert math.isfinite(gap * gap + gap * gap)
+
+    def test_move_forms_a_coordinate_plus_the_speed(self):
+        # the largest coordinate lies just below the largest extent
+        x = float(np.nextafter(LENGTH_BOUND, 0.0))
+        assert math.isfinite(x + LENGTH_BOUND)
+
+    def test_flock_reach_forms_vision_and_two_radii(self):
+        big = LENGTH_BOUND
         # a flock's radius is at most half the diagonal of the world; the
         # macro step widens the flock reach once and the search once more
         radius = math.hypot(big / 2.0, big / 2.0)
         reach = (big + 2.0 * radius) * (1.0 + 1e-9)
         reach = reach * (1.0 + 1e-9) + 1e-12 * big
-        gap = big / 2.0
-        formed = {
-            "wrapped delta": x + big / 2.0,
-            "move": x + big,
-            "squared gaps": gap * gap + gap * gap,
-            "squared reach": reach * reach,
-            "area": big * big,
-        }
-        assert all(math.isfinite(v) for v in formed.values()), formed
-        # the largest is the squared flock reach, about 5.9 L^2
-        assert max(formed, key=formed.get) == "squared reach"
+        # the squared reach, about 5.9 L^2, is the largest value any
+        # formula forms, above the area L^2
+        assert math.isfinite(reach * reach) and math.isfinite(big * big)
         assert 5.8 < reach * reach / (big * big) < 5.9
         # at the smallest extent the search reach at r = 0 and the area
         # are nonzero
