@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +86,11 @@ class RunRecord:
 @dataclass(frozen=True)
 class ExperimentConfig:
     variant: VariantSpec
-    birds: int = 100
-    horizon: int = 500
-    reps: int = 1
-    base_seed: int = 0
-    sample_interval: int = 1
+    birds: int
+    horizon: int
+    reps: int
+    base_seed: int
+    sample_interval: int
     world: TorusWorld = TorusWorld(100.0, 100.0)
     micro: SteeringParams = SteeringParams()
     cluster: ClusterParams = ClusterParams()
@@ -116,7 +116,7 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     records: list[RunRecord]
-    event_log_lines: list[str] = field(default_factory=list)
+    event_log_lines: list[str]
 
 
 def build_multimodel(cfg: ExperimentConfig, rep: int) -> MultiModel:
@@ -272,35 +272,26 @@ def apply_config(
             f"config sets {fv['ratio']:g}"
         )
 
-    def group(prefix: str) -> dict:
-        plen = len(prefix) + 1
-        return {k[plen:]: fv[k] for k in fv if k.startswith(prefix + ".")}
-
-    with _keyed("world"):
-        world = TorusWorld(fv.get("world.width", 100.0), fv.get("world.height", 100.0))
-    with _keyed("micro"):
-        micro = SteeringParams(**group("micro"))
-    macro_over = group("macro")
-    if macro_over:
-        with _keyed("macro"):
-            macro = replace(v.macro_params, **macro_over)
-        v = replace(v, macro_params=macro)
-    cl = group("cluster")
-    min_size = _integer("cluster.min_size", cl.get("min_size", 3.0))
-    with _keyed("cluster"):
-        cluster = ClusterParams(
-            d_prox=cl.get("d_prox", 5.0), theta=cl.get("theta", 30.0), min_size=min_size
-        )
+    if "cluster.min_size" in fv:
+        fv["cluster.min_size"] = _integer("cluster.min_size", fv["cluster.min_size"])
+    params = {}
+    for name, default in (
+        ("world", ExperimentConfig.world),
+        ("micro", ExperimentConfig.micro),
+        ("macro", v.macro_params),
+        ("cluster", ExperimentConfig.cluster),
+    ):
+        over = {k[len(name) + 1 :]: x for k, x in fv.items() if k.startswith(name + ".")}
+        with _keyed(name):
+            params[name] = replace(default, **over)
     return ExperimentConfig(
-        variant=v,
+        variant=replace(v, macro_params=params.pop("macro")),
         birds=birds,
         horizon=horizon,
         reps=reps,
         base_seed=base_seed,
         sample_interval=sample_interval if sample_interval is not None else v.ratio,
-        world=world,
-        micro=micro,
-        cluster=cluster,
+        **params,
     )
 
 

@@ -48,7 +48,7 @@ class MacroModelInterface:
 
     def __init__(self, world: TorusWorld, params: SteeringParams) -> None:
         self.params = params
-        self.state = MacroState(NO_FLOCKS, (), next_id=0, macro_tick=0, world=world)
+        self.state = MacroState(NO_FLOCKS, (), next_id=0, world=world)
         self._before = self.state
         self.stats: list[tuple[int, float, float]] = []
 

@@ -1,11 +1,18 @@
 """The coordination kernel: model agents, coupling artifacts, event log.
 
-The kernel knows nothing of the phenomenon it couples. Two model agents
-(one per level) each own a model behind an interface artifact and
-exchange timestamped payloads through coupling artifacts. Both run one
-cycle through the three interface methods: read, update, step, observe,
-write. The run loop executes both agents in lockstep on a single
-scheduler, in the only dependency order the data admits:
+The kernel's control flow knows nothing of the phenomenon it couples:
+it reaches the models only through their interface artifacts and the
+transformers it is given. Its labels do name the two levels: the payload
+kinds the log records (`MicroObservation`, `FlockObservationList`,
+`DisplacementList`, `CommandSet`), the agent ids (`A_m`, `A_M`) and the
+artifact names (`e`, `i`) that `MultiModel` wires. They are the event
+log's format, and stay here so that exported logs stay byte-identical.
+
+Two model agents (one per level) each own a model behind an interface
+artifact and exchange timestamped payloads through coupling artifacts.
+Both run one cycle through the three interface methods: read, update,
+step, observe, write. The run loop executes both agents in lockstep on a
+single scheduler, in the only dependency order the data admits:
 
     micro state @T  ->  macro cycle  ->  commands @T+1..T+r  ->
     micro ticks T+1..T+r  ->  micro state @T+r
@@ -126,11 +133,6 @@ class EventLog:
             f"{r.payload_kind};{r.payload_size}"
             for r in self.records
         ]
-
-    def export(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.export_lines():
-                fh.write(line + "\n")
 
     def __len__(self) -> int:
         return len(self.records)

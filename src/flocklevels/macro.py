@@ -130,7 +130,6 @@ class MacroState:
     flocks: Flocks
     ids: np.ndarray
     next_id: int
-    macro_tick: int
     world: TorusWorld
 
     def __post_init__(self) -> None:
@@ -186,7 +185,7 @@ def sync_registry(s: MacroState, observed: Flocks) -> MacroState:
         ids = ids[order]
         columns = {c: getattr(observed, c)[order] for c in ("x", "y", "heading", "radius")}
         flocks = observed.derive(**columns, label=np.argsort(order)[observed.label])
-    return MacroState(flocks, ids, s.next_id + fresh.size, s.macro_tick, s.world)
+    return MacroState(flocks, ids, s.next_id + fresh.size, s.world)
 
 
 def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
@@ -214,7 +213,7 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     y = wrap_array(y + p.speed * np.sin(hr), w.height)
     flocks = fl.derive(x=x, y=y, heading=h)
     flocks.check("x", "y", "heading")
-    return replace(s, flocks=flocks, macro_tick=s.macro_tick + 1)
+    return replace(s, flocks=flocks)
 
 
 def displacements(before: MacroState, after: MacroState) -> Displacements:

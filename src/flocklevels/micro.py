@@ -20,7 +20,7 @@ skip the commanded rows, whose headings the commands overwrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,6 +226,8 @@ def _steer_free(
     """Boids headings (pre-move) of the free rows, all rows when None, with
     mates by distance among the whole population; other rows keep theirs."""
     if free is not None and free.size == 0:
+        # every bird commanded, as in about a third of the M1 and M2 steps
+        # at 100 birds: skip the fixed cost of searching no rows
         return h.copy()
     i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w, free)
     hr = np.radians(h)
@@ -250,8 +252,6 @@ def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> Micro
         is_free = np.ones(len(s), dtype=bool)
         is_free[rows] = False
         free = np.flatnonzero(is_free)
-    if len(s) == 0:
-        return replace(s, tick=s.tick + 1)
 
     x, y = s.x, s.y
     new_h = _steer_free(x, y, s.heading, free, p, s.world)

@@ -301,12 +301,10 @@ class TestRun:
 
 
 class TestEventLogExport:
-    def test_line_format(self, tmp_path):
+    def test_line_format(self):
         _, mm = small_multimodel("M", horizon=2)
         log = run(mm)
-        path = tmp_path / "events.log"
-        log.export(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = log.export_lines()
         assert lines[0] == "0;A_m;write;e;MicroObservation;5"
         for line in lines:
             fields = line.split(";")

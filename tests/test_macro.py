@@ -64,7 +64,6 @@ def state(flocks, next_id=None, world=W):
         table((f.members, f.centroid, f.heading, f.radius) for f in flocks),
         [f.flock_id for f in flocks],
         next_id=next_id,
-        macro_tick=0,
         world=world,
     )
 

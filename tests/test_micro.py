@@ -169,30 +169,32 @@ class TestMicroStep:
 
     def test_mixed_crowd_matches_per_bird_rules(self):
         # about half of a crowd commanded: every free bird still counts the
-        # commanded birds among its mates, at their pre-step state
+        # commanded birds among its mates, at their pre-step state; and the
+        # whole crowd commanded, where no row is searched or turned
         exact = SteeringParams(
             max_separate_turn=180.0, max_align_turn=180.0, max_cohere_turn=180.0
         )
         crowd = TorusWorld(30.0, 30.0)
-        rng = np.random.default_rng(29)
-        s = init_random(300, crowd, rng)
-        by_id = {
-            b: ((float(vx), float(vy)), float(h))
-            for b, vx, vy, h in zip(
-                range(300), rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300),
-                rng.uniform(-400, 400, 300),
-            )
-            if rng.random() < 0.5
-        }
-        assert 100 < len(by_id) < 200
-        for p in (P, exact):
-            stepped = micro_step(s, commands(by_id), p)
-            for b, got in zip(s.birds, stepped.birds):
-                if b.id in by_id:
-                    want = step_commanded(b, by_id[b.id], crowd)
-                else:
-                    want = step_autonomous(b, flockmates(b, s, p), p, crowd)
-                assert got == want, f"bird {b.id} differs"
+        for share in (0.5, 1.0):
+            rng = np.random.default_rng(29)
+            s = init_random(300, crowd, rng)
+            by_id = {
+                b: ((float(vx), float(vy)), float(h))
+                for b, vx, vy, h in zip(
+                    range(300), rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300),
+                    rng.uniform(-400, 400, 300),
+                )
+                if rng.random() < share
+            }
+            assert abs(len(by_id) - 300 * share) < 50
+            for p in (P, exact):
+                stepped = micro_step(s, commands(by_id), p)
+                for b, got in zip(s.birds, stepped.birds):
+                    if b.id in by_id:
+                        want = step_commanded(b, by_id[b.id], crowd)
+                    else:
+                        want = step_autonomous(b, flockmates(b, s, p), p, crowd)
+                    assert got == want, f"bird {b.id} differs"
 
     def test_free_bird_coheres_to_a_commanded_mate(self):
         # bird 1 is bird 0's only mate; its command does not hide it, and
@@ -270,13 +272,15 @@ class TestMicroStep:
         assert state_key(micro_step(s1, None, P)) == state_key(micro_step(s2, None, P))
 
     def test_empty_command_set_equals_absent(self):
-        # an empty command set and no information at all mean the same
-        a = init_random(25, W, np.random.default_rng(21))
-        b = init_random(25, W, np.random.default_rng(21))
-        for _ in range(10):
-            a = micro_step(a, None, P)
-            b = micro_step(b, commands({}), P)
-        assert state_key(a) == state_key(b)
+        # an empty command set and no information at all mean the same, also
+        # for an empty population
+        for n in (25, 0):
+            a = init_random(n, W, np.random.default_rng(21))
+            b = init_random(n, W, np.random.default_rng(21))
+            for _ in range(10):
+                a = micro_step(a, None, P)
+                b = micro_step(b, commands({}), P)
+            assert state_key(a) == state_key(b)
 
     def test_empty_population(self):
         s = make_state([])
