@@ -13,11 +13,10 @@ displacement per micro tick of a macro step of r ticks (`Commands`).
 
 Both directions are pure functions; they are installed as the
 transformers of the corresponding coupling artifacts. Emergence takes a
-batch of snapshots of one world: it stacks them into one table in rows
-ordered by (snapshot, id), searches it once with the snapshot as the
-group of the neighbour search, detects and reifies once, and splits the
-one flock table into one table per snapshot, each equal to the table its
-snapshot gets alone. One snapshot is its own stack.
+batch of snapshots of one world, stacks them with `Columns.stack`,
+detects and reifies once with the snapshot as the group of the
+neighbour search, and splits the flock table by snapshot with
+`Columns.split`, into the tables the snapshots get alone.
 """
 
 from __future__ import annotations
@@ -194,69 +193,30 @@ def reify(clusters: Clusters, obs) -> Flocks:
     return Flocks(x, y, heading, radius, obs.ids[rows], cluster)
 
 
-class _Stack:
-    """Snapshots of one world as one table for detect_clusters and reify:
-    the rows ordered by (snapshot, id), and ids the row numbers, so that
-    the members of reify's table are rows."""
-
-    __slots__ = ("ids", "x", "y", "heading", "world")
-
-    def __init__(self, states: list[MicroState]) -> None:
-        self.ids = np.arange(sum(map(len, states)))
-        for c in ("x", "y", "heading"):
-            setattr(self, c, np.concatenate([getattr(s, c) for s in states]))
-        self.world = states[0].world
-
-    def __len__(self) -> int:
-        return self.ids.size
-
-
 def emergence_transform(states: list[MicroState], p: ClusterParams) -> list[Flocks]:
     """The flock table of each snapshot of a batch, all of one world.
 
-    The snapshots are stacked as one table in rows ordered by (snapshot,
-    id), with the snapshot as the search group, so no link crosses
-    snapshots; one detect_clusters and one reify call cover the batch.
-    The one flock table is then split by snapshot: a snapshot's members
-    are its own ids at its rows, and its labels are the global cluster
-    numbers less its first. Every table equals, bit for bit, the one its
-    snapshot gets alone. One snapshot is its own stack, so its columns
-    are not copied and its table needs no split.
+    The snapshots are stacked (Columns.stack) with the snapshot as the
+    search group, so no link crosses snapshots, and with the rows as ids,
+    so the members of the one flock table are rows; one detect_clusters
+    and one reify call cover the batch, and the table is split by
+    snapshot. Every table equals, bit for bit, the one its snapshot gets
+    alone.
     """
     if not states:
         return []
     if any(s.world != states[0].world for s in states):
         raise ValueError("the snapshots of one emergence call must share one world")
-    sizes = [len(s) for s in states]
-    if len(states) == 1:
-        stack, group = states[0], None
-    else:
-        stack, group = _Stack(states), np.repeat(np.arange(len(states)), sizes)
+    stack, group = MicroState.stack(states)
+    rows = stack if group is None else stack.derive(ids=np.arange(len(stack)))
     # looked up as module globals, so a wrapper installed there sees each call
-    flocks = reify(detect_clusters(stack, p, group), stack)
+    flocks = reify(detect_clusters(rows, p, group), rows)
     if group is None:
         return [flocks]
-
-    # a snapshot's members and clusters are runs of the stacked table; the
-    # first cluster of a run is that of its first member
-    start = np.cumsum([0, *sizes])
-    cut = np.searchsorted(flocks.members, start).tolist()
-    label = flocks.label
-    first = [label[c] if c < label.size else len(flocks) for c in cut]
-    out = []
-    for k, s in enumerate(states):
-        rows, clusters = slice(cut[k], cut[k + 1]), slice(first[k], first[k + 1])
-        out.append(
-            flocks.derive(
-                x=flocks.x[clusters],
-                y=flocks.y[clusters],
-                heading=flocks.heading[clusters],
-                radius=flocks.radius[clusters],
-                members=s.ids[flocks.members[rows] - start[k]],
-                label=label[rows] - first[k],
-            )
-        )
-    return out
+    # every member of a flock lies in one snapshot, that of its flock
+    part = np.empty(len(flocks), dtype=np.int64)
+    part[flocks.label] = group[flocks.members]
+    return flocks.derive(members=stack.ids[flocks.members]).split(part, len(states))
 
 
 def split_displacements(d: Displacements, r: int) -> Commands:

@@ -73,16 +73,19 @@ class Flocks(Columns):
     members: np.ndarray
     label: np.ndarray
 
+    MEMBERS = ("members", "label")
+    LABEL = "label"
+
     def __post_init__(self) -> None:
-        self.check("x", "y", "heading", "radius", "members", "label")
+        self.check(*vars(self))
 
     def check(self, *names: str) -> None:
         """Check the named columns: dtype and length, and every invariant
         that involves them. A table derived from a checked one checks only
-        the columns it puts in."""
+        the columns it puts in. Every column of a row is float and finite."""
         rows = freeze_column(self, "x", np.float64).size
-        for name in ("x", "y", "heading", "radius"):
-            if name in names:
+        for name in names:
+            if name not in self.MEMBERS:
                 col = freeze_column(self, name, np.float64, rows)
                 if not np.isfinite(col).all():
                     raise ValueError(f"{name} must be finite, got {col.tolist()}")
@@ -99,9 +102,6 @@ class Flocks(Columns):
             if size.size != rows or not size.all():
                 raise ValueError(f"label must give each of {rows} rows members, got {size}")
 
-    def __len__(self) -> int:
-        return self.x.size
-
 
 @dataclass(frozen=True, eq=False)
 class Displacements(Flocks):
@@ -109,15 +109,6 @@ class Displacements(Flocks):
 
     vx: np.ndarray
     vy: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.check("x", "y", "heading", "radius", "members", "label", "vx", "vy")
-
-    def check(self, *names: str) -> None:
-        super().check(*names)
-        for name in ("vx", "vy"):
-            if name in names:
-                freeze_column(self, name, np.float64, len(self))
 
 
 NO_FLOCKS = Flocks((), (), (), (), (), ())

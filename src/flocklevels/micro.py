@@ -7,11 +7,15 @@ displacement plus an imposed heading), which bypass the boids rules for
 that tick. The commands of one tick are one `Commands` table, applied by
 indexing the commanded rows.
 
-The population is one set of read-only arrays, one per column, in
+The population is one `MicroState` table of read-only columns in
 ascending id. The update is synchronous (double-buffered): every bird's
-new state is computed from the pre-step state into new arrays, so
-storage order never affects the outcome and a published state never
-changes.
+new x, y and heading are computed from the pre-step state into new
+arrays, and the ids array is shared, so storage order never affects the
+outcome and a published state never changes.
+
+Every table that crosses the levels is a `Columns` table, with value
+equality, `derive`, and `stack` and `split`, which join tables of one
+type part after part and part them again.
 
 Steering runs only for the uncommanded birds, each against the whole
 pre-step population: the neighbour search, the mate sums and the turn
@@ -21,6 +25,7 @@ skip the commanded rows, whose headings the commands overwrite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,23 +65,35 @@ def freeze_column(table, name: str, dtype, size: int | None = None) -> np.ndarra
 
 class Columns:
     """Base of the read-only column tables that cross between the levels:
-    frozen dataclasses of 1-D columns of fixed dtypes, equal when of one
-    type and every column holds the same bits, so the audit can compare
-    payloads by value. Bytes compare ten times faster than np.array_equal
-    and differ from it only on -0.0 against 0.0 (and NaN), which a
-    deterministic transformer never produces differently."""
+    frozen dataclasses of 1-D columns of fixed dtypes and other fields (a
+    tick), equal when of one type with equal fields and columns of the
+    same bits, so the audit can compare payloads by value. Bytes compare
+    ten times faster than np.array_equal and differ from it only on -0.0
+    against 0.0 (and NaN), which a deterministic transformer never
+    produces differently. The first column, and each not in MEMBERS,
+    holds one value per row; LABEL names the member column that holds
+    each member's row."""
 
     __hash__ = None
+    MEMBERS = ()
+    LABEL = None
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         theirs = vars(other)
-        return all(v.tobytes() == theirs[k].tobytes() for k, v in vars(self).items())
+        return all(
+            v.tobytes() == theirs[k].tobytes() if isinstance(v, np.ndarray) else v == theirs[k]
+            for k, v in vars(self).items()
+        )
+
+    def __len__(self) -> int:
+        return next(iter(vars(self).values())).size
 
     def derive(self, cls=None, **columns):
         """A table of type cls (this one's by default) with this table's
-        columns, the given ones put in or added and made read-only.
+        columns and fields, the given ones put in or added, and the given
+        columns made read-only.
 
         Nothing is checked: the given columns must be arrays of the right
         dtype, derived from checked tables so that every invariant that
@@ -84,10 +101,50 @@ class Columns:
         checked by the caller."""
         table = object.__new__(cls or type(self))
         for col in columns.values():
-            col.flags.writeable = False
-        for name, col in {**vars(self), **columns}.items():
-            object.__setattr__(table, name, col)
+            if isinstance(col, np.ndarray):
+                col.setflags(write=False)
+        vars(table).update(vars(self), **columns)
         return table
+
+    @staticmethod
+    def stack(tables: list) -> tuple:
+        """The tables, all of one type, as one, part after part, and the
+        part of each row; one table is its own stack, with part None. A
+        label is offset by the rows of the parts before, and every other
+        field is the first table's. A stack keeps the invariants of each
+        part only (ids ascend within a part), so it is not checked."""
+        first = tables[0]
+        if len(tables) == 1:
+            return first, None
+        sizes = [len(t) for t in tables]
+        columns = {}
+        for name, col in vars(first).items():
+            if isinstance(col, np.ndarray):
+                cols = [getattr(t, name) for t in tables]
+                if name == first.LABEL:
+                    cols = [c + start for c, start in zip(cols, accumulate(sizes, initial=0))]
+                columns[name] = np.concatenate(cols)
+        return first.derive(**columns), np.repeat(np.arange(len(tables)), sizes)
+
+    def split(self, part: np.ndarray | None, parts: int) -> list:
+        """The inverse of stack: the tables of parts 0 to parts - 1, given
+        the part of each row, ascending, or None for one part. A member
+        lies in its row's part, and the members of each part are a run."""
+        if part is None:
+            return [self]
+        cuts = np.arange(parts + 1)
+        rows = members = np.searchsorted(part, cuts)
+        columns = {n: c for n, c in vars(self).items() if isinstance(c, np.ndarray)}
+        if self.LABEL is not None:
+            label = columns[self.LABEL]
+            members = np.searchsorted(part[label], cuts)
+            columns[self.LABEL] = label - rows[part[label]]
+        rows, members, out = rows.tolist(), members.tolist(), []
+        for k in range(parts):
+            row, member = slice(rows[k], rows[k + 1]), slice(members[k], members[k + 1])
+            cut = {n: c[member if n in self.MEMBERS else row] for n, c in columns.items()}
+            out.append(self.derive(**cut))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +163,6 @@ class Commands(Columns):
             freeze_column(self, name, np.float64, ids.size)
         if (ids[1:] <= ids[:-1]).any():
             raise CouplingError("commanded bird ids must be strictly ascending")
-
-    def __len__(self) -> int:
-        return self.ids.size
 
 
 @dataclass(frozen=True)
@@ -130,14 +184,7 @@ class SteeringParams:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "vision",
-            "min_separation",
-            "max_align_turn",
-            "max_cohere_turn",
-            "max_separate_turn",
-            "speed",
-        ):
+        for name in vars(self):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         # the bound keeps every move and search finite (geometry)
@@ -150,12 +197,13 @@ class SteeringParams:
 
 
 @dataclass(frozen=True, eq=False)
-class MicroState:
+class MicroState(Columns):
     """The population at one tick, one read-only array per column.
 
     ids are int64, x, y and heading float64, all in ascending id. The
     state is also the snapshot the micro agent publishes, and the event
-    log keeps it by reference, so its arrays are never written.
+    log keeps it by reference, so its arrays are never written; the
+    states of one run share one ids array.
     """
 
     ids: np.ndarray
@@ -176,33 +224,27 @@ class MicroState:
             col = np.asarray(getattr(self, name), dtype=np.float64)
             if col.shape != order.shape:
                 raise ValueError(f"{name} has {col.size} values for {ids.size} ids")
-            col = col[order]
-            if not np.isfinite(col).all():
-                k = np.flatnonzero(~np.isfinite(col))[0]
-                raise ValueError(
-                    f"{name} must be finite, got {col[k].item()!r} for bird {ids[k]}"
-                )
-            columns[name] = col
+            columns[name] = col[order]
         # indexing by order copied every column, so none is shared
         for name, col in columns.items():
             col.flags.writeable = False
             object.__setattr__(self, name, col)
+        self.check("x", "y", "heading")
 
-    def __len__(self) -> int:
-        return self.ids.size
+    def check(self, *names: str) -> None:
+        """Check that the named float columns are finite."""
+        for name in names:
+            col = getattr(self, name)
+            if not np.isfinite(col).all():
+                k = np.argmin(np.isfinite(col))
+                bad = f"{col[k].item()!r} for bird {self.ids[k]}"
+                raise ValueError(f"{name} must be finite, got {bad}")
 
     @property
     def birds(self) -> tuple[Bird, ...]:
         """The population as Bird records, built on each access."""
         pos = zip(self.x.tolist(), self.y.tolist())
         return tuple(map(Bird, self.ids.tolist(), pos, self.heading.tolist()))
-
-    def rows_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The row of each of the given ids, and those of them not present."""
-        rows = np.searchsorted(self.ids, ids)
-        known = rows < self.ids.size
-        known[known] = self.ids[rows[known]] == ids[known]
-        return rows, ids[~known]
 
 
 def init_random(n: int, world: TorusWorld, rng: np.random.Generator) -> MicroState:
@@ -244,11 +286,11 @@ def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> Micro
     """
     free = None
     if cmds:
-        rows, unknown = s.rows_of(cmds.ids)
-        if unknown.size:
-            raise CouplingError(
-                f"commands for unknown bird ids: {sorted(unknown.tolist())}"
-            )
+        rows = np.searchsorted(s.ids, cmds.ids)
+        known = rows < len(s)
+        known[known] = s.ids[rows[known]] == cmds.ids[known]
+        if not known.all():
+            raise CouplingError(f"commands for unknown bird ids: {cmds.ids[~known].tolist()}")
         is_free = np.ones(len(s), dtype=bool)
         is_free[rows] = False
         free = np.flatnonzero(is_free)
@@ -266,7 +308,10 @@ def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> Micro
 
     new_x = wrap_array(new_x, s.world.width)
     new_y = wrap_array(new_y, s.world.height)
-    return MicroState(s.ids, new_x, new_y, new_h, tick=s.tick + 1, world=s.world)
+    # the ids and their order are kept, so only the new columns are checked
+    state = s.derive(x=new_x, y=new_y, heading=new_h, tick=s.tick + 1)
+    state.check("x", "y", "heading")
+    return state
 
 
 def observe(s: MicroState) -> MicroState:

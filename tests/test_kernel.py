@@ -319,10 +319,12 @@ class TestEventLogExport:
 
 class TestAuditDetectsViolations:
     def test_causality_flags_future_read(self):
-        log = EventLog()
-        log.append("A", "write", "x", 5, "payload", [1], cycle=1)
-        log.append("A", "read", "y", 9, "payload", [1], cycle=1)
-        assert any("causality" in s for s in audit_causality(log))
+        # one tick after the cycle's own write is already in its future
+        for read_tick in (6, 9):
+            log = EventLog()
+            log.append("A", "write", "x", 5, "payload", [1], cycle=1)
+            log.append("A", "read", "y", read_tick, "payload", [1], cycle=1)
+            assert any("causality" in s for s in audit_causality(log)), read_tick
 
     def test_delivery_flags_premature_read(self):
         log = EventLog()

@@ -167,6 +167,13 @@ class TestSyncRegistry:
         s0 = state([flock(0, {1, 2, 3})])
         assert registry_flocks(sync(s0, [])) == ()
 
+    def test_equal_jaccard_goes_to_the_lowest_member(self):
+        # each observation shares one of its three birds with flock 0; the
+        # tie goes to the one with the lowest member, not to the first row
+        s1 = sync(state([flock(0, {1, 2})]), [obs({2, 4}), obs({1, 3})])
+        got = {f.flock_id: f.members for f in registry_flocks(s1)}
+        assert got == {0: frozenset({1, 3}), 1: frozenset({2, 4})}
+
     def test_zero_overlap_never_matches(self):
         s0 = state([flock(0, {1, 2, 3})])
         s1 = sync(s0, [obs({7, 8, 9})])

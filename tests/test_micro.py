@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld
+from flocklevels.macro import NO_FLOCKS, Displacements, Flocks
 from flocklevels.micro import (
     Bird,
+    Columns,
     Commands,
     MicroState,
     SteeringParams,
@@ -287,14 +289,31 @@ class TestMicroStep:
         assert micro_step(s, None, P).tick == 1
 
     def test_input_arrays_never_written(self):
-        # the event log keeps every published state by reference
+        # the event log keeps every published state by reference; the ids
+        # are shared, read-only, and every other column is a new array
         s = init_random(30, W, np.random.default_rng(17))
         before = state_key(s)
         cmds = commands({bid: ((0.5, -0.25), 10.0) for bid in range(0, 30, 3)})
         stepped = micro_step(s, cmds, P)
         assert state_key(s) == before
-        for name in COLUMNS:
+        assert stepped.ids is s.ids and not stepped.ids.flags.writeable
+        for name in COLUMNS[1:]:
             assert not np.shares_memory(getattr(s, name), getattr(stepped, name))
+            assert not getattr(stepped, name).flags.writeable
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            (((math.inf, 0.0), 0.0), "x"),
+            (((0.0, -math.inf), 0.0), "y"),
+            (((0.0, 0.0), math.nan), "heading"),
+        ],
+    )
+    def test_non_finite_command_result_rejected(self, command, field):
+        s = make_state([Bird(k, (10.0 * k, 5.0), 0.0) for k in range(6)])
+        message = f"^{field} must be finite, got nan for bird 4$"
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            micro_step(s, commands({4: command}), P)
 
 
 class TestMicroState:
@@ -320,6 +339,51 @@ class TestMicroState:
         cols[field] = [0.0, value]
         with pytest.raises(ValueError, match=f"^{field} must be finite, got .* for bird 4"):
             MicroState(**cols, tick=0, world=W)
+
+
+def float_columns(draw, k, n):
+    return [draw(st.lists(st.floats(0.0, 99.0), min_size=n, max_size=n)) for _ in range(k)]
+
+
+@st.composite
+def micro_states(draw):
+    ids = draw(st.lists(st.integers(0, 50), unique=True, max_size=5))
+    return MicroState(ids, *float_columns(draw, 3, len(ids)), 7, W)
+
+
+@st.composite
+def command_tables(draw):
+    ids = sorted(draw(st.lists(st.integers(0, 50), unique=True, max_size=5)))
+    return Commands(ids, *float_columns(draw, 3, len(ids)))
+
+
+@st.composite
+def flock_tables(draw, cls):
+    """A Flocks or Displacements table; each row has one to three members,
+    and the labels follow no order."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    f, m = len(sizes), sum(sizes)
+    members = sorted(draw(st.lists(st.integers(0, 50), unique=True, min_size=m, max_size=m)))
+    label = draw(st.permutations([k for k, size in enumerate(sizes) for _ in range(size)]))
+    extra = float_columns(draw, 2, f) if cls is Displacements else []
+    return cls(*float_columns(draw, 4, f), members, label, *extra)
+
+
+table_kinds = [micro_states(), command_tables(), flock_tables(Flocks), flock_tables(Displacements)]
+
+
+@given(st.sampled_from(table_kinds).flatmap(lambda kind: st.lists(kind, min_size=1, max_size=4)))
+@example([NO_FLOCKS, Flocks([1.0], [2.0], [3.0], [0.5], [4, 7], [0, 0]), NO_FLOCKS])
+@settings(max_examples=300, deadline=None)
+def test_split_inverts_stack(tables):
+    stack, part = Columns.stack(tables)
+    assert type(stack) is type(tables[0])
+    assert len(stack) == sum(map(len, tables))
+    if len(tables) == 1:
+        assert stack is tables[0] and part is None
+    else:
+        assert part.tolist() == [k for k, t in enumerate(tables) for _ in range(len(t))]
+    assert stack.split(part, len(tables)) == tables
 
 
 class TestObserve:
