@@ -10,12 +10,11 @@ every exchange for auditing.
 from .coupling import ClusterParams, Clusters, detect_clusters, emergence_transform, reify
 from .errors import ConfigError, CouplingError, DeadlockError, ProtocolError
 from .geometry import TorusWorld
-from .kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
+from .kernel import CouplingArtifact, EventLog, MultiModel, run
 from .macro import Flocks, MacroState, displacements, macro_step, sync_registry
 from .micro import Bird, MicroState, SteeringParams, init_random, micro_step, observe
 
 __all__ = [
-    "ABSENT",
     "Bird",
     "ClusterParams",
     "Clusters",

@@ -11,10 +11,11 @@ the trusted side of the coordination contract:
   intra-period dependency, not a violation);
 - conservative delivery: nothing is read before its producer's clock
   reached the requested tick;
-- coherence: writes are strictly monotone per artifact, repeated reads
-  agree, every delivered payload equals the transformer applied to the
-  payload written at that tick, and no event a consumer got past was
-  silently dropped. The transformer is re-applied to the written payloads
+- coherence: no tick is written twice and writes come in ascending
+  order per artifact (each fault is one issue), repeated reads agree,
+  every read is of a written tick, every delivered payload equals the
+  transformer applied to the payload written at that tick, and no event
+  a consumer got past was silently dropped. The transformer is re-applied to the written payloads
   in chronological chunks of about CHUNK_ROWS rows, one call per chunk,
   and each delivered payload is compared with its own result;
 - cardinality: the reducing artifact never emits more flocks than the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .kernel import ABSENT, CouplingArtifact, EventLog, LogRecord
+from .kernel import CouplingArtifact, EventLog, LogRecord
 
 __all__ = [
     "audit_causality",
@@ -104,7 +105,7 @@ def audit_coherence(
             reads[(rec.artifact, rec.timestamp)].append(rec)
 
     for name, order in write_order.items():
-        if order != sorted(order) or len(order) != len(set(order)):
+        if order != sorted(order):
             issues.append(f"coherence: non-monotone write order on {name}: {order}")
 
     # the first delivered payload of every read of a written tick, to be
@@ -114,13 +115,10 @@ def audit_coherence(
         payloads = [r.payload for r in recs]
         if any(p != payloads[0] for p in payloads[1:]):
             issues.append(f"coherence: divergent repeated reads of {name}@{t}")
-        if t in writes[name]:
-            if payloads[0] is ABSENT:
-                issues.append(f"coherence: {name}@{t} written but delivered absent")
-            elif artifacts and name in artifacts:
-                delivered[name][t] = payloads[0]
-        elif payloads[0] is not ABSENT:
+        if t not in writes[name]:
             issues.append(f"coherence: {name}@{t} delivered without a write")
+        elif artifacts and name in artifacts:
+            delivered[name][t] = payloads[0]
 
     for name, got in delivered.items():
         transformer = artifacts[name].transformer
@@ -171,7 +169,7 @@ def audit_cardinality(log: EventLog, min_size: int) -> list[str]:
         if rec.op == "write":
             writes[(rec.artifact, rec.timestamp)] = rec.payload
     for rec in log.records:
-        if rec.op != "read" or rec.payload is ABSENT:
+        if rec.op != "read":
             continue
         src = writes.get((rec.artifact, rec.timestamp))
         if src is None:

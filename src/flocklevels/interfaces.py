@@ -52,10 +52,9 @@ class MacroModelInterface:
         self._before = self.state
         self.stats: list[tuple[int, float, float]] = []
 
-    def update_model(self, data: Flocks | None) -> None:
-        observed = NO_FLOCKS if data is None else data
-        self.stats.append(flock_stats(observed))
-        self.state = sync_registry(self.state, observed)
+    def update_model(self, data: Flocks) -> None:
+        self.stats.append(flock_stats(data))
+        self.state = sync_registry(self.state, data)
 
     def step_model(self) -> None:
         self._before = self.state

@@ -18,15 +18,17 @@ single scheduler, in the only dependency order the data admits:
     micro ticks T+1..T+r  ->  micro state @T+r
 
 A coupling artifact's transformer maps a sequence of raw payloads to the
-list of their delivered payloads, in order. A read applies it to a
-one-element list; the audit re-applies it to many written payloads at
-once.
+list of their delivered payloads, in order. A read at tick t delivers the
+transformer applied to the one-element list of the payload written at t;
+the audit re-applies it to many written payloads at once.
 
 Every read and write is appended to the event log, which can be exported
 and audited for causality, coherence and cardinality after the fact.
 Artifacts assume this single-threaded lockstep contract: nothing but the
 scheduler advances a producer clock, so a read beyond it can never be
-satisfied by waiting and fails at once with a DeadlockError.
+satisfied by waiting and fails at once with a DeadlockError. A read of
+a tick the producer passed without writing fails with a ProtocolError:
+the lockstep schedule writes every tick its consumer reads.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Any, Callable, Protocol
 from .errors import DeadlockError, ProtocolError
 
 __all__ = [
-    "ABSENT",
     "SimTime",
     "LogRecord",
     "EventLog",
@@ -55,32 +56,6 @@ MICRO_OBSERVATION = "MicroObservation"
 FLOCK_OBSERVATIONS = "FlockObservationList"
 DISPLACEMENTS = "DisplacementList"
 COMMANDS = "CommandSet"
-
-
-class _Absent:
-    """Sentinel for 'the producer passed this tick without writing'."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ABSENT"
-
-
-ABSENT = _Absent()
-
-
-def _payload_size(payload: Any) -> int:
-    if payload is ABSENT:
-        return 0
-    try:
-        return len(payload)
-    except TypeError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -120,7 +95,7 @@ class EventLog:
                 artifact=artifact,
                 timestamp=timestamp,
                 payload_kind=payload_kind,
-                payload_size=_payload_size(payload),
+                payload_size=len(payload),
                 payload=payload,
                 cycle=cycle,
             )
@@ -142,11 +117,12 @@ class CouplingArtifact:
     """Timestamped mailbox between a producer agent and a consumer agent.
 
     Writes buffer raw payloads under strictly increasing timestamps and
-    advance the producer clock. A read at a tick the producer clock has
-    reached delivers the transformed payload (or ABSENT when the producer
-    passed the tick without writing). A read beyond the producer clock
-    raises DeadlockError at once: in the lockstep run only the scheduler
-    advances the clock, so waiting could not help.
+    advance the producer clock. A read at tick t delivers
+    transformer([payload written at t])[0]; that is the only delivery.
+    A read beyond the producer clock raises DeadlockError at once: in the
+    lockstep run only the scheduler advances the clock, so waiting could
+    not help. A read or peek of a tick the producer passed without
+    writing raises ProtocolError. A failed read logs nothing.
 
     The transformer maps a sequence of raw payloads to the list of their
     delivered payloads, in order; a read or peek applies it to a
@@ -187,9 +163,15 @@ class CouplingArtifact:
         self.producer_clock = t
         self.log.append(agent, "write", self.name, t, self.write_kind, payload, cycle)
 
-    def _lookup(self, t: SimTime) -> Any:
-        payload = self.buffer.get(t, ABSENT)
-        return ABSENT if payload is ABSENT else self.transformer([payload])[0]
+    def _deliver(self, t: SimTime, what: str) -> Any:
+        try:
+            payload = self.buffer[t]
+        except KeyError:
+            raise ProtocolError(
+                f"{self.name}: {what} at t={t}, which the producer passed "
+                f"without writing (producer clock {self.producer_clock})"
+            ) from None
+        return self.transformer([payload])[0]
 
     def read(
         self, t: SimTime, agent: str = "external", cycle: int | None = None
@@ -200,22 +182,21 @@ class CouplingArtifact:
                 f"clock {self.producer_clock}",
                 log=self.log,
             )
-        payload = self._lookup(t)
-        kind = "absent" if payload is ABSENT else self.read_kind
-        self.log.append(agent, "read", self.name, t, kind, payload, cycle)
+        payload = self._deliver(t, f"{agent} read")
+        self.log.append(agent, "read", self.name, t, self.read_kind, payload, cycle)
         return payload
 
     def peek(self, t: SimTime) -> Any:
         """Transformed payload at t without logging."""
         if self.producer_clock < t:
             raise ProtocolError(f"{self.name}: peek at t={t} beyond producer clock")
-        return self._lookup(t)
+        return self._deliver(t, "peek")
 
 
 class InterfaceArtifact(Protocol):
     """The whole contract between a model agent and its wrapped model.
 
-    update_model gets the agent's input, or None when absent or unwired;
+    update_model gets the agent's input, or None when unwired;
     observe_model gives the agent's output.
     """
 
@@ -250,8 +231,7 @@ class MAgent:
     def _update(self, t: SimTime) -> None:
         data = None
         if self.input is not None:
-            payload = self.input.read(t, self.agent_id, self.cycle_index)
-            data = None if payload is ABSENT else payload
+            data = self.input.read(t, self.agent_id, self.cycle_index)
         self.interface.update_model(data)
 
     def cycle(self) -> None:  # pragma: no cover - overridden

@@ -63,6 +63,17 @@ def freeze_column(table, name: str, dtype, size: int | None = None) -> np.ndarra
     return col
 
 
+def check_finite(table, *names: str) -> None:
+    """Check that the named float columns of a table of birds, one row per
+    bird id, are finite; the error names the column and the first bad bird."""
+    for name in names:
+        col = getattr(table, name)
+        if not np.isfinite(col).all():
+            k = np.argmin(np.isfinite(col))
+            bad = f"{col[k].item()!r} for bird {table.ids[k]}"
+            raise ValueError(f"{name} must be finite, got {bad}")
+
+
 class Columns:
     """Base of the read-only column tables that cross between the levels:
     frozen dataclasses of 1-D columns of fixed dtypes and other fields (a
@@ -150,7 +161,7 @@ class Columns:
 @dataclass(frozen=True, eq=False)
 class Commands(Columns):
     """Movement commands of one tick: per commanded bird, in strictly
-    ascending id, a displacement (vx, vy) and an imposed heading."""
+    ascending id, a finite displacement (vx, vy) and imposed heading."""
 
     ids: np.ndarray
     vx: np.ndarray
@@ -163,6 +174,7 @@ class Commands(Columns):
             freeze_column(self, name, np.float64, ids.size)
         if (ids[1:] <= ids[:-1]).any():
             raise CouplingError("commanded bird ids must be strictly ascending")
+        check_finite(self, "vx", "vy", "heading")
 
 
 @dataclass(frozen=True)
@@ -229,16 +241,7 @@ class MicroState(Columns):
         for name, col in columns.items():
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        self.check("x", "y", "heading")
-
-    def check(self, *names: str) -> None:
-        """Check that the named float columns are finite."""
-        for name in names:
-            col = getattr(self, name)
-            if not np.isfinite(col).all():
-                k = np.argmin(np.isfinite(col))
-                bad = f"{col[k].item()!r} for bird {self.ids[k]}"
-                raise ValueError(f"{name} must be finite, got {bad}")
+        check_finite(self, "x", "y", "heading")
 
     @property
     def birds(self) -> tuple[Bird, ...]:
@@ -310,7 +313,7 @@ def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> Micro
     new_y = wrap_array(new_y, s.world.height)
     # the ids and their order are kept, so only the new columns are checked
     state = s.derive(x=new_x, y=new_y, heading=new_h, tick=s.tick + 1)
-    state.check("x", "y", "heading")
+    check_finite(state, "x", "y", "heading")
     return state
 
 

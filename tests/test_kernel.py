@@ -14,7 +14,7 @@ from flocklevels.coupling import ClusterParams, emergence_transform
 from flocklevels.errors import DeadlockError, ProtocolError
 from flocklevels.experiment import apply_config, build_multimodel
 from flocklevels.geometry import TorusWorld
-from flocklevels.kernel import ABSENT, CouplingArtifact, EventLog, MultiModel, run
+from flocklevels.kernel import CouplingArtifact, EventLog, MultiModel, run
 from flocklevels.macro import Displacements
 from flocklevels.micro import Commands, MicroState
 from helpers import state_key
@@ -76,9 +76,17 @@ class TestCouplingArtifact:
         assert a.read(0) == [3]
 
     def test_absent_when_producer_passed(self):
+        # a tick the producer passed without writing is never delivered
         a = CouplingArtifact("i")
         a.write(4, ["x"])
-        assert a.read(1) is ABSENT
+        passed = "at t=1, which the producer passed without writing (producer clock 4)"
+        with pytest.raises(ProtocolError) as info:
+            a.read(1, "A_m", cycle=1)
+        assert str(info.value) == f"i: A_m read {passed}"
+        with pytest.raises(ProtocolError) as info:
+            a.peek(1)
+        assert str(info.value) == f"i: peek {passed}"
+        assert trace(a.log) == [(4, "external", "write", "i")]
 
     def test_repeated_reads_idempotent(self):
         a = CouplingArtifact("e")
@@ -337,6 +345,23 @@ class TestAuditDetectsViolations:
         log.append("B", "read", "x", 0, "payload", [1], cycle=1)
         log.append("B", "read", "x", 0, "payload", [2], cycle=2)
         assert any("divergent" in s for s in audit_coherence(log))
+
+    @pytest.mark.parametrize(
+        "ops, issue",
+        [
+            ([("write", 0), ("write", 0), ("read", 0)], "duplicate write x@0"),
+            (
+                [("write", 1), ("write", 0), ("read", 0), ("read", 1)],
+                "non-monotone write order on x: [1, 0]",
+            ),
+            ([("write", 0), ("read", 0), ("read", 1)], "x@1 delivered without a write"),
+        ],
+    )
+    def test_coherence_flags_one_fault_once(self, ops, issue):
+        log = EventLog()
+        for op, t in ops:
+            log.append("A" if op == "write" else "B", op, "x", t, "payload", [t], cycle=None)
+        assert audit_coherence(log) == [f"coherence: {issue}"]
 
     def test_coherence_flags_lost_event(self):
         log = EventLog()

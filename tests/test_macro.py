@@ -129,6 +129,20 @@ class TestFlock:
         assert a != d and d != a
 
 
+class TestMacroState:
+    @pytest.mark.parametrize(
+        "ids, next_id, message",
+        [
+            ([2, 1], 3, "flock ids must be unique and ascending"),
+            ([1, 1], 3, "flock ids must be unique and ascending"),
+            ([0, 1], 1, "next_id must exceed every issued id"),
+        ],
+    )
+    def test_rejects_bad_ids(self, ids, next_id, message):
+        with pytest.raises(ValueError, match=message):
+            MacroState(table([obs({1}), obs({2})]), ids, next_id=next_id, world=W)
+
+
 class TestMacroParams:
     @pytest.mark.parametrize(
         "fields",

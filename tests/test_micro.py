@@ -304,16 +304,20 @@ class TestMicroStep:
     @pytest.mark.parametrize(
         "command, field",
         [
-            (((math.inf, 0.0), 0.0), "x"),
-            (((0.0, -math.inf), 0.0), "y"),
-            (((0.0, 0.0), math.nan), "heading"),
+            ({"vx": math.inf}, "x"),
+            ({"vy": -math.inf}, "y"),
+            ({"heading": math.nan}, "heading"),
         ],
     )
     def test_non_finite_command_result_rejected(self, command, field):
         s = make_state([Bird(k, (10.0 * k, 5.0), 0.0) for k in range(6)])
+        # derive puts the bad column in unchecked, so micro_step's own check
+        # must catch the result
+        bad = {k: np.array([v]) for k, v in command.items()}
+        cmds = commands({4: ((0.0, 0.0), 0.0)}).derive(**bad)
         message = f"^{field} must be finite, got nan for bird 4$"
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
-            micro_step(s, commands({4: command}), P)
+            micro_step(s, cmds, P)
 
 
 class TestMicroState:
@@ -339,6 +343,21 @@ class TestMicroState:
         cols[field] = [0.0, value]
         with pytest.raises(ValueError, match=f"^{field} must be finite, got .* for bird 4"):
             MicroState(**cols, tick=0, world=W)
+
+
+class TestCommands:
+    @pytest.mark.parametrize("field", ["vx", "vy", "heading"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        cols = dict(ids=[3, 4], vx=[0.0, 1.0], vy=[0.0, 1.0], heading=[0.0, 1.0])
+        cols[field] = [0.0, value]
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r} for bird 4$"):
+            Commands(**cols)
+
+    @pytest.mark.parametrize("ids", [[4, 3], [3, 3]])
+    def test_rejects_ids_not_strictly_ascending(self, ids):
+        with pytest.raises(CouplingError, match="strictly ascending"):
+            Commands(ids, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
 
 
 def float_columns(draw, k, n):
