@@ -35,7 +35,7 @@ from .geometry import (
     wrapped_delta,
 )
 from .macro import NO_FLOCKS, Displacements, Flocks
-from .micro import Columns, Commands, MicroState, freeze_column
+from .micro import Columns, Commands, MicroState
 
 __all__ = [
     "ClusterParams",
@@ -87,19 +87,22 @@ def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Clusters(Columns):
-    """The clusters of one snapshot as two read-only columns: rows, the
-    strictly ascending snapshot rows that lie in a cluster, and cluster,
-    the index of each row's cluster, numbered in order of lowest member.
-    Its length is the number of clusters."""
+    """The clusters of one snapshot as two read-only int64 columns (INTS):
+    rows, the strictly ascending (KEY) snapshot rows, >= 0, that lie in a
+    cluster, and cluster, the index of each row's cluster, numbered in
+    order of lowest member. Its length is the number of clusters."""
 
     rows: np.ndarray
     cluster: np.ndarray
 
+    INTS = ("rows", "cluster")
+    KEY = "rows"
+
     def __post_init__(self) -> None:
-        rows = freeze_column(self, "rows", np.int64)
-        cluster = freeze_column(self, "cluster", np.int64, rows.size)
-        if rows.size and (rows[0] < 0 or (rows[1:] <= rows[:-1]).any()):
-            raise CouplingError(f"rows in two clusters or out of order: {rows.tolist()}")
+        super().__post_init__()
+        rows, cluster = self.rows, self.cluster
+        if rows.size and rows[0] < 0:
+            raise CouplingError(f"rows must be >= 0, got {rows.tolist()}")
         # each index first appears after all smaller ones, so none is skipped
         if cluster.size and (
             cluster[0] != 0 or (cluster[1:] > np.maximum.accumulate(cluster)[:-1] + 1).any()

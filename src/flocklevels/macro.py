@@ -62,8 +62,9 @@ class Flocks(Columns):
     """The flocks of one snapshot, one read-only column per field.
 
     x, y, heading and radius hold one value per flock (a row). members
-    holds the id of every member bird, strictly ascending, and label the
-    row of its flock. Every row has at least one member.
+    holds the id of every member bird, strictly ascending (KEY), and label
+    the row of its flock (both INTS). check adds to `Columns.check` that
+    radius is >= 0 and every row has at least one member.
     """
 
     x: np.ndarray
@@ -73,32 +74,17 @@ class Flocks(Columns):
     members: np.ndarray
     label: np.ndarray
 
-    MEMBERS = ("members", "label")
+    INTS = MEMBERS = ("members", "label")
+    KEY = "members"
     LABEL = "label"
 
-    def __post_init__(self) -> None:
-        self.check(*vars(self))
-
     def check(self, *names: str) -> None:
-        """Check the named columns: dtype and length, and every invariant
-        that involves them. A table derived from a checked one checks only
-        the columns it puts in. Every column of a row is float and finite."""
-        rows = freeze_column(self, "x", np.float64).size
-        for name in names:
-            if name not in self.MEMBERS:
-                col = freeze_column(self, name, np.float64, rows)
-                if not np.isfinite(col).all():
-                    raise ValueError(f"{name} must be finite, got {col.tolist()}")
+        super().check(*names)
         if "radius" in names and (self.radius < 0).any():
             raise ValueError(f"radius must be >= 0, got {self.radius.tolist()}")
-        if "members" in names:
-            members = freeze_column(self, "members", np.int64)
-            if (members[1:] <= members[:-1]).any():
-                bad = members[1:][members[1:] <= members[:-1]].tolist()
-                raise CouplingError(f"bird ids in two flocks or out of order: {bad}")
         if "label" in names:
-            label = freeze_column(self, "label", np.int64, self.members.size)
-            size = np.bincount(label, minlength=rows)  # raises on a negative label
+            rows = self.x.size
+            size = np.bincount(self.label, minlength=rows)  # raises on a negative label
             if size.size != rows or not size.all():
                 raise ValueError(f"label must give each of {rows} rows members, got {size}")
 

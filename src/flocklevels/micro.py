@@ -24,7 +24,7 @@ skip the commanded rows, whose headings the commands overwrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -63,17 +63,6 @@ def freeze_column(table, name: str, dtype, size: int | None = None) -> np.ndarra
     return col
 
 
-def check_finite(table, *names: str) -> None:
-    """Check that the named float columns of a table of birds, one row per
-    bird id, are finite; the error names the column and the first bad bird."""
-    for name in names:
-        col = getattr(table, name)
-        if not np.isfinite(col).all():
-            k = np.argmin(np.isfinite(col))
-            bad = f"{col[k].item()!r} for bird {table.ids[k]}"
-            raise ValueError(f"{name} must be finite, got {bad}")
-
-
 class Columns:
     """Base of the read-only column tables that cross between the levels:
     frozen dataclasses of 1-D columns of fixed dtypes and other fields (a
@@ -81,13 +70,42 @@ class Columns:
     same bits, so the audit can compare payloads by value. Bytes compare
     ten times faster than np.array_equal and differ from it only on -0.0
     against 0.0 (and NaN), which a deterministic transformer never
-    produces differently. The first column, and each not in MEMBERS,
-    holds one value per row; LABEL names the member column that holds
-    each member's row."""
+    produces differently.
+
+    `check` is the one check of a column, run on every field annotated
+    np.ndarray when a table is built. INTS names the int64 columns, the
+    others are float64 and finite; a column in MEMBERS holds one value
+    per value of MEMBERS[0], any other one value per row, as the first
+    column does. KEY names the strictly ascending column, LABEL the
+    member column that holds each member's row."""
 
     __hash__ = None
+    INTS = ()
     MEMBERS = ()
+    KEY = None
     LABEL = None
+
+    def __post_init__(self) -> None:
+        self.check(*(f.name for f in fields(self) if f.type in ("np.ndarray", np.ndarray)))
+
+    def check(self, *names: str) -> None:
+        """Make the named columns, in field order, read-only arrays of their
+        dtype and length, and check them; a table derived from a checked
+        one checks only the columns it puts in. A bad value is named by its
+        bird id where the first column is ids, else by its row."""
+        first = next(iter(vars(self)))
+        for name in names:
+            lead = self.MEMBERS[0] if name in self.MEMBERS else first
+            size = None if name == lead else getattr(self, lead).size
+            col = freeze_column(self, name, np.int64 if name in self.INTS else np.float64, size)
+            finite = np.isfinite(col)
+            if not finite.all():
+                k = np.argmin(finite)
+                at = f"bird {self.ids[k]}" if first == "ids" else f"row {k}"
+                raise ValueError(f"{name} must be finite, got {col[k].item()!r} for {at}")
+            if name == self.KEY and (col[1:] <= col[:-1]).any():
+                bad = col[1:][col[1:] <= col[:-1]].tolist()
+                raise CouplingError(f"{name} must be strictly ascending; these are not: {bad}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -161,20 +179,15 @@ class Columns:
 @dataclass(frozen=True, eq=False)
 class Commands(Columns):
     """Movement commands of one tick: per commanded bird, in strictly
-    ascending id, a finite displacement (vx, vy) and imposed heading."""
+    ascending id (KEY, INTS), a finite displacement (vx, vy) and heading."""
 
     ids: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
     heading: np.ndarray
 
-    def __post_init__(self) -> None:
-        ids = freeze_column(self, "ids", np.int64)
-        for name in ("vx", "vy", "heading"):
-            freeze_column(self, name, np.float64, ids.size)
-        if (ids[1:] <= ids[:-1]).any():
-            raise CouplingError("commanded bird ids must be strictly ascending")
-        check_finite(self, "vx", "vy", "heading")
+    INTS = ("ids",)
+    KEY = "ids"
 
 
 @dataclass(frozen=True)
@@ -212,10 +225,10 @@ class SteeringParams:
 class MicroState(Columns):
     """The population at one tick, one read-only array per column.
 
-    ids are int64, x, y and heading float64, all in ascending id. The
-    state is also the snapshot the micro agent publishes, and the event
-    log keeps it by reference, so its arrays are never written; the
-    states of one run share one ids array.
+    ids are int64 (INTS), x, y and heading float64; the state sorts all
+    four by id and rejects a repeated id. It is also the snapshot the
+    micro agent publishes, and the event log keeps it by reference, so its
+    arrays are never written; the states of one run share one ids array.
     """
 
     ids: np.ndarray
@@ -225,23 +238,18 @@ class MicroState(Columns):
     tick: int
     world: TorusWorld
 
+    INTS = ("ids",)
+
     def __post_init__(self) -> None:
-        ids = np.asarray(self.ids, dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
+        super().__post_init__()
+        order = np.argsort(self.ids, kind="stable")
+        ids = self.ids[order]
         if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate bird ids")
-        columns = {"ids": ids}
-        for name in ("x", "y", "heading"):
-            col = np.asarray(getattr(self, name), dtype=np.float64)
-            if col.shape != order.shape:
-                raise ValueError(f"{name} has {col.size} values for {ids.size} ids")
-            columns[name] = col[order]
-        # indexing by order copied every column, so none is shared
-        for name, col in columns.items():
+        columns = {n: c[order] for n, c in vars(self).items() if isinstance(c, np.ndarray)}
+        for col in columns.values():
             col.flags.writeable = False
-            object.__setattr__(self, name, col)
-        check_finite(self, "x", "y", "heading")
+        vars(self).update(columns)
 
     @property
     def birds(self) -> tuple[Bird, ...]:
@@ -313,7 +321,7 @@ def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> Micro
     new_y = wrap_array(new_y, s.world.height)
     # the ids and their order are kept, so only the new columns are checked
     state = s.derive(x=new_x, y=new_y, heading=new_h, tick=s.tick + 1)
-    check_finite(state, "x", "y", "heading")
+    state.check("x", "y", "heading")
     return state
 
 

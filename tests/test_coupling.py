@@ -284,6 +284,10 @@ class TestClusters:
         with pytest.raises(CouplingError):
             Clusters(rows, [0, 0])
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match=r"^cluster has shape \(1,\), want \(2,\)$"):
+            Clusters([1, 4], [0])
+
     @pytest.mark.parametrize("cluster", [[1, 0], [0, 2], [0, 0, 2]])
     def test_numbered_by_lowest_member(self, cluster):
         with pytest.raises(ValueError, match="lowest member"):
@@ -463,6 +467,11 @@ class TestImmergenceTransform:
 
     def test_empty_displacements(self):
         assert r_way_split(displacement_table([]), 3) == [{}, {}, {}]
+
+    def test_rejects_ratio_below_one(self):
+        d = displacement_table([({1, 2, 3}, (2.0, -2.0), 315.0)])
+        with pytest.raises(ValueError, match="^r must be >= 1$"):
+            split_displacements(d, 0)
 
     def test_cardinality_expansion(self):
         d = displacement_table(

@@ -78,6 +78,10 @@ class TestApplyConfig:
         with pytest.raises(ConfigError):
             apply_config("M", horizon=10, sample_interval=3)
 
+    def test_reps_must_be_positive(self):
+        with pytest.raises(ConfigError, match="^reps must be >= 1$"):
+            apply_config("M", reps=0)
+
     def test_overrides_flow_through(self):
         fv = {
             "world.width": 200.0,
@@ -111,6 +115,9 @@ class TestApplyConfig:
             ("micro.speed", True),
             ("micro.vision", "12"),
             ("world.height", 1e-300),
+            ("cluster.theta", 181.0),
+            ("cluster.theta", -1.0),
+            ("cluster.min_size", 1),
         ],
     )
     def test_invalid_value_names_its_key(self, key, value):

@@ -15,7 +15,7 @@ from flocklevels.errors import DeadlockError, ProtocolError
 from flocklevels.experiment import apply_config, build_multimodel
 from flocklevels.geometry import TorusWorld
 from flocklevels.kernel import CouplingArtifact, EventLog, MultiModel, run
-from flocklevels.macro import Displacements
+from flocklevels.macro import Displacements, Flocks
 from flocklevels.micro import Commands, MicroState
 from helpers import state_key
 
@@ -50,6 +50,10 @@ class TestCouplingArtifact:
         a.write(4, ["x"])
         with pytest.raises(ProtocolError):
             a.write(2, ["y"])
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ProtocolError, match="^e: negative timestamp -1$"):
+            CouplingArtifact("e").write(-1, ["x"])
 
     def test_direct_delivery_applies_transformer(self):
         a = CouplingArtifact("i", transformer=lambda ps: [[x * 2 for x in p] for p in ps])
@@ -281,6 +285,20 @@ class TestRun:
             ):
                 run(mm)
 
+    def test_dropped_write_reaches_the_caller_as_deadlock(self):
+        # the macro agent skips its i write of tick 2, so the micro read of
+        # tick 2 is beyond the producer clock; run re-raises it unwrapped
+        _, mm = small_multimodel("M", horizon=4)
+        write = mm.immergence.write
+
+        def dropping(t, *args, **kwargs):
+            if t != 2:
+                write(t, *args, **kwargs)
+
+        mm.immergence.write = dropping
+        with pytest.raises(DeadlockError, match="^i: A_m read at t=2 beyond the producer clock 1$"):
+            run(mm)
+
     def test_multimodel_wiring_errors(self):
         def parts(variant="M3"):
             _, mm = small_multimodel(variant, horizon=4)
@@ -334,6 +352,13 @@ class TestAuditDetectsViolations:
             log.append("A", "read", "y", read_tick, "payload", [1], cycle=1)
             assert any("causality" in s for s in audit_causality(log)), read_tick
 
+    def test_causality_flags_self_loop(self):
+        # a cycle that reads the tick of one artifact that it writes
+        log = EventLog()
+        log.append("A", "write", "x", 5, "payload", [1], cycle=1)
+        log.append("A", "read", "x", 5, "payload", [1], cycle=1)
+        assert audit_causality(log) == ["causality: A cycle 1 read and wrote x@5 (self-loop)"]
+
     def test_delivery_flags_premature_read(self):
         log = EventLog()
         log.append("A", "read", "x", 3, "payload", [1], cycle=1)
@@ -378,6 +403,15 @@ class TestAuditDetectsViolations:
         cmds = Commands([1], [1.0], [0.0], [0.0])
         log.append("A_m", "read", "i", 1, "CommandSet", cmds, cycle=1)
         assert any("cardinality" in s for s in audit_cardinality(log, 3))
+
+    def test_cardinality_flags_too_many_flocks(self):
+        # five birds hold at most one flock of three, not two
+        log = EventLog()
+        state = MicroState(range(5), [0.0] * 5, [0.0] * 5, [0.0] * 5, 0, W)
+        log.append("A_m", "write", "e", 0, "MicroObservation", state, cycle=None)
+        flocks = Flocks([0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0, 1, 2, 3], [0, 0, 1, 1])
+        log.append("A_M", "read", "e", 0, "FlockObservationList", flocks, cycle=1)
+        assert audit_cardinality(log, 3) == ["cardinality: e@0 has 2 flocks for 5 birds"]
 
     @pytest.mark.parametrize("ulps", [0, 1])
     def test_coherence_flags_a_flock_table_one_ulp_off(self, ulps):

@@ -72,6 +72,15 @@ def flock(fid, members, centroid=(50.0, 50.0), heading=0.0, radius=1.0):
     return RefFlock(fid, centroid, heading, radius, frozenset(members))
 
 
+def planted(column, value):
+    """A registry of two flocks whose column of flock 1 holds value, put
+    in unchecked with derive."""
+    s = state([flock(0, {1, 2}, centroid=(30.0, 30.0)), flock(1, {3, 4}, centroid=(34.0, 30.0))])
+    bad = getattr(s.flocks, column).copy()
+    bad[1] = value
+    return replace(s, flocks=s.flocks.derive(**{column: bad}))
+
+
 def sync(s, observations):
     return sync_registry(s, table(observations))
 
@@ -109,6 +118,18 @@ class TestFlock:
         with pytest.raises(ValueError, match=r"label .* rows members, got \[1 0\]"):
             Flocks([0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [3], [0])
 
+    @pytest.mark.parametrize(
+        "cls, columns, column",
+        [
+            (Flocks, ([0.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0], [3, 4], [0, 1]), "y"),
+            (Flocks, ([0.0], [0.0], [0.0], [0.0], [3, 4], [0]), "label"),
+            (Displacements, ([0.0], [0.0], [0.0], [0.0], [3], [0], [1.0, 2.0], [0.0]), "vx"),
+        ],
+    )
+    def test_rejects_unequal_lengths(self, cls, columns, column):
+        with pytest.raises(ValueError, match=f"^{column} has shape"):
+            cls(*columns)
+
     def test_label_outside_the_rows_rejected(self):
         with pytest.raises(ValueError, match="label"):
             Flocks([0.0], [0.0], [0.0], [0.0], [3, 4], [0, 1])
@@ -136,6 +157,7 @@ class TestMacroState:
             ([2, 1], 3, "flock ids must be unique and ascending"),
             ([1, 1], 3, "flock ids must be unique and ascending"),
             ([0, 1], 1, "next_id must exceed every issued id"),
+            ([0], 1, r"^ids has shape \(1,\), want \(2,\)$"),
         ],
     )
     def test_rejects_bad_ids(self, ids, next_id, message):
@@ -317,6 +339,19 @@ class TestMacroStep:
     def test_zero_flocks_is_legal(self):
         assert registry_flocks(macro_step(state([]), P)) == ()
 
+    @pytest.mark.parametrize(
+        "column, value, result",
+        [("x", math.inf, "x"), ("y", -math.inf, "y"), ("heading", math.nan, "x")],
+    )
+    def test_non_finite_result_rejected(self, column, value, result):
+        # derive puts the bad column in unchecked, so macro_step's own check
+        # must catch the result
+        s = planted(column, value)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=f"^{result} must be finite, got nan for row 1$"
+        ):
+            macro_step(s, P)
+
 
 class TestDisplacements:
     def test_stationary(self):
@@ -333,6 +368,16 @@ class TestDisplacements:
 
     def test_zero_flocks(self):
         assert len(displacements(state([]), state([]))) == 0
+
+    @pytest.mark.parametrize(
+        "column, value, result", [("x", math.inf, "vx"), ("y", -math.inf, "vy")]
+    )
+    def test_non_finite_result_rejected(self, column, value, result):
+        after = planted(column, 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=f"^{result} must be finite, got nan for row 1$"
+        ):
+            displacements(planted(column, value), after)
 
     def test_id_mismatch(self):
         with pytest.raises(CouplingError):

@@ -333,7 +333,7 @@ class TestMicroState:
     def test_rejects_unequal_lengths(self, field):
         cols = dict(ids=[0, 1], x=[0.0, 1.0], y=[0.0, 1.0], heading=[0.0, 1.0])
         cols[field] = [0.0, 1.0, 2.0]
-        with pytest.raises(ValueError, match=f"^{field} has 3 values for 2 ids"):
+        with pytest.raises(ValueError, match=rf"^{field} has shape \(3,\), want \(2,\)$"):
             MicroState(**cols, tick=0, world=W)
 
     @pytest.mark.parametrize("field", COLUMNS[1:])
@@ -352,6 +352,13 @@ class TestCommands:
         cols = dict(ids=[3, 4], vx=[0.0, 1.0], vy=[0.0, 1.0], heading=[0.0, 1.0])
         cols[field] = [0.0, value]
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r} for bird 4$"):
+            Commands(**cols)
+
+    @pytest.mark.parametrize("field", ["vx", "vy", "heading"])
+    def test_rejects_unequal_lengths(self, field):
+        cols = dict(ids=[3, 4], vx=[0.0, 1.0], vy=[0.0, 1.0], heading=[0.0, 1.0])
+        cols[field] = [0.0]
+        with pytest.raises(ValueError, match=rf"^{field} has shape \(1,\), want \(2,\)$"):
             Commands(**cols)
 
     @pytest.mark.parametrize("ids", [[4, 3], [3, 3]])
