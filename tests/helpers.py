@@ -3,7 +3,8 @@
 Everything here is deliberately naive (brute force, exhaustive
 enumeration, two-pass statistics, one agent at a time), imports nothing
 from the package and shares no code path with the implementations it
-checks. numpy serves only to draw the same initial birds.
+checks. numpy serves to draw the same initial birds, and gives the
+pairwise search oracle its hypot (see naive_pairs).
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ def naive_pairs(points, r, width, height):
     """Every ordered pair (i, j), i != j, at wrapped distance <= r.
 
     One pair at a time in plain Python floats, with the closed-form wrap
-    the simulation uses, so that ties at exactly r decide the same way.
+    and the hypot (numpy's) the search documents, so that ties at exactly
+    r decide the same way: math.hypot can differ from np.hypot in the last
+    bit, e.g. 1.0 against 1.0000000000000002 for the delta (-0.6,
+    -0.8000000000000002), whose correctly rounded length is the latter.
     Returns (i, j, dx, dy) tuples sorted by (i, j).
     """
     out = []
@@ -45,7 +49,7 @@ def naive_pairs(points, r, width, height):
                 continue
             dx = (xj - xi + width / 2.0) % width - width / 2.0
             dy = (yj - yi + height / 2.0) % height - height / 2.0
-            if math.hypot(dx, dy) <= r:
+            if float(np.hypot(dx, dy)) <= r:
                 out.append((i, j, dx, dy))
     return out
 

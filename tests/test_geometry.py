@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocklevels.coupling import ClusterParams, Clusters, reify
@@ -442,6 +442,14 @@ def grouped_clouds(draw):
 
 class TestTorusNeighbours:
     @given(boundary_clouds())
+    # a tie at r where math.hypot and np.hypot round to different sides
+    @example(
+        (
+            [(0.0, 0.0), (1.0, 0.0), (0.6, 0.8000000000000002)],
+            1.0,
+            TorusWorld(1.5, 2.5),
+        )
+    )
     @settings(max_examples=300, deadline=None)
     def test_matches_pairwise_rule_on_boundaries(self, cloud):
         points, r, w = cloud
