@@ -2,7 +2,9 @@
 
 These run on the log alone (plus the artifacts, for re-applying
 transformers), independently of the run loop that produced it, and are
-the trusted side of the coordination contract:
+the trusted side of the coordination contract. Two checks walk the log
+in its interleaved order, grouping its records by agent cycle and
+replaying each producer clock:
 
 - causality: within one agent cycle, no input is consumed from a tick
   later than the cycle's own outputs (a cycle may consume an input
@@ -10,14 +12,20 @@ the trusted side of the coordination contract:
   boundary command feeding the boundary state -- which is the acyclic
   intra-period dependency, not a violation);
 - conservative delivery: nothing is read before its producer's clock
-  reached the requested tick;
+  reached the requested tick.
+
+The other two read one index of the log: for each artifact, for each
+tick in ascending order, the write records and the read records of that
+tick, each in log order. They report artifact by artifact:
+
 - coherence: no tick is written twice and writes come in ascending
   order per artifact (each fault is one issue), repeated reads agree,
   every read is of a written tick, every delivered payload equals the
   transformer applied to the payload written at that tick, and no event
-  a consumer got past was silently dropped. The transformer is re-applied to the written payloads
-  in chronological chunks of about CHUNK_ROWS rows, one call per chunk,
-  and each delivered payload is compared with its own result;
+  a consumer got past was silently dropped. The transformer is
+  re-applied to the written payloads in chronological chunks of about
+  CHUNK_ROWS rows, one call per chunk, and each delivered payload is
+  compared with its own result;
 - cardinality: the reducing artifact never emits more flocks than the
   bird count allows, the expanding artifact emits exactly one command
   per member of the displacement table.
@@ -25,7 +33,9 @@ the trusted side of the coordination contract:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from operator import attrgetter
 
 from .kernel import CouplingArtifact, EventLog, LogRecord
 
@@ -85,75 +95,66 @@ def audit_causality(log: EventLog) -> list[str]:
 CHUNK_ROWS = 400
 
 
+def _index(log: EventLog) -> dict[str, dict[int, tuple[list, list]]]:
+    """For each artifact, for each tick in ascending order, the write
+    records and the read records of that tick, each in log order."""
+    index: dict = defaultdict(lambda: defaultdict(lambda: ([], [])))
+    for rec in log.records:
+        writes, reads = index[rec.artifact][rec.timestamp]
+        (writes if rec.op == "write" else reads).append(rec)
+    return {name: dict(sorted(ticks.items())) for name, ticks in index.items()}
+
+
 def audit_coherence(
-    log: EventLog, artifacts: dict[str, CouplingArtifact] | None = None
+    log: EventLog, artifacts: dict[str, CouplingArtifact]
 ) -> list[str]:
     issues: list[str] = []
-
-    writes: dict[str, dict[int, LogRecord]] = defaultdict(dict)
-    write_order: dict[str, list[int]] = defaultdict(list)
-    reads: dict[tuple[str, int], list] = defaultdict(list)
-    for rec in log.records:
-        if rec.op == "write":
-            if rec.timestamp in writes[rec.artifact]:
-                issues.append(
-                    f"coherence: duplicate write {rec.artifact}@{rec.timestamp}"
-                )
-            writes[rec.artifact][rec.timestamp] = rec
-            write_order[rec.artifact].append(rec.timestamp)
-        else:
-            reads[(rec.artifact, rec.timestamp)].append(rec)
-
-    for name, order in write_order.items():
+    for name, ticks in _index(log).items():
+        written = [w for ws, _ in ticks.values() for w in ws]
+        order = [w.timestamp for w in sorted(written, key=attrgetter("seq"))]
         if order != sorted(order):
             issues.append(f"coherence: non-monotone write order on {name}: {order}")
 
-    # the first delivered payload of every read of a written tick, to be
-    # compared with the transformer re-applied to the written payload
-    delivered: dict[str, dict[int, object]] = defaultdict(dict)
-    for (name, t), recs in reads.items():
-        payloads = [r.payload for r in recs]
-        if any(p != payloads[0] for p in payloads[1:]):
-            issues.append(f"coherence: divergent repeated reads of {name}@{t}")
-        if t not in writes[name]:
-            issues.append(f"coherence: {name}@{t} delivered without a write")
-        elif artifacts and name in artifacts:
-            delivered[name][t] = payloads[0]
-
-    for name, got in delivered.items():
-        transformer = artifacts[name].transformer
-        for chunk in _chunks(sorted(got), writes[name]):
-            expected = transformer([writes[name][t].payload for t in chunk])
-            for t, want in zip(chunk, expected):
-                if got[t] != want:
-                    issues.append(
-                        f"coherence: {name}@{t} delivered payload differs from "
-                        f"transformer(written payload)"
-                    )
-
-    # lost events: anything written at or before the consumer's last read
-    # must have been delivered at least once
-    for name, stamped in writes.items():
-        read_ts = [t for (n, t) in reads if n == name]
-        if not read_ts:
-            continue
-        horizon = max(read_ts)
-        for t in stamped:
-            if t <= horizon and (name, t) not in reads:
+        # lost events: anything written at or before the consumer's last
+        # read must have been delivered at least once
+        horizon = max((t for t, (_, rs) in ticks.items() if rs), default=-math.inf)
+        # the first delivered payload of every read of a written tick, to be
+        # compared with the transformer re-applied to the written payload
+        delivered = []
+        for t, (ws, rs) in ticks.items():
+            issues += [f"coherence: duplicate write {name}@{t}"] * (len(ws) - 1)
+            if any(r.payload != rs[0].payload for r in rs[1:]):
+                issues.append(f"coherence: divergent repeated reads of {name}@{t}")
+            if not ws:
+                issues.append(f"coherence: {name}@{t} delivered without a write")
+            elif rs:
+                delivered.append((ws[-1], rs[0]))
+            elif t <= horizon:
                 issues.append(f"coherence: {name}@{t} written but never read (lost)")
+
+        if name in artifacts:
+            for chunk in _chunks(delivered):
+                expected = artifacts[name].transformer([w.payload for w, _ in chunk])
+                for (w, r), want in zip(chunk, expected):
+                    if r.payload != want:
+                        issues.append(
+                            f"coherence: {name}@{w.timestamp} delivered payload "
+                            f"differs from transformer(written payload)"
+                        )
     return issues
 
 
-def _chunks(ticks: list[int], written: dict[int, LogRecord]):
-    """The ticks in runs that end once their written payloads hold
-    CHUNK_ROWS rows; a tick whose payload alone holds more is a run alone."""
+def _chunks(pairs: list[tuple[LogRecord, LogRecord]]):
+    """The (write, read) pairs in runs that end once their written payloads
+    hold CHUNK_ROWS rows; a pair whose payload alone holds more is a run
+    alone."""
     chunk, rows = [], 0
-    for t in ticks:
-        size = written[t].payload_size
+    for pair in pairs:
+        size = pair[0].payload_size
         if chunk and size > CHUNK_ROWS:
             yield chunk
             chunk, rows = [], 0
-        chunk.append(t)
+        chunk.append(pair)
         rows += size
         if rows >= CHUNK_ROWS:
             yield chunk
@@ -164,39 +165,28 @@ def _chunks(ticks: list[int], written: dict[int, LogRecord]):
 
 def audit_cardinality(log: EventLog, min_size: int) -> list[str]:
     issues: list[str] = []
-    writes: dict[tuple[str, int], object] = {}
-    for rec in log.records:
-        if rec.op == "write":
-            writes[(rec.artifact, rec.timestamp)] = rec.payload
-    for rec in log.records:
-        if rec.op != "read":
-            continue
-        src = writes.get((rec.artifact, rec.timestamp))
-        if src is None:
-            continue
-        if rec.artifact == "e":
-            if len(rec.payload) > len(src) // min_size:
-                issues.append(
-                    f"cardinality: {rec.artifact}@{rec.timestamp} has "
-                    f"{len(rec.payload)} flocks for {len(src)} birds"
-                )
-        elif rec.artifact == "i":
-            expected = len(src.members)
-            if len(rec.payload) != expected:
-                issues.append(
-                    f"cardinality: {rec.artifact}@{rec.timestamp} has "
-                    f"{len(rec.payload)} commands for {expected} members"
-                )
+    for name, ticks in _index(log).items():
+        for t, (ws, rs) in ticks.items():
+            for r in rs if ws else ():
+                src, got = ws[-1].payload, len(r.payload)
+                if name == "e" and got > len(src) // min_size:
+                    issues.append(
+                        f"cardinality: e@{t} has {got} flocks for {len(src)} birds"
+                    )
+                elif name == "i" and got != len(src.members):
+                    issues.append(
+                        f"cardinality: i@{t} has {got} commands for "
+                        f"{len(src.members)} members"
+                    )
     return issues
 
 
 def audit_log(
-    log: EventLog,
-    artifacts: dict[str, CouplingArtifact] | None = None,
-    min_size: int | None = None,
+    log: EventLog, artifacts: dict[str, CouplingArtifact], min_size: int
 ) -> list[str]:
     """All audits combined; returns the (ideally empty) list of issues."""
-    issues = audit_causality(log) + audit_coherence(log, artifacts)
-    if min_size is not None:
-        issues += audit_cardinality(log, min_size)
-    return issues
+    return (
+        audit_causality(log)
+        + audit_coherence(log, artifacts)
+        + audit_cardinality(log, min_size)
+    )

@@ -13,14 +13,7 @@ class ProtocolError(RuntimeError):
 
 
 class DeadlockError(RuntimeError):
-    """A read beyond its producer's clock, so no agent can make progress.
-
-    Carries the event log for dumping.
-    """
-
-    def __init__(self, message: str, log=None):
-        super().__init__(message)
-        self.log = log
+    """A read beyond its producer's clock, so no agent can make progress."""
 
 
 class CouplingError(ValueError):

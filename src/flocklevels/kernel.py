@@ -117,7 +117,8 @@ class CouplingArtifact:
     """Timestamped mailbox between a producer agent and a consumer agent.
 
     Writes buffer raw payloads under strictly increasing timestamps and
-    advance the producer clock. A read at tick t delivers
+    advance the producer clock, which starts at -1, so no write is at a
+    negative tick. A read at tick t delivers
     transformer([payload written at t])[0]; that is the only delivery.
     A read beyond the producer clock raises DeadlockError at once: in the
     lockstep run only the scheduler advances the clock, so waiting could
@@ -152,11 +153,9 @@ class CouplingArtifact:
     def write(
         self, t: SimTime, payload: Any, agent: str = "external", cycle: int | None = None
     ) -> None:
-        if t < 0:
-            raise ProtocolError(f"{self.name}: negative timestamp {t}")
         if t <= self.producer_clock:
             raise ProtocolError(
-                f"{self.name}: non-monotone write at t={t} "
+                f"{self.name}: {agent} non-monotone write at t={t} "
                 f"(producer clock {self.producer_clock})"
             )
         self.buffer[t] = payload
@@ -179,8 +178,7 @@ class CouplingArtifact:
         if t > self.producer_clock:
             raise DeadlockError(
                 f"{self.name}: {agent} read at t={t} beyond the producer "
-                f"clock {self.producer_clock}",
-                log=self.log,
+                f"clock {self.producer_clock}"
             )
         payload = self._deliver(t, f"{agent} read")
         self.log.append(agent, "read", self.name, t, self.read_kind, payload, cycle)

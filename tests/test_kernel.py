@@ -52,7 +52,9 @@ class TestCouplingArtifact:
             a.write(2, ["y"])
 
     def test_negative_timestamp_rejected(self):
-        with pytest.raises(ProtocolError, match="^e: negative timestamp -1$"):
+        with pytest.raises(
+            ProtocolError, match=r"^e: external non-monotone write at t=-1 \(producer clock -1\)$"
+        ):
             CouplingArtifact("e").write(-1, ["x"])
 
     def test_direct_delivery_applies_transformer(self):
@@ -117,7 +119,6 @@ class TestCouplingArtifact:
         with pytest.raises(DeadlockError) as info:
             a.read(1, "A_M", cycle=1)
         assert str(info.value) == "e: A_M read at t=1 beyond the producer clock 0"
-        assert info.value.log is a.log
 
 
 def small_multimodel(variant, birds=5, horizon=2, seed=0):
@@ -299,6 +300,23 @@ class TestRun:
         with pytest.raises(DeadlockError, match="^i: A_m read at t=2 beyond the producer clock 1$"):
             run(mm)
 
+    def test_repeated_write_reaches_the_caller_naming_the_agent(self):
+        # the macro agent writes its i payload of tick 2 twice; run
+        # re-raises the ProtocolError unwrapped, naming the writing agent
+        _, mm = small_multimodel("M", horizon=4)
+        write = mm.immergence.write
+
+        def repeating(t, *args, **kwargs):
+            write(t, *args, **kwargs)
+            if t == 2:
+                write(t, *args, **kwargs)
+
+        mm.immergence.write = repeating
+        with pytest.raises(
+            ProtocolError, match=r"^i: A_M non-monotone write at t=2 \(producer clock 2\)$"
+        ):
+            run(mm)
+
     def test_multimodel_wiring_errors(self):
         def parts(variant="M3"):
             _, mm = small_multimodel(variant, horizon=4)
@@ -374,7 +392,7 @@ class TestAuditDetectsViolations:
         log.append("A", "write", "x", 0, "payload", [1], cycle=None)
         log.append("B", "read", "x", 0, "payload", [1], cycle=1)
         log.append("B", "read", "x", 0, "payload", [2], cycle=2)
-        assert audit_coherence(log) == ["coherence: divergent repeated reads of x@0"]
+        assert audit_coherence(log, {}) == ["coherence: divergent repeated reads of x@0"]
 
     @pytest.mark.parametrize(
         "ops, issue",
@@ -391,14 +409,14 @@ class TestAuditDetectsViolations:
         log = EventLog()
         for op, t in ops:
             log.append("A" if op == "write" else "B", op, "x", t, "payload", [t], cycle=None)
-        assert audit_coherence(log) == [f"coherence: {issue}"]
+        assert audit_coherence(log, {}) == [f"coherence: {issue}"]
 
     def test_coherence_flags_lost_event(self):
         log = EventLog()
         log.append("A", "write", "x", 0, "payload", [1], cycle=None)
         log.append("A", "write", "x", 1, "payload", [2], cycle=None)
         log.append("B", "read", "x", 1, "payload", [2], cycle=1)
-        assert audit_coherence(log) == ["coherence: x@0 written but never read (lost)"]
+        assert audit_coherence(log, {}) == ["coherence: x@0 written but never read (lost)"]
 
     def test_cardinality_flags_expansion_mismatch(self):
         log = EventLog()
