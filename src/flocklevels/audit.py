@@ -122,7 +122,8 @@ def audit_coherence(
         # compared with the transformer re-applied to the written payload
         delivered = []
         for t, (ws, rs) in ticks.items():
-            issues += [f"coherence: duplicate write {name}@{t}"] * (len(ws) - 1)
+            for _ in ws[1:]:
+                issues.append(f"coherence: duplicate write {name}@{t}")
             if any(r.payload != rs[0].payload for r in rs[1:]):
                 issues.append(f"coherence: divergent repeated reads of {name}@{t}")
             if not ws:

@@ -70,8 +70,8 @@ MUTANTS = [
     Mutant(
         "duplicate write: one issue too few",
         "audit.py",
-        "* (len(ws) - 1)",
-        "* (len(ws) - 2)",
+        "for _ in ws[1:]:",
+        "for _ in ws[2:]:",
         (AUDIT + "test_coherence_flags_one_fault_once",),
     ),
     Mutant(
