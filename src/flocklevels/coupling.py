@@ -88,7 +88,7 @@ def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Clusters(Columns):
     """The clusters of one snapshot as two read-only int64 columns (INTS):
-    rows, the strictly ascending (KEY) snapshot rows, >= 0, that lie in a
+    rows, the strictly ascending (KEYS) snapshot rows, >= 0, that lie in a
     cluster, and cluster, the index of each row's cluster, numbered in
     order of lowest member. Its length is the number of clusters."""
 
@@ -96,7 +96,7 @@ class Clusters(Columns):
     cluster: np.ndarray
 
     INTS = ("rows", "cluster")
-    KEY = "rows"
+    KEYS = ("rows",)
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -1,11 +1,11 @@
 """The collective-level model: flocks as first-class agents.
 
-The flocks of one snapshot are one `Flocks` table of columns, which the
-registry (`MacroState`) holds in ascending flock id. Flocks steer by the
-same bounded-turn separation / alignment / cohesion rules as individual
-birds, except that distances are size-aware: the effective distance
-between two flocks is the gap between their bounding circles, never
-negative.
+The flocks of one snapshot are one `Flocks` table of columns, and so is
+the registry (`MacroState`), in strictly ascending flock id. Flocks
+steer by the same bounded-turn separation / alignment / cohesion rules
+as individual birds, except that distances are size-aware: the
+effective distance between two flocks is the gap between their bounding
+circles, never negative.
 
 The step runs over arrays. Candidate pairs come from the cell-grid
 search at radius vision + 2 max(radius), widened by a relative 1e-9 since
@@ -30,7 +30,7 @@ and splitting are not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .geometry import (
     wrap_array,
     wrapped_delta,
 )
-from .micro import Columns, SteeringParams, freeze_column
+from .micro import Columns, SteeringParams
 
 __all__ = [
     "Flocks",
@@ -62,7 +62,7 @@ class Flocks(Columns):
     """The flocks of one snapshot, one read-only column per field.
 
     x, y, heading and radius hold one value per flock (a row). members
-    holds the id of every member bird, strictly ascending (KEY), and label
+    holds the id of every member bird, strictly ascending (KEYS), and label
     the row of its flock (both INTS). check adds to `Columns.check` that
     radius is >= 0 and every row has at least one member.
     """
@@ -75,7 +75,7 @@ class Flocks(Columns):
     label: np.ndarray
 
     INTS = MEMBERS = ("members", "label")
-    KEY = "members"
+    KEYS = ("members",)
     LABEL = "label"
 
     def check(self, *names: str) -> None:
@@ -101,20 +101,26 @@ NO_FLOCKS = Flocks((), (), (), (), (), ())
 
 
 @dataclass(frozen=True, eq=False)
-class MacroState:
-    """The flock registry: its flocks in ascending flock id."""
+class MacroState(Flocks):
+    """The flock registry: its flocks in strictly ascending flock id (ids,
+    INTS, KEYS), next_id above every id, and the world."""
 
-    flocks: Flocks
     ids: np.ndarray
     next_id: int
     world: TorusWorld
 
-    def __post_init__(self) -> None:
-        ids = freeze_column(self, "ids", np.int64, len(self.flocks))
-        if (ids[1:] <= ids[:-1]).any():
-            raise ValueError("flock ids must be unique and ascending")
-        if ids.size and self.next_id <= ids[-1]:
+    INTS = ("members", "label", "ids")
+    KEYS = ("members", "ids")
+
+    def check(self, *names: str) -> None:
+        super().check(*names)
+        if "ids" in names and self.ids.size and self.next_id <= self.ids[-1]:
             raise ValueError("next_id must exceed every issued id")
+
+    @property
+    def flocks(self) -> MacroState:
+        # the benchmark's trace hook counts len(state.flocks); ROADMAP item 7 drops it
+        return self
 
 
 def sync_registry(s: MacroState, observed: Flocks) -> MacroState:
@@ -127,18 +133,18 @@ def sync_registry(s: MacroState, observed: Flocks) -> MacroState:
     heading, radius and members; the other observed flocks get fresh
     ids in row order; the other registered flocks are removed.
     """
-    old, f, k = s.flocks, len(s.flocks), len(observed)
+    f, k = len(s), len(observed)
     ids = np.full(k, -1, dtype=np.int64)
     if f and k:
         _, a, b = np.intersect1d(
-            old.members, observed.members, assume_unique=True, return_indices=True
+            s.members, observed.members, assume_unique=True, return_indices=True
         )
         # overlap of every (registered, observed) pair, nonzero ones only
-        inter = np.bincount(old.label[a] * k + observed.label[b], minlength=f * k)
+        inter = np.bincount(s.label[a] * k + observed.label[b], minlength=f * k)
         pair = np.flatnonzero(inter)
         fo, ko = np.divmod(pair, k)
         union = (
-            np.bincount(old.label, minlength=f)[fo]
+            np.bincount(s.label, minlength=f)[fo]
             + np.bincount(observed.label, minlength=k)[ko]
             - inter[pair]
         )
@@ -154,15 +160,18 @@ def sync_registry(s: MacroState, observed: Flocks) -> MacroState:
     fresh = np.flatnonzero(ids < 0)
     ids[fresh] = s.next_id + np.arange(fresh.size)
 
-    flocks = observed
+    columns = {}
     if (ids[1:] < ids[:-1]).any():
         # rows in flock id order; each member's label follows its row. A
-        # permutation of a checked table's rows, so nothing is re-checked.
+        # permutation of a checked table's rows, so only ids are checked.
         order = np.argsort(ids)
         ids = ids[order]
         columns = {c: getattr(observed, c)[order] for c in ("x", "y", "heading", "radius")}
-        flocks = observed.derive(**columns, label=np.argsort(order)[observed.label])
-    return MacroState(flocks, ids, s.next_id + fresh.size, s.world)
+        columns["label"] = np.argsort(order)[observed.label]
+    next_id = s.next_id + fresh.size
+    state = observed.derive(MacroState, **columns, ids=ids, next_id=next_id, world=s.world)
+    state.check("ids")
+    return state
 
 
 def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
@@ -173,8 +182,7 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     turns the flock away; otherwise it aligns with its mates' mean heading,
     then coheres toward their summed offset. It then advances by speed.
     """
-    fl, w = s.flocks, s.world
-    x, y, h, r = fl.x, fl.y, fl.heading, fl.radius
+    x, y, h, r, w = s.x, s.y, s.heading, s.radius, s.world
 
     reach = (p.vision + 2.0 * r.max(initial=0.0)) * (1.0 + 1e-9)
     i, j, dx, dy, dist = torus_neighbours(x, y, reach, w)
@@ -182,15 +190,15 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     keep = np.flatnonzero(gap <= p.vision)
     hr = np.radians(h)
     sums = mate_sums(
-        i[keep], j[keep], gap[keep], dx[keep], dy[keep], np.cos(hr), np.sin(hr), len(fl)
+        i[keep], j[keep], gap[keep], dx[keep], dy[keep], np.cos(hr), np.sin(hr), len(s)
     )
     h = steer(h, x, y, w, p, *sums)
     hr = np.radians(h)
     x = wrap_array(x + p.speed * np.cos(hr), w.width)
     y = wrap_array(y + p.speed * np.sin(hr), w.height)
-    flocks = fl.derive(x=x, y=y, heading=h)
-    flocks.check("x", "y", "heading")
-    return replace(s, flocks=flocks)
+    state = s.derive(x=x, y=y, heading=h)
+    state.check("x", "y", "heading")
+    return state
 
 
 def displacements(before: MacroState, after: MacroState) -> Displacements:
@@ -201,10 +209,10 @@ def displacements(before: MacroState, after: MacroState) -> Displacements:
     """
     if not np.array_equal(before.ids, after.ids):
         raise CouplingError("flock id sets differ between before and after states")
-    a, b, w = before.flocks, after.flocks, before.world
-    vx = wrapped_delta(a.x, b.x, w.width)
-    vy = wrapped_delta(a.y, b.y, w.height)
-    table = b.derive(Displacements, vx=vx, vy=vy)
+    w = before.world
+    vx = wrapped_delta(before.x, after.x, w.width)
+    vy = wrapped_delta(before.y, after.y, w.height)
+    table = after.derive(Displacements, vx=vx, vy=vy)
     table.check("vx", "vy")
     return table
 

@@ -8,14 +8,15 @@ that tick. The commands of one tick are one `Commands` table, applied by
 indexing the commanded rows.
 
 The population is one `MicroState` table of read-only columns in
-ascending id. The update is synchronous (double-buffered): every bird's
-new x, y and heading are computed from the pre-step state into new
-arrays, and the ids array is shared, so storage order never affects the
-outcome and a published state never changes.
+strictly ascending id. The update is synchronous (double-buffered):
+every bird's new x, y and heading are computed from the pre-step state
+into new arrays, and the ids array is shared, so storage order never
+affects the outcome and a published state never changes.
 
-Every table that crosses the levels is a `Columns` table, with value
-equality, `derive`, and `stack` and `split`, which join tables of one
-type part after part and part them again.
+Every table that crosses the levels, and each model's state, is a
+`Columns` table, with one column check, value equality, `derive`, and
+`stack` and `split`, which join tables of one type part after part and
+part them again, fields and all.
 
 Steering runs only for the uncommanded birds, each against the whole
 pre-step population: the neighbour search, the mate sums and the turn
@@ -50,39 +51,27 @@ __all__ = [
 ]
 
 
-def freeze_column(table, name: str, dtype, size: int | None = None) -> np.ndarray:
-    """Set a frozen dataclass's field to a read-only 1-D array of dtype (of
-    the given size), copied unless it is read-only already, and return it."""
-    col = np.asarray(getattr(table, name), dtype=dtype)
-    if col.ndim != 1 or (size is not None and col.size != size):
-        raise ValueError(f"{name} has shape {col.shape}, want ({size},)")
-    if col.flags.writeable:
-        col = col.copy()
-        col.flags.writeable = False
-    object.__setattr__(table, name, col)
-    return col
-
-
 class Columns:
-    """Base of the read-only column tables that cross between the levels:
-    frozen dataclasses of 1-D columns of fixed dtypes and other fields (a
-    tick), equal when of one type with equal fields and columns of the
-    same bits, so the audit can compare payloads by value. Bytes compare
-    ten times faster than np.array_equal and differ from it only on -0.0
-    against 0.0 (and NaN), which a deterministic transformer never
-    produces differently.
+    """Base of the read-only column tables that cross between the levels
+    or hold a model's state: frozen dataclasses of 1-D columns of fixed
+    dtypes and other fields (a tick, a world), equal when of one type with
+    equal fields and columns of the same bits, so the audit can compare
+    payloads by value. Bytes compare ten times faster than np.array_equal
+    and differ from it only on -0.0 against 0.0 (and NaN), which a
+    deterministic transformer never produces differently.
 
     `check` is the one check of a column, run on every field annotated
     np.ndarray when a table is built. INTS names the int64 columns, the
     others are float64 and finite; a column in MEMBERS holds one value
     per value of MEMBERS[0], any other one value per row, as the first
-    column does. KEY names the strictly ascending column, LABEL the
-    member column that holds each member's row."""
+    column does. KEYS, which every table kind declares, names its
+    strictly ascending columns, LABEL the member column that holds each
+    member's row. No field that is not a column holds a tuple: a stack
+    keeps the tuple of its parts' values there."""
 
     __hash__ = None
     INTS = ()
     MEMBERS = ()
-    KEY = None
     LABEL = None
 
     def __post_init__(self) -> None:
@@ -97,13 +86,19 @@ class Columns:
         for name in names:
             lead = self.MEMBERS[0] if name in self.MEMBERS else first
             size = None if name == lead else getattr(self, lead).size
-            col = freeze_column(self, name, np.int64 if name in self.INTS else np.float64, size)
+            col = np.asarray(getattr(self, name), np.int64 if name in self.INTS else np.float64)
+            if col.ndim != 1 or (size is not None and col.size != size):
+                raise ValueError(f"{name} has shape {col.shape}, want ({size},)")
+            if col.flags.writeable:
+                col = col.copy()
+                col.flags.writeable = False
+            object.__setattr__(self, name, col)
             finite = np.isfinite(col)
             if not finite.all():
                 k = np.argmin(finite)
                 at = f"bird {self.ids[k]}" if first == "ids" else f"row {k}"
                 raise ValueError(f"{name} must be finite, got {col[k].item()!r} for {at}")
-            if name == self.KEY and (col[1:] <= col[:-1]).any():
+            if name in self.KEYS and (col[1:] <= col[:-1]).any():
                 bad = col[1:][col[1:] <= col[:-1]].tolist()
                 raise CouplingError(f"{name} must be strictly ascending; these are not: {bad}")
 
@@ -120,50 +115,58 @@ class Columns:
         return next(iter(vars(self).values())).size
 
     def derive(self, cls=None, **columns):
-        """A table of type cls (this one's by default) with this table's
-        columns and fields, the given ones put in or added, and the given
-        columns made read-only.
+        """A table of type cls (this one's by default) with the fields that
+        cls declares, from the given columns and fields, else from this
+        table, the given columns made read-only.
 
         Nothing is checked: the given columns must be arrays of the right
         dtype, derived from checked tables so that every invariant that
         involves them still holds (a permutation or a slice of rows), or
         checked by the caller."""
-        table = object.__new__(cls or type(self))
+        cls = cls or type(self)
+        table = object.__new__(cls)
         for col in columns.values():
             if isinstance(col, np.ndarray):
                 col.setflags(write=False)
-        vars(table).update(vars(self), **columns)
+        given = {**vars(self), **columns}
+        for f in fields(cls):
+            object.__setattr__(table, f.name, given[f.name])
         return table
 
     @staticmethod
     def stack(tables: list) -> tuple:
         """The tables, all of one type, as one, part after part, and the
         part of each row; one table is its own stack, with part None. A
-        label is offset by the rows of the parts before, and every other
-        field is the first table's. A stack keeps the invariants of each
-        part only (ids ascend within a part), so it is not checked."""
+        label is offset by the rows of the parts before. Every other field
+        keeps the value that all parts agree on, else holds the tuple of
+        the parts' values. A stack keeps the invariants of each part only
+        (ids ascend within a part), so it is not checked."""
         first = tables[0]
         if len(tables) == 1:
             return first, None
         sizes = [len(t) for t in tables]
-        columns = {}
-        for name, col in vars(first).items():
-            if isinstance(col, np.ndarray):
-                cols = [getattr(t, name) for t in tables]
+        stacked = {}
+        for name, value in vars(first).items():
+            values = [getattr(t, name) for t in tables]
+            if isinstance(value, np.ndarray):
                 if name == first.LABEL:
-                    cols = [c + start for c, start in zip(cols, accumulate(sizes, initial=0))]
-                columns[name] = np.concatenate(cols)
-        return first.derive(**columns), np.repeat(np.arange(len(tables)), sizes)
+                    values = [c + start for c, start in zip(values, accumulate(sizes, initial=0))]
+                stacked[name] = np.concatenate(values)
+            elif any(v != value for v in values):
+                stacked[name] = tuple(values)
+        return first.derive(**stacked), np.repeat(np.arange(len(tables)), sizes)
 
     def split(self, part: np.ndarray | None, parts: int) -> list:
         """The inverse of stack: the tables of parts 0 to parts - 1, given
         the part of each row, ascending, or None for one part. A member
-        lies in its row's part, and the members of each part are a run."""
+        lies in its row's part, and the members of each part are a run; a
+        tuple field gives each part its own value."""
         if part is None:
             return [self]
         cuts = np.arange(parts + 1)
         rows = members = np.searchsorted(part, cuts)
         columns = {n: c for n, c in vars(self).items() if isinstance(c, np.ndarray)}
+        own = {n: v for n, v in vars(self).items() if isinstance(v, tuple)}
         if self.LABEL is not None:
             label = columns[self.LABEL]
             members = np.searchsorted(part[label], cuts)
@@ -172,22 +175,21 @@ class Columns:
         for k in range(parts):
             row, member = slice(rows[k], rows[k + 1]), slice(members[k], members[k + 1])
             cut = {n: c[member if n in self.MEMBERS else row] for n, c in columns.items()}
-            out.append(self.derive(**cut))
+            out.append(self.derive(**cut, **{n: v[k] for n, v in own.items()}))
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class Commands(Columns):
     """Movement commands of one tick: per commanded bird, in strictly
-    ascending id (KEY, INTS), a finite displacement (vx, vy) and heading."""
+    ascending id (KEYS, INTS), a finite displacement (vx, vy) and heading."""
 
     ids: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
     heading: np.ndarray
 
-    INTS = ("ids",)
-    KEY = "ids"
+    INTS = KEYS = ("ids",)
 
 
 @dataclass(frozen=True)
@@ -225,10 +227,10 @@ class SteeringParams:
 class MicroState(Columns):
     """The population at one tick, one read-only array per column.
 
-    ids are int64 (INTS), x, y and heading float64; the state sorts all
-    four by id and rejects a repeated id. It is also the snapshot the
-    micro agent publishes, and the event log keeps it by reference, so its
-    arrays are never written; the states of one run share one ids array.
+    ids are int64 and strictly ascending (INTS, KEYS), x, y and heading
+    float64. It is also the snapshot the micro agent publishes, and the
+    event log keeps it by reference, so its arrays are never written; the
+    states of one run share one ids array.
     """
 
     ids: np.ndarray
@@ -238,18 +240,7 @@ class MicroState(Columns):
     tick: int
     world: TorusWorld
 
-    INTS = ("ids",)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        order = np.argsort(self.ids, kind="stable")
-        ids = self.ids[order]
-        if (ids[1:] == ids[:-1]).any():
-            raise ValueError("duplicate bird ids")
-        columns = {n: c[order] for n, c in vars(self).items() if isinstance(c, np.ndarray)}
-        for col in columns.values():
-            col.flags.writeable = False
-        vars(self).update(columns)
+    INTS = KEYS = ("ids",)
 
     @property
     def birds(self) -> tuple[Bird, ...]:

@@ -100,8 +100,9 @@ def brute_clusters(obs, d_prox, theta, min_size, width, height):
 
 
 def columns(rows):
-    """(id, (x, y), heading) rows as id, x, y and heading lists."""
-    rows = list(rows)
+    """(id, (x, y), heading) rows as id, x, y and heading lists, in
+    ascending id, the order a population state holds."""
+    rows = sorted(rows, key=lambda r: r[0])
     return (
         [r[0] for r in rows],
         [r[1][0] for r in rows],
@@ -437,7 +438,7 @@ def registry_flocks(state):
     return tuple(
         RefFlock(fid, centroid, heading, radius, members)
         for fid, (members, centroid, heading, radius) in zip(
-            state.ids.tolist(), table_rows(state.flocks)
+            state.ids.tolist(), table_rows(state)
         )
     )
 

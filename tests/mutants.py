@@ -35,6 +35,13 @@ ROOT = Path(__file__).resolve().parent.parent
 AUDIT = "tests/test_kernel.py::TestAuditDetectsViolations::"
 ARTIFACT = "tests/test_kernel.py::TestCouplingArtifact::"
 RUN = "tests/test_kernel.py::TestRun::"
+CONFIG = "tests/test_experiment.py::TestApplyConfig::"
+DETECT = "tests/test_coupling.py::TestDetectClusters::"
+EMERGENCE = "tests/test_coupling.py::TestEmergenceTransform::"
+CLUSTERS = "tests/test_coupling.py::TestClusters::"
+MICRO = "tests/test_micro.py::"
+MACRO = "tests/test_macro.py::"
+PER_FLOCK = MACRO + "TestMatchesPerFlockRule::"
 
 
 class Mutant(NamedTuple):
@@ -124,6 +131,20 @@ MUTANTS = [
         (AUDIT + "test_cardinality_flags_expansion_mismatch",),
     ),
     Mutant(
+        "cardinality e: exactly as many flocks as the birds hold flagged",
+        "audit.py",
+        "got > len(src) // min_size",
+        "got >= len(src) // min_size",
+        (AUDIT + "test_cardinality_accepts_as_many_flocks_as_the_birds_hold",),
+    ),
+    Mutant(
+        "chunk cut: a snapshot of exactly CHUNK_ROWS rows put in a chunk alone",
+        "audit.py",
+        "if chunk and size > CHUNK_ROWS:",
+        "if chunk and size >= CHUNK_ROWS:",
+        (AUDIT + "test_coherence_chunks_put_a_snapshot_above_chunk_rows_alone",),
+    ),
+    Mutant(
         "chunk cut: a chunk ends only past CHUNK_ROWS",
         "audit.py",
         "if rows >= CHUNK_ROWS:",
@@ -166,6 +187,191 @@ MUTANTS = [
         (
             "tests/test_macro.py::TestSyncRegistry::"
             "test_equal_jaccard_goes_to_the_lowest_member",
+        ),
+    ),
+    Mutant(
+        "sync_registry: a registered flock matched to two observed flocks",
+        "macro.py",
+        "if fr not in taken and ids[kr] < 0:",
+        "if ids[kr] < 0:",
+        (MACRO + "TestSyncRegistry::test_equal_jaccard_goes_to_the_lowest_member",),
+    ),
+    Mutant(
+        "registry: flock ids not declared a key, so any order passes",
+        "macro.py",
+        'KEYS = ("members", "ids")',
+        'KEYS = ("members",)',
+        (MACRO + "TestMacroState::test_rejects_bad_ids",),
+    ),
+    Mutant(
+        "registry: next_id equal to the last id accepted",
+        "macro.py",
+        "self.next_id <= self.ids[-1]",
+        "self.next_id < self.ids[-1]",
+        (MACRO + "TestMacroState::test_rejects_bad_ids",),
+    ),
+    Mutant(
+        "macro_step: a flock exactly vision away is no mate",
+        "macro.py",
+        "keep = np.flatnonzero(gap <= p.vision)",
+        "keep = np.flatnonzero(gap < p.vision)",
+        (PER_FLOCK + "test_gap_exactly_at_vision",),
+    ),
+    Mutant(
+        "steer: a mate exactly min_separation away separates",
+        "geometry.py",
+        "sep = nearest_d < p.min_separation",
+        "sep = nearest_d <= p.min_separation",
+        (PER_FLOCK + "test_gap_exactly_at_min_separation",),
+    ),
+    Mutant(
+        "macro_step: the check of the stepped columns skipped",
+        "macro.py",
+        'state.check("x", "y", "heading")',
+        "pass",
+        (MACRO + "TestMacroStep::test_non_finite_result_rejected",),
+    ),
+    Mutant(
+        "displacements: the check of vx and vy skipped",
+        "macro.py",
+        'table.check("vx", "vy")',
+        "pass",
+        (MACRO + "TestDisplacements::test_non_finite_result_rejected",),
+    ),
+    Mutant(
+        "Columns.check: a repeated key accepted",
+        "micro.py",
+        "if name in self.KEYS and (col[1:] <= col[:-1]).any():",
+        "if name in self.KEYS and (col[1:] < col[:-1]).any():",
+        (
+            MICRO + "TestMicroState::test_rejects_ids_not_strictly_ascending",
+            MICRO + "TestCommands::test_rejects_ids_not_strictly_ascending",
+            MACRO + "TestMacroState::test_rejects_bad_ids",
+        ),
+    ),
+    Mutant(
+        "Columns.check: a column of another length accepted",
+        "micro.py",
+        "if col.ndim != 1 or (size is not None and col.size != size):",
+        "if col.ndim != 1:",
+        (CLUSTERS + "test_rejects_unequal_lengths",),
+    ),
+    Mutant(
+        "Columns.check: a non-finite value accepted",
+        "micro.py",
+        "if not finite.all():",
+        "if False:",
+        (MACRO + "TestFlock::test_rejects_non_finite_or_negative",),
+    ),
+    Mutant(
+        "Columns.check: a column left writeable",
+        "micro.py",
+        "col.flags.writeable = False",
+        "pass",
+        (CLUSTERS + "test_columns_are_read_only",),
+    ),
+    Mutant(
+        "micro_step: the check of the stepped columns skipped",
+        "micro.py",
+        'state.check("x", "y", "heading")',
+        "pass",
+        (MICRO + "TestMicroStep::test_non_finite_command_result_rejected",),
+    ),
+    Mutant(
+        "micro_step: the commanded heading not written",
+        "micro.py",
+        "new_h[rows] = wrap_array(cmds.heading, 360.0)",
+        "pass",
+        (MICRO + "TestMicroStep::test_mixed_crowd_matches_per_bird_rules",),
+    ),
+    Mutant(
+        "torus_neighbours: a pair exactly r apart dropped",
+        "geometry.py",
+        "keep = np.flatnonzero(dist <= r)",
+        "keep = np.flatnonzero(dist < r)",
+        (
+            "tests/test_geometry.py::TestTorusNeighbours::"
+            "test_matches_pairwise_rule_on_boundaries",
+        ),
+    ),
+    Mutant(
+        "torus_links: a pair exactly r apart dropped",
+        "geometry.py",
+        "keep[test[_exact(x, y, i[test], j[test], world)[2] <= r]] = True",
+        "keep[test[_exact(x, y, i[test], j[test], world)[2] < r]] = True",
+        (DETECT + "test_lattice_ties_match_union_find_oracle",),
+    ),
+    Mutant(
+        "detect_clusters: a heading difference of exactly theta not linked",
+        "coupling.py",
+        "% 360.0 - 180.0) <= p.theta",
+        "% 360.0 - 180.0) < p.theta",
+        (DETECT + "test_lattice_ties_match_union_find_oracle",),
+    ),
+    Mutant(
+        "detect_clusters: a cluster of exactly min_size dropped",
+        "coupling.py",
+        ">= p.min_size",
+        "> p.min_size",
+        (DETECT + "test_lattice_ties_match_union_find_oracle",),
+    ),
+    Mutant(
+        "reify: no lowest-member heading on a zero resultant",
+        "coupling.py",
+        "heading[k] = mh[np.argmax(cluster == k)]",
+        "pass",
+        ("tests/test_coupling.py::TestReify::test_zero_resultant_falls_back_to_lowest_id",),
+    ),
+    Mutant(
+        "reify: no arithmetic-mean coordinate on a zero resultant",
+        "coupling.py",
+        "col[k] = math.fsum(coords[cluster == k].tolist()) / sizes[k]",
+        "pass",
+        (EMERGENCE + "test_zero_resultant_fallbacks_next_to_ordinary_clusters",),
+    ),
+    Mutant(
+        "split_displacements: a ratio of 0 accepted",
+        "coupling.py",
+        "if r < 1:",
+        "if r < 0:",
+        ("tests/test_coupling.py::TestImmergenceTransform::test_rejects_ratio_below_one",),
+    ),
+    Mutant(
+        "ClusterParams: a d_prox of 0 accepted",
+        "coupling.py",
+        "if not 0 < self.d_prox <= LENGTH_BOUND:",
+        "if not 0 <= self.d_prox <= LENGTH_BOUND:",
+        (CONFIG + "test_invalid_value_names_its_key",),
+    ),
+    Mutant(
+        "ClusterParams: a theta above 180 accepted",
+        "coupling.py",
+        "if not (0.0 <= self.theta <= 180.0):",
+        "if not (0.0 <= self.theta <= 360.0):",
+        (CONFIG + "test_invalid_value_names_its_key",),
+    ),
+    Mutant(
+        "ClusterParams: clusters of one bird accepted",
+        "coupling.py",
+        "if self.min_size < 2:",
+        "if self.min_size < 1:",
+        (CONFIG + "test_invalid_value_names_its_key",),
+    ),
+    Mutant(
+        "ExperimentConfig: no replication accepted",
+        "experiment.py",
+        "if self.reps < 1:",
+        "if self.reps < 0:",
+        (CONFIG + "test_reps_must_be_positive",),
+    ),
+    Mutant(
+        "ExperimentConfig: a run of 0 birds refused",
+        "experiment.py",
+        "if self.birds < 0:",
+        "if self.birds <= 0:",
+        (
+            "tests/test_experiment.py::TestRunReplicated::"
+            "test_no_birds_gives_records_without_flocks",
         ),
     ),
 ]

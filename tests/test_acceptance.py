@@ -210,7 +210,7 @@ def test_criterion_7_registry_lifecycle(capfd):
         }
         assert set(kept) == set(assignment)
 
-    s0 = MacroState(NO_FLOCKS, (), next_id=0, world=W)
+    s0 = MacroState(**vars(NO_FLOCKS), ids=(), next_id=0, world=W)
 
     appear = set(range(10))
     s1 = sync_registry(s0, obs_of(appear))

@@ -118,6 +118,7 @@ class TestApplyConfig:
             ("cluster.theta", 181.0),
             ("cluster.theta", -1.0),
             ("cluster.min_size", 1),
+            ("cluster.d_prox", 0.0),
         ],
     )
     def test_invalid_value_names_its_key(self, key, value):
@@ -210,6 +211,14 @@ class TestRunReplicated:
         assert len(result.records) == 3 * 3
         assert sorted({r.tick for r in result.records}) == [0, 4, 8]
         assert sorted({r.rep for r in result.records}) == [0, 1, 2]
+
+    def test_no_birds_gives_records_without_flocks(self):
+        cfg = apply_config("M", birds=0, horizon=4, reps=1)
+        stats = [
+            (r.tick, r.flock_count, r.mean_flock_size, r.mean_flock_radius)
+            for r in run_replicated(cfg).records
+        ]
+        assert stats == [(t, 0, 0.0, 0.0) for t in range(5)]
 
     def test_final_tick_sampled(self):
         cfg = apply_config("M", birds=30, horizon=10, reps=1, base_seed=3)

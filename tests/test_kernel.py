@@ -436,6 +436,15 @@ class TestAuditDetectsViolations:
         log.append("A_M", "read", "e", 0, "FlockObservationList", flocks, cycle=1)
         assert audit_cardinality(log, 3) == ["cardinality: e@0 has 2 flocks for 5 birds"]
 
+    def test_cardinality_accepts_as_many_flocks_as_the_birds_hold(self):
+        # five birds hold one flock of three, which is no issue
+        log = EventLog()
+        state = MicroState(range(5), [0.0] * 5, [0.0] * 5, [0.0] * 5, 0, W)
+        log.append("A_m", "write", "e", 0, "MicroObservation", state, cycle=None)
+        flocks = Flocks([0.0], [0.0], [0.0], [0.0], [0, 1, 2], [0, 0, 0])
+        log.append("A_M", "read", "e", 0, "FlockObservationList", flocks, cycle=1)
+        assert audit_cardinality(log, 3) == []
+
     @pytest.mark.parametrize("ulps", [0, 1])
     def test_coherence_flags_a_flock_table_one_ulp_off(self, ulps):
         # an e read is checked against the transformer of the written state
@@ -486,3 +495,24 @@ class TestAuditDetectsViolations:
         ]
         assert rec.timestamp in batches[rec.timestamp // per_chunk]
         assert all(len(b) == per_chunk for b in batches)
+
+    def test_coherence_chunks_put_a_snapshot_above_chunk_rows_alone(self):
+        # snapshot sizes in rows, tick by tick: a chunk ends once it holds
+        # CHUNK_ROWS rows; a snapshot of more rows ends the chunk before it
+        # and is a chunk alone, one of exactly CHUNK_ROWS rows is not
+        quarter = CHUNK_ROWS // 4
+        sizes = [quarter, CHUNK_ROWS + 1, 2 * quarter, quarter, quarter]
+        sizes += [quarter, CHUNK_ROWS, 3 * CHUNK_ROWS, quarter]
+        log = EventLog()
+        for t, n in enumerate(sizes):
+            state = MicroState(range(n), np.zeros(n), np.zeros(n), np.zeros(n), t, W)
+            log.append("A_m", "write", "e", t, "MicroObservation", state, cycle=None)
+            log.append("A_M", "read", "e", t, "MicroObservation", state, cycle=t)
+        batches = []
+
+        def recording(states):
+            batches.append([s.tick for s in states])
+            return states
+
+        assert audit_coherence(log, {"e": CouplingArtifact("e", recording)}) == []
+        assert batches == [[0], [1], [2, 3, 4], [5, 6], [7], [8]]

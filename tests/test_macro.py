@@ -61,8 +61,8 @@ def state(flocks, next_id=None, world=W):
     if next_id is None:
         next_id = max((f.flock_id for f in flocks), default=-1) + 1
     return MacroState(
-        table((f.members, f.centroid, f.heading, f.radius) for f in flocks),
-        [f.flock_id for f in flocks],
+        **vars(table((f.members, f.centroid, f.heading, f.radius) for f in flocks)),
+        ids=[f.flock_id for f in flocks],
         next_id=next_id,
         world=world,
     )
@@ -76,9 +76,9 @@ def planted(column, value):
     """A registry of two flocks whose column of flock 1 holds value, put
     in unchecked with derive."""
     s = state([flock(0, {1, 2}, centroid=(30.0, 30.0)), flock(1, {3, 4}, centroid=(34.0, 30.0))])
-    bad = getattr(s.flocks, column).copy()
+    bad = getattr(s, column).copy()
     bad[1] = value
-    return replace(s, flocks=s.flocks.derive(**{column: bad}))
+    return s.derive(**{column: bad})
 
 
 def sync(s, observations):
@@ -154,15 +154,16 @@ class TestMacroState:
     @pytest.mark.parametrize(
         "ids, next_id, message",
         [
-            ([2, 1], 3, "flock ids must be unique and ascending"),
-            ([1, 1], 3, "flock ids must be unique and ascending"),
-            ([0, 1], 1, "next_id must exceed every issued id"),
+            ([2, 1], 3, r"^ids must be strictly ascending; these are not: \[1\]$"),
+            ([1, 1], 3, r"^ids must be strictly ascending; these are not: \[1\]$"),
+            ([0, 1], 1, "^next_id must exceed every issued id$"),
             ([0], 1, r"^ids has shape \(1,\), want \(2,\)$"),
         ],
     )
     def test_rejects_bad_ids(self, ids, next_id, message):
+        flocks = vars(table([obs({1}), obs({2})]))
         with pytest.raises(ValueError, match=message):
-            MacroState(table([obs({1}), obs({2})]), ids, next_id=next_id, world=W)
+            MacroState(**flocks, ids=ids, next_id=next_id, world=W)
 
 
 class TestMacroParams:
@@ -193,7 +194,7 @@ class TestSyncRegistry:
     def test_overlap_keeps_id(self):
         s0 = state([flock(0, {1, 2, 3})])
         s1 = sync(s0, [obs({2, 3, 4}, centroid=(10.0, 10.0), heading=42.0)])
-        assert len(s1.flocks) == 1
+        assert len(s1) == 1
         (f,) = registry_flocks(s1)
         assert f.flock_id == 0
         assert f.members == frozenset({2, 3, 4})
@@ -295,19 +296,19 @@ class TestMacroStep:
         b = flock(1, {4, 5, 6}, centroid=(52.0, 50.0), heading=90.0, radius=2.0)
         s1 = macro_step(state([a, b]), P)
         # flock 0 aligns toward flock 1's heading, so it must have turned
-        assert s1.flocks.heading[0] != 0.0
+        assert s1.heading[0] != 0.0
 
     def test_point_flocks_beyond_vision_ignore_each_other(self):
         a = flock(0, {1, 2, 3}, centroid=(10.0, 10.0), heading=0.0, radius=0.0)
         b = flock(1, {4, 5, 6}, centroid=(50.0, 50.0), heading=90.0, radius=0.0)
         s1 = macro_step(state([a, b]), P)
-        assert s1.flocks.heading.tolist() == [0.0, 90.0]
+        assert s1.heading.tolist() == [0.0, 90.0]
 
     def test_flock_count_invariant(self):
         s0 = state(
             [flock(i, {3 * i, 3 * i + 1, 3 * i + 2}, centroid=(10.0 * i, 20.0)) for i in range(5)]
         )
-        assert len(macro_step(s0, P).flocks) == 5
+        assert len(macro_step(s0, P)) == 5
 
     def test_displacement_magnitude_is_speed(self):
         s0 = state(
@@ -334,7 +335,7 @@ class TestMacroStep:
 
     def test_radius_not_evolved(self):
         s0 = state([flock(0, {1, 2}, radius=3.5)])
-        assert macro_step(s0, P).flocks.radius.tolist() == [3.5]
+        assert macro_step(s0, P).radius.tolist() == [3.5]
 
     def test_zero_flocks_is_legal(self):
         assert registry_flocks(macro_step(state([]), P)) == ()
@@ -388,9 +389,9 @@ class TestDisplacements:
         after = macro_step(before, P)
         d = displacements(before, after)
         moved = wrap((10.0 + d.vx[0], 10.0 + d.vy[0]), W)
-        assert moved[0] == pytest.approx(after.flocks.x[0], abs=1e-9)
-        assert moved[1] == pytest.approx(after.flocks.y[0], abs=1e-9)
-        assert d.heading[0] == after.flocks.heading[0]
+        assert moved[0] == pytest.approx(after.x[0], abs=1e-9)
+        assert moved[1] == pytest.approx(after.y[0], abs=1e-9)
+        assert d.heading[0] == after.heading[0]
         assert (d.vx[0], d.vy[0]) == torus_delta((10.0, 10.0), moved, W)
 
 
@@ -460,7 +461,7 @@ class TestMatchesPerFlockRule:
         f = registry_flocks(s)
         assert effective_distance(f[2], f[1], W) == 0.0
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks.heading[2] == 90.0
+        assert macro_step(s, p).heading[2] == 90.0
 
     def test_across_the_seam(self):
         # the mates are only close across the x and y seams
@@ -484,7 +485,7 @@ class TestMatchesPerFlockRule:
         s = state([a, b])
         assert (effective_distance(a, b, W) == p.vision) == (extra == 0.0)
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks.heading[0] == (90.0 if extra == 0.0 else 0.0)
+        assert macro_step(s, p).heading[0] == (90.0 if extra == 0.0 else 0.0)
 
     @pytest.mark.parametrize("extra", [0.0, -1e-12])
     def test_gap_exactly_at_min_separation(self, extra):
@@ -499,7 +500,7 @@ class TestMatchesPerFlockRule:
         s = state([a, b])
         assert (effective_distance(a, b, W) == p.min_separation) == (extra == 0.0)
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks.heading[0] == (90.0 if extra == 0.0 else 180.0)
+        assert macro_step(s, p).heading[0] == (90.0 if extra == 0.0 else 180.0)
 
     def test_gap_rounding_beyond_the_candidate_radius(self):
         # vision 12.599, radii 0.781: the centroid distance rounds to one
@@ -512,7 +513,7 @@ class TestMatchesPerFlockRule:
         assert torus_distance(a.centroid, b.centroid, W) > p.vision + 2.0 * 0.781
         assert effective_distance(a, b, W) <= p.vision
         assert_matches_per_flock_rule(s, p)
-        assert macro_step(s, p).flocks.heading[0] == 90.0
+        assert macro_step(s, p).heading[0] == 90.0
 
 
 # Half-unit lattice centroids with radii in quarter units: gaps land

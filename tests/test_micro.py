@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld
-from flocklevels.macro import NO_FLOCKS, Displacements, Flocks
+from flocklevels.macro import NO_FLOCKS, Displacements, Flocks, MacroState
 from flocklevels.micro import (
     Bird,
     Columns,
@@ -321,13 +321,12 @@ class TestMicroStep:
 
 
 class TestMicroState:
-    def test_sorted_by_id(self):
-        s = MicroState([5, 2, 9], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0], 0, W)
-        assert state_key(s) == (0, W, [2, 5, 9], [2.0, 1.0, 3.0], [5.0, 4.0, 6.0], [8.0, 7.0, 9.0])
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            MicroState([1, 1], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], 0, W)
+    @pytest.mark.parametrize("ids, bad", [([5, 2, 9], [2]), ([1, 1, 2], [1])])
+    def test_rejects_ids_not_strictly_ascending(self, ids, bad):
+        # unsorted or repeated ids are refused, not sorted
+        message = rf"^ids must be strictly ascending; these are not: \{bad}$"
+        with pytest.raises(CouplingError, match=message):
+            MicroState(ids, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0], 0, W)
 
     @pytest.mark.parametrize("field", COLUMNS[1:])
     def test_rejects_unequal_lengths(self, field):
@@ -371,15 +370,21 @@ def float_columns(draw, k, n):
     return [draw(st.lists(st.floats(0.0, 99.0), min_size=n, max_size=n)) for _ in range(k)]
 
 
+def ascending_ids(draw, size=None):
+    """Distinct ids in ascending order, of the given count or up to five."""
+    lengths = {"max_size": 5} if size is None else {"min_size": size, "max_size": size}
+    return sorted(draw(st.lists(st.integers(0, 50), unique=True, **lengths)))
+
+
 @st.composite
 def micro_states(draw):
-    ids = draw(st.lists(st.integers(0, 50), unique=True, max_size=5))
-    return MicroState(ids, *float_columns(draw, 3, len(ids)), 7, W)
+    ids = ascending_ids(draw)
+    return MicroState(ids, *float_columns(draw, 3, len(ids)), draw(st.integers(0, 2)), W)
 
 
 @st.composite
 def command_tables(draw):
-    ids = sorted(draw(st.lists(st.integers(0, 50), unique=True, max_size=5)))
+    ids = ascending_ids(draw)
     return Commands(ids, *float_columns(draw, 3, len(ids)))
 
 
@@ -389,17 +394,43 @@ def flock_tables(draw, cls):
     and the labels follow no order."""
     sizes = draw(st.lists(st.integers(1, 3), max_size=4))
     f, m = len(sizes), sum(sizes)
-    members = sorted(draw(st.lists(st.integers(0, 50), unique=True, min_size=m, max_size=m)))
+    members = ascending_ids(draw, m)
     label = draw(st.permutations([k for k, size in enumerate(sizes) for _ in range(size)]))
     extra = float_columns(draw, 2, f) if cls is Displacements else []
     return cls(*float_columns(draw, 4, f), members, label, *extra)
 
 
-table_kinds = [micro_states(), command_tables(), flock_tables(Flocks), flock_tables(Displacements)]
+@st.composite
+def registries(draw):
+    """A flock registry whose next id is drawn per table, above its ids."""
+    flocks = draw(flock_tables(Flocks))
+    ids = ascending_ids(draw, len(flocks))
+    next_id = draw(st.integers(max(ids, default=-1) + 1, 60))
+    return MacroState(**vars(flocks), ids=ids, next_id=next_id, world=W)
+
+
+table_kinds = [
+    micro_states(),
+    command_tables(),
+    flock_tables(Flocks),
+    flock_tables(Displacements),
+    registries(),
+]
+
+
+ONE_FLOCK = Flocks([1.0], [2.0], [3.0], [0.5], [4, 7], [0, 0])
 
 
 @given(st.sampled_from(table_kinds).flatmap(lambda kind: st.lists(kind, min_size=1, max_size=4)))
-@example([NO_FLOCKS, Flocks([1.0], [2.0], [3.0], [0.5], [4, 7], [0, 0]), NO_FLOCKS])
+@example([NO_FLOCKS, ONE_FLOCK, NO_FLOCKS])
+@example(
+    [
+        MacroState(**vars(ONE_FLOCK), ids=[3], next_id=4, world=W),
+        MacroState(**vars(NO_FLOCKS), ids=[], next_id=0, world=W),
+        MacroState(**vars(ONE_FLOCK), ids=[3], next_id=9, world=W),
+    ]
+)
+@example([MicroState([1], [2.0], [3.0], [4.0], tick, W) for tick in (5, 5, 6)])
 @settings(max_examples=300, deadline=None)
 def test_split_inverts_stack(tables):
     stack, part = Columns.stack(tables)
@@ -409,6 +440,12 @@ def test_split_inverts_stack(tables):
         assert stack is tables[0] and part is None
     else:
         assert part.tolist() == [k for k, t in enumerate(tables) for _ in range(len(t))]
+        # a field that is not a column holds the parts' one value, or each part's
+        for name, value in vars(tables[0]).items():
+            if not isinstance(value, np.ndarray):
+                values = tuple(vars(t)[name] for t in tables)
+                want = value if values.count(value) == len(values) else values
+                assert vars(stack)[name] == want
     assert stack.split(part, len(tables)) == tables
 
 
