@@ -128,9 +128,10 @@ class Columns:
         for col in columns.values():
             if isinstance(col, np.ndarray):
                 col.setflags(write=False)
+        # a new dict: keys added to a copy of vars(self) grow its class's shared keys
         given = {**vars(self), **columns}
-        for f in fields(cls):
-            object.__setattr__(table, f.name, given[f.name])
+        for name in cls.__dataclass_fields__:
+            object.__setattr__(table, name, given[name])
         return table
 
     @staticmethod
