@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocklevels import coupling
@@ -137,6 +137,8 @@ class TestDetectClusters:
         st.sampled_from([0.0, 15.0, 30.0, 180.0]),
         st.integers(2, 3),
     )
+    # two birds exactly d_prox apart, theta apart in heading: one cluster of min_size
+    @example([(0.0, 0.0, 0.0), (2.5, 0.0, 15.0)], 2.5, 15.0, 2)
     @settings(max_examples=150, deadline=None)
     def test_lattice_ties_match_union_find_oracle(self, birds, d_prox, theta, min_size):
         # half-unit lattice: distances and heading gaps are exact, so many

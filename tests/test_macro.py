@@ -156,7 +156,7 @@ class TestMacroState:
         [
             ([2, 1], 3, r"^ids must be strictly ascending; these are not: \[1\]$"),
             ([1, 1], 3, r"^ids must be strictly ascending; these are not: \[1\]$"),
-            ([0, 1], 1, "^next_id must exceed every issued id$"),
+            ([0, 1], 1, "next_id must exceed every issued id"),
             ([0], 1, r"^ids has shape \(1,\), want \(2,\)$"),
         ],
     )
