@@ -116,20 +116,25 @@ class Clusters(Columns):
 def detect_clusters(obs, p: ClusterParams, group: np.ndarray | None = None) -> Clusters:
     """Connected components of the proximity-and-alignment graph.
 
-    Two birds are linked iff their torus distance is <= d_prox and their
-    heading difference is <= theta (both thresholds closed). Components
-    smaller than min_size are dropped; the others are numbered in order
-    of their lowest member.
+    Two birds are linked iff, taken from one of them to the other, their
+    torus distance is <= d_prox and their heading difference is <= theta
+    (both thresholds closed); either can be one ulp larger one way than
+    the other. torus_links gives each pair once, with the directions its
+    distance passes in. Components smaller than min_size are dropped; the
+    others are numbered in order of their lowest member.
 
     obs is one snapshot, or several stacked in rows ordered by (snapshot,
     id) with group the snapshot of each row, ascending. No link crosses
     snapshots then, so the clusters are numbered snapshot by snapshot.
     """
     h = obs.heading
-    i, j = torus_links(obs.x, obs.y, p.d_prox, obs.world, group)
-    aligned = np.abs((h[j] - h[i] + 180.0) % 360.0 - 180.0) <= p.theta
+    i, j, fwd, bwd = torus_links(obs.x, obs.y, p.d_prox, obs.world, group)
+    # the heading test from i to j, then from j to i
+    turn = h[j] - h[i]
+    aligned = np.abs((np.concatenate((turn, -turn)) + 180.0) % 360.0 - 180.0) <= p.theta
+    link = np.flatnonzero((fwd & aligned[: i.size]) | (bwd & aligned[i.size :]))
     # rows are in ascending id, so a label is its component's lowest row
-    label = _components(i[aligned], j[aligned], len(obs))
+    label = _components(i[link], j[link], len(obs))
     kept = np.bincount(label, minlength=len(obs)) >= p.min_size
     rows = np.flatnonzero(kept[label])
     return Clusters(rows, (np.cumsum(kept) - 1)[label[rows]])

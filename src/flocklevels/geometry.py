@@ -3,10 +3,12 @@ points within a radius, the per-point sums over those pairs and the
 bounded-turn steering rule that birds and flocks share.
 
 The search comes in two forms on one candidate step (grid, gather and a
-prefilter on the unsigned wrapped gaps): `torus_neighbours` returns the
-pairs sorted, with their deltas and distances, for the steering rules;
-`torus_links` returns only the pairs, unsorted, for cluster detection,
-and skips the exact delta wherever the squared gap already decides. The
+prefilter on the unsigned wrapped gaps): `torus_neighbours` queries the
+full stencil of its rows and returns the ordered pairs sorted, with
+their deltas and distances, for the steering rules; `torus_links` visits
+each unordered pair once, on a half stencil, and returns it unsorted
+with a flag per direction of the exact test, for cluster detection, and
+skips the exact delta wherever the squared gap already decides. The
 candidate step and `torus_links` take an optional group column, so that
 several point sets of one world share one search: every group shares one
 grid, cells are keyed by (group, cell), and no pair crosses groups, so
@@ -98,11 +100,17 @@ def _candidates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Candidate pairs for a search at radius r, from a periodic grid.
 
-    Returns (i, j, g2, reach): every pair of a query point i (rows, or
-    every point) and a point j of its own or an adjacent cell, i == j
-    included; the squared unsigned wrapped gap of each pair; and the
-    rounding slack over r. Every pair within torus distance r (closed)
-    has g2 <= reach * reach.
+    Returns (i, j, g2, reach): the candidate pairs; the squared unsigned
+    wrapped gap of each pair, the same both ways; and the rounding slack
+    over r. Every pair within torus distance r (closed) has g2 <= reach *
+    reach.
+
+    A query of rows pairs every query point i with every point j of its
+    own and the adjacent cells, i == j included. rows None is the half
+    stencil over every point, which gives each unordered pair with i !=
+    j once: a point meets the points after it, in sorted cell order, in
+    its own cell, and every point of the adjacent cells keyed above its
+    own.
 
     group, when given, is the ascending group number (0, 1, ...) of every
     point, for several point sets in one world. Every group shares one
@@ -150,10 +158,22 @@ def _candidates(
     counts = np.bincount(cid, minlength=groups * nx * ny)
     starts = np.cumsum(counts) - counts
 
-    near = near.reshape(-1)
-    per_cell = counts[near]
+    # per query point and adjacent cell, its own cell first: the sorted
+    # position to start at and the number of points from there
+    near = near.reshape(q.size, kx * ky)
+    first, per_cell = starts[near], counts[near]
+    if rows is None:
+        # each unordered pair once: a point meets the points after it in
+        # its own cell, and every point of the adjacent cells keyed above
+        # its own
+        after = np.empty(n, dtype=np.int64)
+        after[order] = np.arange(1, n + 1)
+        per_cell[:, 0] -= after - first[:, 0]
+        first[:, 0] = after
+        per_cell[near < cid[:, None]] = 0
+    first, per_cell = first.reshape(-1), per_cell.reshape(-1)
     i = np.repeat(q.repeat(kx * ky), per_cell)
-    j = np.repeat(starts[near] - (np.cumsum(per_cell) - per_cell), per_cell)
+    j = np.repeat(first - (np.cumsum(per_cell) - per_cell), per_cell)
     j += np.arange(i.size)
     j = order[j]
 
@@ -200,6 +220,8 @@ def torus_neighbours(
     every point. They are the same pairs, with the same bits, as those of
     the full search whose i is in rows.
     """
+    # the full stencil: every ordered pair, from a query of every row
+    rows = np.arange(x.shape[0]) if rows is None else rows
     i, j, g2, reach = _candidates(x, y, r, world, rows)
     # the unsigned gaps give a superset of the exact test
     pre = np.flatnonzero((g2 <= reach * reach) & (i != j))
@@ -221,32 +243,44 @@ def torus_links(
     r: float,
     world: TorusWorld,
     group: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) pairs of torus_neighbours(x, y, r, world), unsorted.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of torus_neighbours(x, y, r, world), each unordered pair
+    once and unsorted, with the direction of the test that keeps it.
+
+    Returns (i, j, fwd, bwd), with i != j: fwd is whether the exact test
+    from i to j keeps the pair, and bwd whether the one from j to i does;
+    one of them is set on every pair. So {(i, j) where fwd} and {(j, i)
+    where bwd} together are the ordered pairs of torus_neighbours. The
+    two directions can differ: the wrapped distance from one point to
+    another can be one ulp longer than the one back.
 
     group, when given, is the ascending group number of every point: the
     pairs are then those of each group's own search, offset by the
     group's first point, with the same bits.
 
-    A two-sided test on the squared unsigned gap: a pair within the inner
-    bound, r less the slack that torus_neighbours adds for rounding, is
-    within r by the exact test too, and is kept without computing its
-    delta; a pair beyond reach is dropped. Only the pairs in between get
-    the exact delta and np.hypot. Where a square may have lost bits to
-    underflow, every candidate gets the exact test.
+    A two-sided test on the squared unsigned gap, which is the same both
+    ways: a pair within the inner bound, r less the slack that
+    torus_neighbours adds for rounding, is within r by the exact test in
+    both directions too, and is kept without computing its delta; a pair
+    beyond reach is dropped. Only the pairs in between get the exact
+    delta and np.hypot, in both directions. Where a square may have lost
+    bits to underflow, every candidate gets the exact test.
     """
     i, j, g2, reach = _candidates(x, y, r, world, None, group)
     inner = r * (1.0 - 1e-9) - 1e-12 * max(world.width, world.height)
     inner2, reach2 = inner * inner, reach * reach
     if inner > 0.0 and inner2 >= _SQUARE_FLOOR:
-        keep = g2 <= inner2
-        test = np.flatnonzero(~keep & (g2 <= reach2))
+        fwd = g2 <= inner2
+        test = np.flatnonzero(~fwd & (g2 <= reach2))
     else:
-        keep = np.zeros(i.size, dtype=bool)
+        fwd = np.zeros(i.size, dtype=bool)
         test = np.flatnonzero(g2 <= reach2)
-    keep[test[_exact(x, y, i[test], j[test], world)[2] <= r]] = True
-    keep &= i != j
-    return i[keep], j[keep]
+    bwd = fwd.copy()
+    a, b = i[test], j[test]
+    within = _exact(x, y, np.concatenate((a, b)), np.concatenate((b, a)), world)[2] <= r
+    fwd[test], bwd[test] = within[: test.size], within[test.size :]
+    keep = np.flatnonzero(fwd | bwd)
+    return i[keep], j[keep], fwd[keep], bwd[keep]
 
 
 def mate_sums(i, j, d, dx, dy, ux, uy, n: int) -> tuple[np.ndarray, ...]:

@@ -149,6 +149,28 @@ class TestDetectClusters:
         want = brute_clusters(obs, d_prox, theta, min_size, w.width, w.height)
         assert detect(snapshot(obs, w), p) == want
 
+    @pytest.mark.parametrize(
+        "headings,want",
+        [
+            # the distance passes only from 1 to 0, the heading difference
+            # only from 0 to 1
+            ((184.2557848920924, 351.42947170670556), []),
+            # both pass from 1 to 0
+            ((351.42947170670556, 184.2557848920924), [[0, 1]]),
+        ],
+    )
+    def test_a_link_passes_both_tests_in_one_direction(self, headings, want):
+        # in a 100-wide world, from bird 0 to bird 1 the wrapped distance
+        # is 42.74294063694282 and back one ulp less; with the first
+        # headings, their difference is 167.17368681461312 from 0 to 1
+        # and 167.17368681461315 back
+        obs = [
+            (0, (1.6527635528529094, 50.0), headings[0]),
+            (1, (44.39570418979572, 50.0), headings[1]),
+        ]
+        p = ClusterParams(d_prox=42.74294063694281, theta=167.17368681461312, min_size=2)
+        assert detect(snapshot(obs), p) == want
+
     def test_seam_invariance(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

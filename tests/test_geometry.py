@@ -530,12 +530,18 @@ class TestTorusNeighbours:
         assert dist.tolist() == [0.0, 0.0]
 
 
-def link_set(x, y, r, w):
-    """torus_links as a set of (i, j) pairs, checked to hold each once."""
-    i, j = torus_links(x, y, r, w)
-    links = list(zip(i.tolist(), j.tolist()))
-    assert len(set(links)) == len(links)
-    return set(links)
+def link_set(x, y, r, w, group=None):
+    """torus_links as the set of ordered pairs that its flags keep, {(i,
+    j) where fwd} | {(j, i) where bwd}, checked to hold each unordered
+    pair once, with no i == j and a flag set on every pair."""
+    i, j, fwd, bwd = torus_links(x, y, r, w, group)
+    assert i.dtype == j.dtype == np.int64 and fwd.dtype == bwd.dtype == bool
+    assert not (i == j).any() and (fwd | bwd).all()
+    pairs = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    assert len(set(pairs)) == len(pairs)
+    forth = zip(i[fwd].tolist(), j[fwd].tolist())
+    back = zip(j[bwd].tolist(), i[bwd].tolist())
+    return set(forth) | set(back)
 
 
 def neighbour_set(x, y, r, w):
@@ -561,17 +567,16 @@ class TestTorusLinks:
         y = np.array([p[1] for p in points])
         sizes = [len(cloud) for cloud in clouds]
         group = np.repeat(np.arange(len(clouds)), sizes)
-        gi, gj = torus_links(x, y, r, w, group)
-        assert gi.dtype == gj.dtype == np.int64
+        gi, gj, _, _ = torus_links(x, y, r, w, group)
         assert (group[gi] == group[gj]).all()
         want = set()
         for first, cloud in zip(np.cumsum([0, *sizes]).tolist(), clouds):
             cx = np.array([p[0] for p in cloud])
             cy = np.array([p[1] for p in cloud])
-            i, j = torus_links(cx, cy, r, w)
-            want |= set(zip((i + first).tolist(), (j + first).tolist()))
-        links = list(zip(gi.tolist(), gj.tolist()))
-        assert len(links) == len(set(links)) and set(links) == want
+            alone = neighbour_set(cx, cy, r, w)
+            assert link_set(cx, cy, r, w) == alone
+            want |= {(a + first, b + first) for a, b in alone}
+        assert link_set(x, y, r, w, group) == want
 
     def test_lattice_ties_and_seam_pairs(self):
         # a half-unit lattice in a 20 x 12.5 world: many pairs lie exactly
@@ -583,6 +588,37 @@ class TestTorusLinks:
             links = link_set(x, y, r, w)
             assert links == neighbour_set(x, y, r, w)
             assert (0, 25 * 39) in links  # (0, 0) and (19.5, 0), across x
+
+    def test_worlds_of_one_two_and_three_cells_per_axis(self):
+        # cells are about r wide here, so a world 1.5, 2.5 and 3.5 r wide
+        # has 1, 2 and 3 cells along that axis: with 2 the cells +1 and -1
+        # away are one cell, and with 3 each cell is adjacent to both others
+        r = 2.0
+        rng = np.random.default_rng(11)
+        for fx in (1.5, 2.5, 3.5):
+            for fy in (1.5, 2.5, 3.5):
+                w = TorusWorld(r * fx, r * fy)
+                x = rng.uniform(0.0, w.width, 40)
+                y = rng.uniform(0.0, w.height, 40)
+                # and pairs r apart across each seam
+                x[:4] = [0.0, w.width - r, 0.25 * r, 0.25 * r]
+                y[:4] = [0.5, 0.5, 0.0, w.height - r]
+                points = list(zip(x.tolist(), y.tolist()))
+                want = {(a, b) for a, b, _, _ in naive_pairs(points, r, w.width, w.height)}
+                assert {(0, 1), (2, 3)} <= want
+                assert link_set(x, y, r, w) == want == neighbour_set(x, y, r, w)
+
+    def test_pair_within_r_one_way_only(self):
+        # in a 100-wide world the wrapped distance from 0 to 1 is
+        # 42.74294063694282, and from 1 to 0 one ulp less
+        x = np.array([1.6527635528529094, 44.39570418979572])
+        y = np.array([50.0, 50.0])
+        near, far = 42.74294063694281, 42.74294063694282
+        assert neighbour_set(x, y, near, W) == {(1, 0)}
+        _, _, fwd, bwd = torus_links(x, y, near, W)
+        assert (fwd ^ bwd).tolist() == [True]
+        assert link_set(x, y, near, W) == {(1, 0)}
+        assert link_set(x, y, far, W) == {(0, 1), (1, 0)}
 
     @pytest.mark.parametrize(
         "extent,r,spread",
@@ -617,8 +653,9 @@ class TestTorusLinks:
 
     def test_empty_and_single(self):
         for n in (0, 1):
-            i, j = torus_links(np.zeros(n), np.zeros(n), 5.0, W)
-            assert i.size == j.size == 0
+            x = y = np.zeros(n)
+            assert all(a.size == 0 for a in torus_links(x, y, 5.0, W))
+            assert link_set(x, y, 5.0, W) == neighbour_set(x, y, 5.0, W) == set()
 
 
 def traced_peak(search, *args):
@@ -658,7 +695,5 @@ class TestGridCap:
         group = np.repeat(np.arange(4), 25)
         for g in (None, group):
             assert traced_peak(torus_links, x, y, r, w, g) < 2**20
-            i, j = torus_links(x, y, r, w, g)
-            links = list(zip(i.tolist(), j.tolist()))
-            same = [(a, b) for a, b, _, _ in want if g is None or g[a] == g[b]]
-            assert len(links) == len(set(links)) and set(links) == set(same)
+            same = {(a, b) for a, b, _, _ in want if g is None or g[a] == g[b]}
+            assert link_set(x, y, r, w, g) == same
