@@ -3,9 +3,10 @@
 Upward (information-reducing): detect clusters of nearby, similarly
 headed birds in a population snapshot, as one `Clusters` table (the
 snapshot rows in a cluster and each row's cluster), from the links of
-the neighbour search alone, and reify that table as one `Flocks` table
-(per flock a centroid, mean heading and dispersion radius; per member
-bird its flock's row).
+the neighbour search alone, each pair decided once on its unsigned
+distance and heading difference, and reify that table as one `Flocks`
+table (per flock a centroid, mean heading and dispersion radius; per
+member bird its flock's row).
 
 Downward (information-increasing): index the `Displacements` table by
 its label column to give every member one r-th of its flock's
@@ -116,23 +117,21 @@ class Clusters(Columns):
 def detect_clusters(obs, p: ClusterParams, group: np.ndarray | None = None) -> Clusters:
     """Connected components of the proximity-and-alignment graph.
 
-    Two birds are linked iff, taken from one of them to the other, their
-    torus distance is <= d_prox and their heading difference is <= theta
-    (both thresholds closed); either can be one ulp larger one way than
-    the other. torus_links gives each pair once, with the directions its
-    distance passes in. Components smaller than min_size are dropped; the
-    others are numbered in order of their lowest member.
+    Two birds are linked iff their torus distance is <= d_prox and their
+    heading difference is <= theta (both thresholds closed), each decided
+    once per pair on an unsigned difference, the same from either bird:
+    the distance of torus_links, and min(dh, 360 - dh) for dh = |h[j] -
+    h[i]| % 360. Components smaller than min_size are dropped; the others
+    are numbered in order of their lowest member.
 
     obs is one snapshot, or several stacked in rows ordered by (snapshot,
     id) with group the snapshot of each row, ascending. No link crosses
     snapshots then, so the clusters are numbered snapshot by snapshot.
     """
     h = obs.heading
-    i, j, fwd, bwd = torus_links(obs.x, obs.y, p.d_prox, obs.world, group)
-    # the heading test from i to j, then from j to i
-    turn = h[j] - h[i]
-    aligned = np.abs((np.concatenate((turn, -turn)) + 180.0) % 360.0 - 180.0) <= p.theta
-    link = np.flatnonzero((fwd & aligned[: i.size]) | (bwd & aligned[i.size :]))
+    i, j = torus_links(obs.x, obs.y, p.d_prox, obs.world, group)
+    turn = np.abs(h[j] - h[i]) % 360.0
+    link = np.flatnonzero(np.minimum(turn, 360.0 - turn) <= p.theta)
     # rows are in ascending id, so a label is its component's lowest row
     label = _components(i[link], j[link], len(obs))
     kept = np.bincount(label, minlength=len(obs)) >= p.min_size

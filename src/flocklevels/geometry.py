@@ -2,18 +2,19 @@
 points within a radius, the per-point sums over those pairs and the
 bounded-turn steering rule that birds and flocks share.
 
-The search comes in two forms on one candidate step (grid, gather and a
-prefilter on the unsigned wrapped gaps): `torus_neighbours` queries the
-full stencil of its rows and returns the ordered pairs sorted, with
-their deltas and distances, for the steering rules; `torus_links` visits
-each unordered pair once, on a half stencil, and returns it unsorted
-with a flag per direction of the exact test, for cluster detection, and
-skips the exact delta wherever the squared gap already decides. The
-candidate step and `torus_links` take an optional group column, so that
-several point sets of one world share one search: every group shares one
-grid, cells are keyed by (group, cell), and no pair crosses groups, so
-each group gets the pairs it would get alone. The grid has at most one
-cell per point of the mean group, whatever the world's shape.
+The search comes in two forms on one candidate step (grid, gather and
+the unsigned wrapped gaps of each pair): `torus_neighbours` queries the
+full stencil of its rows and returns the ordered pairs within r by the
+closed-form delta, sorted, with their deltas and distances, for the
+steering rules; `torus_links` visits each unordered pair once, on a
+half stencil, and returns it unsorted when np.hypot of its gaps is
+within r, a length that is the same from either end, for cluster
+detection. The candidate step and `torus_links` take an optional group
+column, so that several point sets of one world share one search:
+every group shares one grid, cells are keyed by (group, cell), and no
+pair crosses groups, so each group gets the pairs it would get alone.
+The grid has at most one cell per point of the mean group, whatever the
+world's shape.
 
 Extents lie in [1 / LENGTH_BOUND, LENGTH_BOUND], and speeds and search
 radii are at most LENGTH_BOUND, so that every delta, move, search reach
@@ -97,13 +98,14 @@ def _candidates(
     world: TorusWorld,
     rows: np.ndarray | None,
     group: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Candidate pairs for a search at radius r, from a periodic grid.
 
-    Returns (i, j, g2, reach): the candidate pairs; the squared unsigned
-    wrapped gap of each pair, the same both ways; and the rounding slack
-    over r. Every pair within torus distance r (closed) has g2 <= reach *
-    reach.
+    Returns (i, j, gx, gy, reach): the candidate pairs; the unsigned
+    wrapped gaps of each pair along x and y (of the coordinates reduced
+    into the world), the same both ways; and r widened by the rounding
+    slack. Every pair within torus distance r (closed) has gx * gx + gy *
+    gy <= reach * reach.
 
     A query of rows pairs every query point i with every point j of its
     own and the adjacent cells, i == j included. rows None is the half
@@ -176,30 +178,17 @@ def _candidates(
     j = np.repeat(first - (np.cumsum(per_cell) - per_cell), per_cell)
     j += np.arange(i.size)
     j = order[j]
-
-    # the per-pair columns are the large arrays of a search; computing in
-    # place keeps their count, and so the allocator's work, down
-    g2 = _unsigned_gap(xw, i, j, width)
-    g2 *= g2
-    gy = _unsigned_gap(yw, i, j, height)
-    gy *= gy
-    g2 += gy
-    return i, j, g2, reach
+    return i, j, _unsigned_gap(xw, i, j, width), _unsigned_gap(yw, i, j, height), reach
 
 
 def _unsigned_gap(c, i, j, extent):
     """min(|c[j] - c[i]|, extent - |c[j] - c[i]|) per pair."""
+    # the per-pair columns are the large arrays of a search; computing in
+    # place keeps their count, and so the allocator's work, down
     g = c[j]
     g -= c[i]
     np.abs(g, out=g)
     return np.minimum(g, extent - g, out=g)
-
-
-def _exact(x, y, i, j, world: TorusWorld):
-    """The wrapped delta (dx, dy) from point i to point j, and its length."""
-    dx = wrapped_delta(x[i], x[j], world.width)
-    dy = wrapped_delta(y[i], y[j], world.height)
-    return dx, dy, np.hypot(dx, dy)
 
 
 def torus_neighbours(
@@ -222,19 +211,19 @@ def torus_neighbours(
     """
     # the full stencil: every ordered pair, from a query of every row
     rows = np.arange(x.shape[0]) if rows is None else rows
-    i, j, g2, reach = _candidates(x, y, r, world, rows)
-    # the unsigned gaps give a superset of the exact test
+    i, j, gx, gy, reach = _candidates(x, y, r, world, rows)
+    # the unsigned gaps give a superset of the exact test; squared in place
+    g2 = np.square(gx, out=gx)
+    g2 += np.square(gy, out=gy)
     pre = np.flatnonzero((g2 <= reach * reach) & (i != j))
     i, j = i[pre], j[pre]
-    dx, dy, dist = _exact(x, y, i, j, world)
+    dx = wrapped_delta(x[i], x[j], world.width)
+    dy = wrapped_delta(y[i], y[j], world.height)
+    dist = np.hypot(dx, dy)
     keep = np.flatnonzero(dist <= r)
     # each candidate pair occurs once, so the (i, j) keys are unique
     keep = keep[np.argsort(i[keep] * x.shape[0] + j[keep])]
     return i[keep], j[keep], dx[keep], dy[keep], dist[keep]
-
-
-# Below this a square may have lost bits to underflow (tiny / eps).
-_SQUARE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def torus_links(
@@ -243,44 +232,22 @@ def torus_links(
     r: float,
     world: TorusWorld,
     group: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs of torus_neighbours(x, y, r, world), each unordered pair
-    once and unsorted, with the direction of the test that keeps it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every unordered pair of points within torus distance r (closed),
+    once and unsorted.
 
-    Returns (i, j, fwd, bwd), with i != j: fwd is whether the exact test
-    from i to j keeps the pair, and bwd whether the one from j to i does;
-    one of them is set on every pair. So {(i, j) where fwd} and {(j, i)
-    where bwd} together are the ordered pairs of torus_neighbours. The
-    two directions can differ: the wrapped distance from one point to
-    another can be one ulp longer than the one back.
+    Returns (i, j), with i != j. A pair is kept iff np.hypot of its
+    unsigned wrapped gaps, min(|b - a|, extent - |b - a|) per axis, is
+    <= r: a length that is the same from either end, and that sees gaps
+    below the resolution of the closed-form delta of torus_neighbours.
 
     group, when given, is the ascending group number of every point: the
     pairs are then those of each group's own search, offset by the
-    group's first point, with the same bits.
-
-    A two-sided test on the squared unsigned gap, which is the same both
-    ways: a pair within the inner bound, r less the slack that
-    torus_neighbours adds for rounding, is within r by the exact test in
-    both directions too, and is kept without computing its delta; a pair
-    beyond reach is dropped. Only the pairs in between get the exact
-    delta and np.hypot, in both directions. Where a square may have lost
-    bits to underflow, every candidate gets the exact test.
+    group's first point.
     """
-    i, j, g2, reach = _candidates(x, y, r, world, None, group)
-    inner = r * (1.0 - 1e-9) - 1e-12 * max(world.width, world.height)
-    inner2, reach2 = inner * inner, reach * reach
-    if inner > 0.0 and inner2 >= _SQUARE_FLOOR:
-        fwd = g2 <= inner2
-        test = np.flatnonzero(~fwd & (g2 <= reach2))
-    else:
-        fwd = np.zeros(i.size, dtype=bool)
-        test = np.flatnonzero(g2 <= reach2)
-    bwd = fwd.copy()
-    a, b = i[test], j[test]
-    within = _exact(x, y, np.concatenate((a, b)), np.concatenate((b, a)), world)[2] <= r
-    fwd[test], bwd[test] = within[: test.size], within[test.size :]
-    keep = np.flatnonzero(fwd | bwd)
-    return i[keep], j[keep], fwd[keep], bwd[keep]
+    i, j, gx, gy, _ = _candidates(x, y, r, world, None, group)
+    keep = np.flatnonzero(np.hypot(gx, gy) <= r)
+    return i[keep], j[keep]
 
 
 def mate_sums(i, j, d, dx, dy, ux, uy, n: int) -> tuple[np.ndarray, ...]:

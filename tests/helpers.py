@@ -3,8 +3,9 @@
 Everything here is deliberately naive (brute force, exhaustive
 enumeration, two-pass statistics, one agent at a time), imports nothing
 from the package and shares no code path with the implementations it
-checks. numpy serves to draw the same initial birds, and gives the
-pairwise search oracle its hypot (see naive_pairs).
+checks. numpy serves to draw the same initial birds, and gives every
+distance that the oracles compare with a threshold its hypot (see
+naive_pairs).
 """
 
 from __future__ import annotations
@@ -54,6 +55,24 @@ def naive_pairs(points, r, width, height):
     return out
 
 
+def gap_length(a, b, width, height):
+    """The distance of points a and b by their unsigned wrapped gaps,
+    min(|b - a|, extent - |b - a|) per axis, with numpy's hypot, as the
+    link search documents; the same from either end."""
+    dx = abs(b[0] - a[0])
+    dy = abs(b[1] - a[1])
+    return float(np.hypot(min(dx, width - dx), min(dy, height - dy)))
+
+
+def naive_links(points, r, width, height):
+    """Every unordered pair (i, j), i < j, whose gap_length is <= r."""
+    return {
+        (i, j)
+        for i, j in itertools.combinations(range(len(points)), 2)
+        if gap_length(points[i], points[j], width, height) <= r
+    }
+
+
 class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -71,21 +90,20 @@ class UnionFind:
 
 
 def brute_clusters(obs, d_prox, theta, min_size, width, height):
-    """Full adjacency matrix + union-find; returns sorted id-set clusters."""
+    """Full adjacency matrix + union-find; returns sorted id-set clusters.
+
+    Each pair is decided once, by its gap_length and its unsigned heading
+    difference min(dh, 360 - dh), dh = |hi - hj| % 360, both the same from
+    either end. The gap length is taken with np.hypot, not compared as a
+    sum of squares, which loses bits to underflow below about 1e-154.
+    """
     n = len(obs)
     uf = UnionFind(n)
-    d2 = d_prox * d_prox
     for i in range(n):
-        _, (xi, yi), hi = obs[i]
+        _, pi, hi = obs[i]
         for j in range(i + 1, n):
-            _, (xj, yj), hj = obs[j]
-            dx = abs(xi - xj)
-            if dx > width - dx:
-                dx = width - dx
-            dy = abs(yi - yj)
-            if dy > height - dy:
-                dy = height - dy
-            if dx * dx + dy * dy > d2:
+            _, pj, hj = obs[j]
+            if gap_length(pi, pj, width, height) > d_prox:
                 continue
             dh = abs(hi - hj) % 360.0
             if min(dh, 360.0 - dh) > theta:
@@ -203,6 +221,13 @@ def torus_distance(a, b, w):
     return math.hypot(*torus_delta(a, b, w))
 
 
+def search_distance(a, b, w):
+    """torus_distance with numpy's hypot, which the neighbour search takes
+    its distances from, for every decision at a threshold: math.hypot can
+    differ from it in the last bit (see naive_pairs)."""
+    return float(np.hypot(*torus_delta(a, b, w)))
+
+
 def _normalize_heading(deg):
     h = deg % 360.0
     return 0.0 if h >= 360.0 else h
@@ -239,7 +264,7 @@ def flockmates(b, s, p):
     return [
         m
         for m in s.birds
-        if m.id != b.id and torus_distance(b.pos, m.pos, s.world) <= p.vision
+        if m.id != b.id and search_distance(b.pos, m.pos, s.world) <= p.vision
     ]
 
 
@@ -254,9 +279,9 @@ def step_autonomous(b, mates, p, w):
     heading = b.heading
     if mates:
         nearest = min(
-            mates, key=lambda m: (torus_distance(b.pos, m.pos, w), m.id)
+            mates, key=lambda m: (search_distance(b.pos, m.pos, w), m.id)
         )
-        if torus_distance(b.pos, nearest.pos, w) < p.min_separation:
+        if search_distance(b.pos, nearest.pos, w) < p.min_separation:
             dx, dy = torus_delta(nearest.pos, b.pos, w)
             away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
             heading = _turn_towards(heading, away, p.max_separate_turn)
@@ -289,7 +314,7 @@ def step_commanded(b, cmd, w):
 
 def effective_distance(a, b, w):
     """Gap between two flocks' bounding circles, never negative."""
-    return max(0.0, torus_distance(a.centroid, b.centroid, w) - a.radius - b.radius)
+    return max(0.0, search_distance(a.centroid, b.centroid, w) - a.radius - b.radius)
 
 
 def steer_flock(f, others, p, w):

@@ -139,6 +139,8 @@ class TestDetectClusters:
     )
     # two birds exactly d_prox apart, theta apart in heading: one cluster of min_size
     @example([(0.0, 0.0, 0.0), (2.5, 0.0, 15.0)], 2.5, 15.0, 2)
+    # headings theta apart the short way round, across 0
+    @example([(0.0, 0.0, 345.0), (2.5, 0.0, 15.0)], 2.5, 30.0, 2)
     @settings(max_examples=150, deadline=None)
     def test_lattice_ties_match_union_find_oracle(self, birds, d_prox, theta, min_size):
         # half-unit lattice: distances and heading gaps are exact, so many
@@ -152,24 +154,70 @@ class TestDetectClusters:
     @pytest.mark.parametrize(
         "headings,want",
         [
-            # the distance passes only from 1 to 0, the heading difference
-            # only from 0 to 1
-            ((184.2557848920924, 351.42947170670556), []),
-            # both pass from 1 to 0
-            ((351.42947170670556, 184.2557848920924), [[0, 1]]),
+            ((184.2557848920924, 351.42947170670556), ([], [[0, 1]])),
+            ((351.42947170670556, 184.2557848920924), ([], [[0, 1]])),
         ],
     )
     def test_a_link_passes_both_tests_in_one_direction(self, headings, want):
-        # in a 100-wide world, from bird 0 to bird 1 the wrapped distance
-        # is 42.74294063694282 and back one ulp less; with the first
-        # headings, their difference is 167.17368681461312 from 0 to 1
-        # and 167.17368681461315 back
+        # in a 100-wide world the closed-form distance from bird 0 to bird
+        # 1 is 42.74294063694282 and back one ulp less, and the closed-form
+        # heading difference is 167.17368681461312 one way and
+        # 167.17368681461315 the other; the unsigned gap, 42.74294063694281,
+        # and the unsigned heading difference, 167.17368681461315, are the
+        # same from either bird, so swapping the headings changes nothing:
+        # the pair is linked at a theta of the latter and not one ulp below
         obs = [
             (0, (1.6527635528529094, 50.0), headings[0]),
             (1, (44.39570418979572, 50.0), headings[1]),
         ]
-        p = ClusterParams(d_prox=42.74294063694281, theta=167.17368681461312, min_size=2)
+        for theta, clusters in zip((167.17368681461312, 167.17368681461315), want):
+            p = ClusterParams(d_prox=42.74294063694281, theta=theta, min_size=2)
+            assert detect(snapshot(obs), p) == clusters
+            assert brute_clusters(obs, p.d_prox, theta, 2, 100.0, 100.0) == clusters
+
+    @given(
+        st.lists(
+            st.tuples(
+                # a half-unit lattice 20 wide around both seams
+                st.integers(-20, 19).map(lambda k: k / 2.0 % 100.0),
+                st.integers(-20, 19).map(lambda k: k / 2.0 % 100.0),
+                st.integers(0, 23).map(lambda k: k * 15.0),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([0.5, 2.5, 5.0]),
+        st.sampled_from([0.0, 15.0, 30.0]),
+    )
+    # the pair whose closed-form distance and heading difference pass one
+    # ulp apart in opposite directions, in both heading orders
+    @example(
+        [
+            (1.6527635528529094, 50.0, 351.42947170670556),
+            (44.39570418979572, 50.0, 184.2557848920924),
+        ],
+        42.74294063694281,
+        167.17368681461312,
+    )
+    @example(
+        [
+            (1.6527635528529094, 50.0, 184.2557848920924),
+            (44.39570418979572, 50.0, 351.42947170670556),
+        ],
+        42.74294063694281,
+        167.17368681461312,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reversed_ids_give_the_same_clusters(self, birds, d_prox, theta):
+        # the birds relabelled in reverse id order: every pair is decided
+        # the same, so the id-set clusters are those of the oracle either way
+        n = len(birds)
+        obs = [(k, (x, y), h) for k, (x, y, h) in enumerate(birds)]
+        back = [(n - 1 - k, pos, h) for k, pos, h in obs]
+        p = ClusterParams(d_prox=d_prox, theta=theta, min_size=2)
+        want = brute_clusters(obs, d_prox, theta, 2, 100.0, 100.0)
         assert detect(snapshot(obs), p) == want
+        got = detect(snapshot(back), p)
+        assert sorted(sorted(n - 1 - b for b in c) for c in got) == want
 
     def test_seam_invariance(self):
         rng = np.random.default_rng(23)

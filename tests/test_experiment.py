@@ -176,8 +176,9 @@ class TestExtremeConfigs:
                 cfg = apply_config(variant, values, birds=12, horizon=8)
             except ConfigError:
                 continue
-            # underflow is left out: where a square may have lost bits to
-            # it, the exact test decides the pair (geometry.torus_links)
+            # underflow is left out: a gap that squares to 0 only widens
+            # the prefilter of geometry.torus_neighbours, and torus_links
+            # takes np.hypot of the gaps, which does not square them
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 run_replicated(cfg)
 

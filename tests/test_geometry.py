@@ -24,6 +24,8 @@ from helpers import (
     brute_distance,
     circular_mean,
     cluster_columns,
+    gap_length,
+    naive_links,
     naive_pairs,
     torus_delta,
     wrap,
@@ -531,22 +533,22 @@ class TestTorusNeighbours:
 
 
 def link_set(x, y, r, w, group=None):
-    """torus_links as the set of ordered pairs that its flags keep, {(i,
-    j) where fwd} | {(j, i) where bwd}, checked to hold each unordered
-    pair once, with no i == j and a flag set on every pair."""
-    i, j, fwd, bwd = torus_links(x, y, r, w, group)
-    assert i.dtype == j.dtype == np.int64 and fwd.dtype == bwd.dtype == bool
-    assert not (i == j).any() and (fwd | bwd).all()
+    """torus_links as a set of pairs (i, j), i < j, checked to hold each
+    unordered pair once and no i == j."""
+    i, j = torus_links(x, y, r, w, group)
+    assert i.dtype == j.dtype == np.int64 and not (i == j).any()
     pairs = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
     assert len(set(pairs)) == len(pairs)
-    forth = zip(i[fwd].tolist(), j[fwd].tolist())
-    back = zip(j[bwd].tolist(), i[bwd].tolist())
-    return set(forth) | set(back)
+    return set(pairs)
 
 
 def neighbour_set(x, y, r, w):
     i, j, _, _, _ = torus_neighbours(x, y, r, w)
     return set(zip(i.tolist(), j.tolist()))
+
+
+def unordered(pairs):
+    return {(min(a, b), max(a, b)) for a, b in pairs}
 
 
 class TestTorusLinks:
@@ -556,7 +558,13 @@ class TestTorusLinks:
         points, r, w = cloud
         x = np.array([p[0] for p in points])
         y = np.array([p[1] for p in points])
-        assert link_set(x, y, r, w) == neighbour_set(x, y, r, w)
+        links = link_set(x, y, r, w)
+        assert links == naive_links(points, r, w.width, w.height)
+        # the pairs of torus_neighbours, but for ties within a few ulps of
+        # the extent, where its closed-form delta rounds the other way
+        for a, b in links ^ unordered(neighbour_set(x, y, r, w)):
+            d = gap_length(points[a], points[b], w.width, w.height)
+            assert abs(d - r) <= 1e-12 * max(w.width, w.height)
 
     @given(grouped_clouds())
     @settings(max_examples=300, deadline=None)
@@ -567,26 +575,29 @@ class TestTorusLinks:
         y = np.array([p[1] for p in points])
         sizes = [len(cloud) for cloud in clouds]
         group = np.repeat(np.arange(len(clouds)), sizes)
-        gi, gj, _, _ = torus_links(x, y, r, w, group)
+        gi, gj = torus_links(x, y, r, w, group)
         assert (group[gi] == group[gj]).all()
         want = set()
         for first, cloud in zip(np.cumsum([0, *sizes]).tolist(), clouds):
             cx = np.array([p[0] for p in cloud])
             cy = np.array([p[1] for p in cloud])
-            alone = neighbour_set(cx, cy, r, w)
+            alone = naive_links(cloud, r, w.width, w.height)
             assert link_set(cx, cy, r, w) == alone
             want |= {(a + first, b + first) for a, b in alone}
         assert link_set(x, y, r, w, group) == want
 
     def test_lattice_ties_and_seam_pairs(self):
         # a half-unit lattice in a 20 x 12.5 world: many pairs lie exactly
-        # r apart, along an axis, across a seam and as 3-4-5 triangles
+        # r apart, along an axis, across a seam and as 3-4-5 triangles;
+        # every gap and delta is exact, so both searches agree
         w = TorusWorld(20.0, 12.5)
         k = np.arange(40 * 25)
         x, y = (k // 25) / 2.0, (k % 25) / 2.0
+        points = list(zip(x.tolist(), y.tolist()))
         for r in (0.5, 2.5, 5.0, 7.5):
             links = link_set(x, y, r, w)
-            assert links == neighbour_set(x, y, r, w)
+            assert links == naive_links(points, r, w.width, w.height)
+            assert links == unordered(neighbour_set(x, y, r, w))
             assert (0, 25 * 39) in links  # (0, 0) and (19.5, 0), across x
 
     def test_worlds_of_one_two_and_three_cells_per_axis(self):
@@ -604,21 +615,22 @@ class TestTorusLinks:
                 x[:4] = [0.0, w.width - r, 0.25 * r, 0.25 * r]
                 y[:4] = [0.5, 0.5, 0.0, w.height - r]
                 points = list(zip(x.tolist(), y.tolist()))
-                want = {(a, b) for a, b, _, _ in naive_pairs(points, r, w.width, w.height)}
+                want = naive_links(points, r, w.width, w.height)
                 assert {(0, 1), (2, 3)} <= want
-                assert link_set(x, y, r, w) == want == neighbour_set(x, y, r, w)
+                assert link_set(x, y, r, w) == want
 
     def test_pair_within_r_one_way_only(self):
-        # in a 100-wide world the wrapped distance from 0 to 1 is
-        # 42.74294063694282, and from 1 to 0 one ulp less
+        # in a 100-wide world the closed-form distance from 0 to 1 is
+        # 42.74294063694282, and from 1 to 0 one ulp less; the unsigned
+        # gap is 42.74294063694281 from either end, so the pair is linked
+        # at that radius, whichever point comes first
         x = np.array([1.6527635528529094, 44.39570418979572])
         y = np.array([50.0, 50.0])
-        near, far = 42.74294063694281, 42.74294063694282
-        assert neighbour_set(x, y, near, W) == {(1, 0)}
-        _, _, fwd, bwd = torus_links(x, y, near, W)
-        assert (fwd ^ bwd).tolist() == [True]
-        assert link_set(x, y, near, W) == {(1, 0)}
-        assert link_set(x, y, far, W) == {(0, 1), (1, 0)}
+        gap = 42.74294063694281
+        assert neighbour_set(x, y, gap, W) == {(1, 0)}
+        for xs in (x, x[::-1]):
+            assert link_set(xs, y, gap, W) == {(0, 1)}
+            assert link_set(xs, y, float(np.nextafter(gap, 0.0)), W) == set()
 
     @pytest.mark.parametrize(
         "extent,r,spread",
@@ -637,25 +649,36 @@ class TestTorusLinks:
         x = np.array([wrap_scalar(v, extent) for v in cx.tolist()])
         y = np.array([wrap_scalar(v, extent) for v in cy.tolist()])
         x, y = np.concatenate((x, x[:8])), np.concatenate((y, y[:8]))
-        want = neighbour_set(x, y, r, w)
-        got = link_set(x, y, r, w)
-        assert len(want) >= 16 and got == want
+        want = naive_links(list(zip(x.tolist(), y.tolist())), r, extent, extent)
+        assert len(want) >= 8 and link_set(x, y, r, w) == want
 
     def test_gaps_whose_squares_underflow_to_zero(self):
-        # points 1e-170 apart in a world of 1, r = 1e-300: every gap
-        # squares to 0, and the closed-form wrap, which adds half the
-        # extent, rounds every delta to 0, so every pair is a link
+        # points 1e-170 apart in a world of 1: every gap squares to 0, and
+        # the closed-form wrap, which adds half the extent, rounds every
+        # delta to 0; the unsigned gaps keep their bits, so at r = 1e-300
+        # no pair is a link, and at 1.5e-170 each point's next one is
+        w1 = TorusWorld(1.0, 1.0)
         k = np.arange(10)
         x, y = k * 1e-170, k[::-1] * 1e-170
-        got = link_set(x, y, 1e-300, TorusWorld(1.0, 1.0))
-        assert got == neighbour_set(x, y, 1e-300, TorusWorld(1.0, 1.0))
-        assert len(got) == 90
+        points = list(zip(x.tolist(), y.tolist()))
+        assert len(neighbour_set(x, y, 1e-300, w1)) == 90
+        assert link_set(x, y, 1e-300, w1) == naive_links(points, 1e-300, 1.0, 1.0) == set()
+        want = {(a, a + 1) for a in range(9)}
+        assert link_set(x, y, 1.5e-170, w1) == naive_links(points, 1.5e-170, 1.0, 1.0) == want
+        # a pair exactly r apart in a world of 2^-500: each gap squares
+        # to half the smallest subnormal and rounds up to it, so the sum
+        # of the squares exceeds the square of r widened by the slack
+        e, g = 2.0**-500, 1.650009008845513e-162
+        r = float(np.hypot(g, g))
+        assert g * g + g * g > (r * (1.0 + 1e-9) + 1e-12 * e) ** 2
+        x = y = np.array([0.0, g])
+        assert link_set(x, y, r, TorusWorld(e, e)) == {(0, 1)}
 
     def test_empty_and_single(self):
         for n in (0, 1):
             x = y = np.zeros(n)
             assert all(a.size == 0 for a in torus_links(x, y, 5.0, W))
-            assert link_set(x, y, 5.0, W) == neighbour_set(x, y, 5.0, W) == set()
+            assert link_set(x, y, 5.0, W) == set()
 
 
 def traced_peak(search, *args):
@@ -692,8 +715,10 @@ class TestGridCap:
         assert list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist())) == want
 
         # one group, and four groups of 25 points, the pairs within each
+        links = naive_links(points, r, w.width, w.height)
+        assert len(links) >= 10
         group = np.repeat(np.arange(4), 25)
         for g in (None, group):
             assert traced_peak(torus_links, x, y, r, w, g) < 2**20
-            same = {(a, b) for a, b, _, _ in want if g is None or g[a] == g[b]}
+            same = {(a, b) for a, b in links if g is None or g[a] == g[b]}
             assert link_set(x, y, r, w, g) == same

@@ -476,6 +476,25 @@ class TestMatchesPerFlockRule:
             )
             assert_matches_per_flock_rule(s, p)
 
+    def test_vision_tie_decided_by_numpys_hypot(self):
+        # the delta from flock 2 to flock 0 is 1.0 long by math.hypot and
+        # 1.0000000000000002 by np.hypot, which the step takes its gaps
+        # from: flock 0 is not flock 2's mate at vision 1.0
+        w = TorusWorld(1.5, 2.5)
+        p = SteeringParams(vision=1.0, min_separation=0.1)
+        s = state(
+            [
+                flock(0, {1}, centroid=(0.0, 0.0), heading=180.0, radius=0.0),
+                flock(1, {2}, centroid=(1.0, 0.0), heading=90.0, radius=0.0),
+                flock(2, {3}, centroid=(0.6, 0.8000000000000002), heading=90.0, radius=0.0),
+            ],
+            world=w,
+        )
+        f = registry_flocks(s)
+        assert torus_distance(f[2].centroid, f[0].centroid, w) == 1.0
+        assert effective_distance(f[2], f[0], w) > p.vision
+        assert_matches_per_flock_rule(s, p)
+
     @pytest.mark.parametrize("extra", [0.0, 1e-12])
     def test_gap_exactly_at_vision(self, extra):
         # centroids 14 apart, radii 1.5 and 2.5: the gap is exactly 10

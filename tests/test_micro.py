@@ -226,6 +226,25 @@ class TestMicroStep:
         for b, got in zip(s.birds, stepped.birds):
             assert got == step_autonomous(b, flockmates(b, s, p), p, W)
 
+    def test_vision_tie_decided_by_numpys_hypot(self):
+        # the delta from bird 2 to bird 0 is 1.0 long by math.hypot and
+        # 1.0000000000000002 by np.hypot, which the search takes: bird 0
+        # is not bird 2's mate at vision 1.0, and with it bird 2 would
+        # align toward 135 and cohere toward bird 0 as well
+        w = TorusWorld(1.5, 2.5)
+        p = SteeringParams(vision=1.0, min_separation=0.1)
+        birds = [
+            Bird(0, (0.0, 0.0), 180.0),
+            Bird(1, (1.0, 0.0), 90.0),
+            Bird(2, (0.6, 0.8000000000000002), 90.0),
+        ]
+        s = MicroState(*columns((b.id, b.pos, b.heading) for b in birds), 0, w)
+        assert torus_distance(birds[2].pos, birds[0].pos, w) == 1.0
+        assert flockmates(birds[2], s, p) == [birds[1]]
+        stepped = micro_step(s, None, p)
+        for b, got in zip(s.birds, stepped.birds):
+            assert got == step_autonomous(b, flockmates(b, s, p), p, w)
+
     def test_all_commanded_translates_population(self):
         s = init_random(10, W, np.random.default_rng(3))
         cmds = commands({b.id: ((1.0, 0.0), 0.0) for b in s.birds})
