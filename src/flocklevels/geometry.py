@@ -1,20 +1,36 @@
 """Toroidal 2-D world arithmetic, a cell-grid search for all pairs of
-points within a radius, the per-point sums over those pairs and the
-bounded-turn steering rule that birds and flocks share.
+discs or points within a radius, and the bounded-turn boids step that
+birds and flocks share.
 
 The search comes in two forms on one candidate step (grid, gather and
 the unsigned wrapped gaps of each pair): `torus_neighbours` queries the
-full stencil of its rows and returns the ordered pairs within r by the
-closed-form delta, sorted, with their deltas and distances, for the
-steering rules; `torus_links` visits each unordered pair once, on a
-half stencil, and returns it unsorted when np.hypot of its gaps is
-within r, a length that is the same from either end, for cluster
-detection. The candidate step and `torus_links` take an optional group
-column, so that several point sets of one world share one search:
-every group shares one grid, cells are keyed by (group, cell), and no
-pair crosses groups, so each group gets the pairs it would get alone.
-The grid has at most one cell per point of the mean group, whatever the
-world's shape.
+full stencil of its rows and returns the ordered pairs of discs within
+gap r, sorted, with their deltas and gaps, for the boids step;
+`torus_links` visits each unordered pair of points once, on a half
+stencil, and returns it unsorted when np.hypot of its gaps is within r,
+a length that is the same from either end, for cluster detection. The
+candidate step and `torus_links` take an optional group column, so that
+several point sets of one world share one search: every group shares one
+grid, cells are keyed by (group, cell), and no pair crosses groups, so
+each group gets the pairs it would get alone. The grid has at most one
+cell per point of the mean group, whatever the world's shape.
+
+`boids_step` moves birds and flocks alike: a bird is a disc of radius 0,
+whose gap to a mate is their distance, bit for bit, and a flock the
+bounding circle of its members. The gap of two discs is the distance of
+their centres less both radii, never negative. The search runs at vision
++ 2 max(radius), widened by a relative 1e-9 since a rounded gap can
+reach vision from an ulp further out, and keeps the pairs whose gap is
+at most vision; `mate_sums` reduces them, and `steer` turns every
+queried disc at once. The result is bit for bit that of the
+one-agent-at-a-time rules, since both take their bearings from libm:
+`steer` calls `math.atan2` (numpy's own atan2 differs from it in the
+last bit on some inputs, how often depending on the SIMD code numpy
+dispatches to), and takes the separation bearing from the reverse delta,
+from the nearest mate to the disc, since the negated forward delta
+rounds differently. Distances come from `np.hypot`, which can differ
+from `math.hypot` in the last bit; that moves a decision only at a tie
+within one ulp.
 
 Extents lie in [1 / LENGTH_BOUND, LENGTH_BOUND], and speeds and search
 radii are at most LENGTH_BOUND, so that every delta, move, search reach
@@ -42,10 +58,14 @@ __all__ = [
     "torus_links",
     "mate_sums",
     "steer",
+    "boids_step",
 ]
 
 # Resultant vectors shorter than this are treated as zero (undefined mean).
 ZERO_RESULTANT_EPS = 1e-9
+
+# The smallest normal float: the search's squared reach is floored here.
+TINY = np.finfo(float).tiny
 
 # The bound on every length: extents lie in [1 / LENGTH_BOUND,
 # LENGTH_BOUND], and speed, vision and d_prox are at most LENGTH_BOUND.
@@ -77,7 +97,8 @@ def wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
     a value just below 0 whose remainder rounds to the extent itself gives
     0. A non-finite value gives NaN."""
     r = a % extent
-    return np.where(r >= extent, 0.0, r)
+    r[r >= extent] = 0.0
+    return r
 
 
 def wrapped_delta(a, b, extent: float):
@@ -105,7 +126,9 @@ def _candidates(
     wrapped gaps of each pair along x and y (of the coordinates reduced
     into the world), the same both ways; and r widened by the rounding
     slack. Every pair within torus distance r (closed) has gx * gx + gy *
-    gy <= reach * reach.
+    gy <= max(reach * reach, TINY): below TINY each square rounds to a
+    whole multiple of the smallest subnormal, and their sum can exceed
+    reach * reach for a pair exactly r apart.
 
     A query of rows pairs every query point i with every point j of its
     own and the adjacent cells, i == j included. rows None is the half
@@ -194,36 +217,45 @@ def _unsigned_gap(c, i, j, extent):
 def torus_neighbours(
     x: np.ndarray,
     y: np.ndarray,
+    radius: np.ndarray,
     r: float,
     world: TorusWorld,
     rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered pair of points within torus distance r (closed).
+    """Every ordered pair of discs within gap r (closed).
 
-    Returns (i, j, dx, dy, dist): the index pairs with i != j, sorted by
-    (i, j); the delta (b - a + extent / 2) % extent - extent / 2 from point
-    i to point j per axis; and np.hypot(dx, dy). A pair is kept iff dist <= r.
+    The discs have centres (x, y) and radii radius, zeros for points.
+    Returns (i, j, dx, dy, gap): the index pairs with i != j, sorted by
+    (i, j); the delta (b - a + extent / 2) % extent - extent / 2 from
+    centre i to centre j per axis; and max(np.hypot(dx, dy) - radius[i] -
+    radius[j], 0), the distance itself, bit for bit, between points. A
+    pair is kept iff gap <= r.
 
-    rows, when given, are the ascending indices of the query points: only
+    rows, when given, are the ascending indices of the query discs: only
     the pairs whose i is in rows are returned, while j still ranges over
-    every point. They are the same pairs, with the same bits, as those of
+    every disc. They are the same pairs, with the same bits, as those of
     the full search whose i is in rows.
     """
-    # the full stencil: every ordered pair, from a query of every row
+    # the full stencil: every ordered pair, from a query of every row;
+    # a rounded gap can reach r from an ulp further out than r + 2 radii
     rows = np.arange(x.shape[0]) if rows is None else rows
-    i, j, gx, gy, reach = _candidates(x, y, r, world, rows)
+    reach = (r + 2.0 * radius.max(initial=0.0)) * (1.0 + 1e-9)
+    i, j, gx, gy, reach = _candidates(x, y, reach, world, rows)
     # the unsigned gaps give a superset of the exact test; squared in place
     g2 = np.square(gx, out=gx)
     g2 += np.square(gy, out=gy)
-    pre = np.flatnonzero((g2 <= reach * reach) & (i != j))
+    pre = np.flatnonzero((g2 <= max(reach * reach, TINY)) & (i != j))
     i, j = i[pre], j[pre]
     dx = wrapped_delta(x[i], x[j], world.width)
     dy = wrapped_delta(y[i], y[j], world.height)
-    dist = np.hypot(dx, dy)
-    keep = np.flatnonzero(dist <= r)
+    gap = np.hypot(dx, dy)
+    gap -= radius[i]
+    gap -= radius[j]
+    np.maximum(gap, 0.0, out=gap)
+    keep = np.flatnonzero(gap <= r)
     # each candidate pair occurs once, so the (i, j) keys are unique
     keep = keep[np.argsort(i[keep] * x.shape[0] + j[keep])]
-    return i[keep], j[keep], dx[keep], dy[keep], dist[keep]
+    return i[keep], j[keep], dx[keep], dy[keep], gap[keep]
 
 
 def torus_links(
@@ -295,10 +327,10 @@ def steer(h, x, y, world: TorusWorld, p, count, nearest, nearest_d, sx, sy, cx, 
     """New heading of every point under the bounded-turn boids rule.
 
     h, x and y are the points' headings and positions, p the turn bounds
-    (SteeringParams) and the rest the per-point reduction of mate_sums,
-    by point distance for birds and by gap for flocks. A point whose
-    nearest mate is closer than min_separation turns away from it, along
-    the delta from the mate to the point; any other point with mates
+    (SteeringParams) and the rest the per-point reduction of mate_sums
+    by gap. A point whose nearest mate is closer than min_separation turns
+    away from it, along the delta from the mate to the point; any other
+    point with mates
     aligns with its mates' mean heading, unless their resultant is zero,
     then coheres toward their summed offset, unless it is zero. A point
     without mates keeps its heading. Each bearing is taken with libm's
@@ -320,3 +352,28 @@ def steer(h, x, y, world: TorusWorld, p, count, nearest, nearest_d, sx, sy, cx, 
     if rows.size:
         out[rows] = _turn(out[rows], _bearing(cx[rows], cy[rows]), p.max_cohere_turn)
     return out
+
+
+def boids_step(x, y, heading, radius, world: TorusWorld, p, rows=None):
+    """One synchronous step of discs under the bounded-turn boids rule.
+
+    The discs have centres (x, y), headings and radii radius, zeros for
+    birds, and p holds the rule's bounds (SteeringParams). The rows,
+    ascending, or every row when None, turn by `steer` against their
+    mates, the other discs within gap vision in the pre-step state; the
+    other rows keep their heading. Every row then advances by speed.
+    Returns the new x, y and heading as new arrays, x and y not yet
+    wrapped, so that a caller overwrites rows before its one wrap.
+    """
+    if rows is not None and rows.size == 0:
+        # no row turns, as in about a quarter of the M1 and M2 steps at
+        # 100 birds, where every bird is commanded: skip the fixed cost of
+        # searching no rows
+        h = heading.copy()
+    else:
+        i, j, dx, dy, gap = torus_neighbours(x, y, radius, p.vision, world, rows)
+        hr = np.radians(heading)
+        sums = mate_sums(i, j, gap, dx, dy, np.cos(hr), np.sin(hr), x.shape[0])
+        h = steer(heading, x, y, world, p, *sums)
+    hr = np.radians(h)
+    return x + p.speed * np.cos(hr), y + p.speed * np.sin(hr), h

@@ -7,19 +7,8 @@ as individual birds, except that distances are size-aware: the
 effective distance between two flocks is the gap between their bounding
 circles, never negative.
 
-The step runs over arrays. Candidate pairs come from the cell-grid
-search at radius vision + 2 max(radius), widened by a relative 1e-9 since
-a rounded gap can reach vision from an ulp further out; `mate_sums`, the
-reduction the boids step uses, reduces the pairs whose gap is at most
-vision, and `steer`, the rule the boids step also uses, turns every flock
-at once. The result is bit for bit that of the per-flock rule, since
-both levels take their bearings from libm: `steer` calls `math.atan2`
-(numpy's own atan2 differs from it in the last bit on some inputs, how
-often depending on the SIMD code numpy dispatches to), and takes the
-separation bearing from the reverse delta, from the nearest mate to the
-flock, since the negated forward delta rounds differently. Distances
-come from `np.hypot`, which can differ from `math.hypot` in the last
-bit; that moves a decision only at a tie within one ulp.
+The step is `geometry.boids_step`, the birds' own, with each flock a
+disc of its radius.
 
 The registry is kept in sync with the flocks observed at the individual
 level: observed flocks are matched to registered ones by member-set
@@ -35,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingError
-from .geometry import (
-    TorusWorld,
-    mate_sums,
-    steer,
-    torus_neighbours,
-    wrap_array,
-    wrapped_delta,
-)
+from .geometry import TorusWorld, boids_step, wrap_array, wrapped_delta
 from .micro import Columns, SteeringParams
 
 __all__ = [
@@ -182,21 +164,9 @@ def macro_step(s: MacroState, p: SteeringParams) -> MacroState:
     turns the flock away; otherwise it aligns with its mates' mean heading,
     then coheres toward their summed offset. It then advances by speed.
     """
-    x, y, h, r, w = s.x, s.y, s.heading, s.radius, s.world
-
-    reach = (p.vision + 2.0 * r.max(initial=0.0)) * (1.0 + 1e-9)
-    i, j, dx, dy, dist = torus_neighbours(x, y, reach, w)
-    gap = np.maximum(dist - r[i] - r[j], 0.0)
-    keep = np.flatnonzero(gap <= p.vision)
-    hr = np.radians(h)
-    sums = mate_sums(
-        i[keep], j[keep], gap[keep], dx[keep], dy[keep], np.cos(hr), np.sin(hr), len(s)
-    )
-    h = steer(h, x, y, w, p, *sums)
-    hr = np.radians(h)
-    x = wrap_array(x + p.speed * np.cos(hr), w.width)
-    y = wrap_array(y + p.speed * np.sin(hr), w.height)
-    state = s.derive(x=x, y=y, heading=h)
+    w = s.world
+    x, y, h = boids_step(s.x, s.y, s.heading, s.radius, w, p)
+    state = s.derive(x=wrap_array(x, w.width), y=wrap_array(y, w.height), heading=h)
     state.check("x", "y", "heading")
     return state
 

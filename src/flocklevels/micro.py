@@ -18,9 +18,11 @@ Every table that crosses the levels, and each model's state, is a
 `stack` and `split`, which join tables of one type part after part and
 part them again, fields and all.
 
-Steering runs only for the uncommanded birds, each against the whole
-pre-step population: the neighbour search, the mate sums and the turn
-skip the commanded rows, whose headings the commands overwrite.
+The step is `geometry.boids_step`, the flocks' own, with each bird a
+disc of radius 0. It turns only the uncommanded birds, each against the
+whole pre-step population: the neighbour search, the mate sums and the
+turn skip the commanded rows, whose moves and headings the commands
+overwrite.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CouplingError
-from .geometry import (
-    LENGTH_BOUND,
-    TorusWorld,
-    mate_sums,
-    steer,
-    torus_neighbours,
-    wrap_array,
-)
+from .geometry import LENGTH_BOUND, TorusWorld, boids_step, wrap_array
 
 __all__ = [
     "Bird",
@@ -260,26 +255,6 @@ def init_random(n: int, world: TorusWorld, rng: np.random.Generator) -> MicroSta
     return MicroState(np.arange(n), xs, ys, hs, tick=0, world=world)
 
 
-def _steer_free(
-    x: np.ndarray,
-    y: np.ndarray,
-    h: np.ndarray,
-    free: np.ndarray | None,
-    p: SteeringParams,
-    w: TorusWorld,
-) -> np.ndarray:
-    """Boids headings (pre-move) of the free rows, all rows when None, with
-    mates by distance among the whole population; other rows keep theirs."""
-    if free is not None and free.size == 0:
-        # every bird commanded, as in about a third of the M1 and M2 steps
-        # at 100 birds: skip the fixed cost of searching no rows
-        return h.copy()
-    i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, w, free)
-    hr = np.radians(h)
-    sums = mate_sums(i, j, dist, dx, dy, np.cos(hr), np.sin(hr), x.shape[0])
-    return steer(h, x, y, w, p, *sums)
-
-
 def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> MicroState:
     """Advance the whole population by one tick.
 
@@ -298,21 +273,16 @@ def micro_step(s: MicroState, cmds: Commands | None, p: SteeringParams) -> Micro
         is_free[rows] = False
         free = np.flatnonzero(is_free)
 
-    x, y = s.x, s.y
-    new_h = _steer_free(x, y, s.heading, free, p, s.world)
-    hr = np.radians(new_h)
-    new_x = x + p.speed * np.cos(hr)
-    new_y = y + p.speed * np.sin(hr)
-
+    w = s.world
+    x, y, h = boids_step(s.x, s.y, s.heading, np.zeros(len(s)), w, p, free)
     if cmds:
-        new_x[rows] = x[rows] + cmds.vx
-        new_y[rows] = y[rows] + cmds.vy
-        new_h[rows] = wrap_array(cmds.heading, 360.0)
+        x[rows] = s.x[rows] + cmds.vx
+        y[rows] = s.y[rows] + cmds.vy
+        h[rows] = wrap_array(cmds.heading, 360.0)
+    x, y = wrap_array(x, w.width), wrap_array(y, w.height)
 
-    new_x = wrap_array(new_x, s.world.width)
-    new_y = wrap_array(new_y, s.world.height)
     # the ids and their order are kept, so only the new columns are checked
-    state = s.derive(x=new_x, y=new_y, heading=new_h, tick=s.tick + 1)
+    state = s.derive(x=x, y=y, heading=h, tick=s.tick + 1)
     state.check("x", "y", "heading")
     return state
 

@@ -55,6 +55,19 @@ def naive_pairs(points, r, width, height):
     return out
 
 
+def naive_disc_pairs(points, radii, r, width, height):
+    """Every ordered pair (i, j), i != j, of discs whose gap, the
+    distance of their centres (as naive_pairs takes it) less both radii
+    and never negative, is <= r. Returns (i, j, dx, dy, gap) tuples sorted
+    by (i, j)."""
+    out = []
+    for i, j, dx, dy in naive_pairs(points, math.inf, width, height):
+        gap = max(float(np.hypot(dx, dy)) - radii[i] - radii[j], 0.0)
+        if gap <= r:
+            out.append((i, j, dx, dy, gap))
+    return out
+
+
 def gap_length(a, b, width, height):
     """The distance of points a and b by their unsigned wrapped gaps,
     min(|b - a|, extent - |b - a|) per axis, with numpy's hypot, as the
@@ -471,7 +484,7 @@ def registry_flocks(state):
 # -- Whole-run reference ------------------------------------------------
 # The two-level loop in plain Python, on the oracles above: one bird, one
 # cluster and one flock at a time, at the default world, boids and
-# cluster parameters.
+# cluster parameters unless others are given.
 
 
 @dataclass(frozen=True)
@@ -488,6 +501,13 @@ class Steering:
     max_cohere_turn: float = 3.0
     max_separate_turn: float = 1.5
     speed: float = 1.0
+
+
+@dataclass(frozen=True)
+class Cluster:
+    d_prox: float = 5.0
+    theta: float = 30.0
+    min_size: int = 3
 
 
 @dataclass(frozen=True)
@@ -586,9 +606,21 @@ def reference_stats(observations):
     return n, mean_size, sum(o[3] for o in observations) / n
 
 
-def reference_run(variant, birds, horizon, seed):
+def reference_run(
+    variant,
+    birds,
+    horizon,
+    seed,
+    *,
+    world=World(),
+    micro=Steering(),
+    macro=None,
+    cluster=Cluster(),
+):
     """One replication of a variant, driven one agent at a time.
 
+    world, micro (the birds' steering), macro (the flocks' steering, the
+    variant's own when None) and cluster are the run's parameters.
     Returns a dict: "states", the birds at every tick 0..horizon as
     (id, x, y, heading) tuples; "cycles", per macro cycle its tick, the
     registry after the sync and the registry after the step (None when
@@ -597,7 +629,8 @@ def reference_run(variant, birds, horizon, seed):
     statistics of every boundary 0, r, ..., horizon.
     """
     p_macro, r, immergence = REFERENCE_VARIANTS[variant]
-    p_micro, w = Steering(), World()
+    p_macro, p_micro, w = macro or p_macro, micro, world
+    clusters = (cluster.d_prox, cluster.theta, cluster.min_size)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, w.width, birds).tolist()
     ys = rng.uniform(0.0, w.height, birds).tolist()
@@ -613,7 +646,7 @@ def reference_run(variant, birds, horizon, seed):
     log = [f"0;A_m;write;e;MicroObservation;{birds}"]
     registry, next_id = Registry((), w), 0
     for t in range(0, horizon, r):
-        observations = reference_observations(pop)
+        observations = reference_observations(pop, *clusters)
         log.append(f"{t};A_M;read;e;FlockObservationList;{len(observations)}")
         stats.append(reference_stats(observations))
         flocks, next_id = greedy_registry(registry.flocks, next_id, observations)
@@ -649,5 +682,5 @@ def reference_run(variant, birds, horizon, seed):
             states.append(rows(pop))
             if (t + k) % r == 0:
                 log.append(f"{t + k};A_m;write;e;MicroObservation;{birds}")
-    stats.append(reference_stats(reference_observations(pop)))
+    stats.append(reference_stats(reference_observations(pop, *clusters)))
     return {"states": states, "cycles": cycles, "log": log, "stats": stats}

@@ -40,6 +40,7 @@ RUN = "tests/test_kernel.py::TestRun::"
 CONFIG = "tests/test_experiment.py::TestApplyConfig::"
 DETECT = "tests/test_coupling.py::TestDetectClusters::"
 LINKS = "tests/test_geometry.py::TestTorusLinks::"
+NEIGHBOURS = "tests/test_geometry.py::TestTorusNeighbours::"
 EMERGENCE = "tests/test_coupling.py::TestEmergenceTransform::"
 CLUSTERS = "tests/test_coupling.py::TestClusters::"
 MICRO = "tests/test_micro.py::"
@@ -214,11 +215,14 @@ MUTANTS = [
         (MACRO + "TestMacroState::test_rejects_bad_ids",),
     ),
     Mutant(
-        "macro_step: a flock exactly vision away is no mate",
-        "macro.py",
-        "keep = np.flatnonzero(gap <= p.vision)",
-        "keep = np.flatnonzero(gap < p.vision)",
-        (PER_FLOCK + "test_gap_exactly_at_vision",),
+        "boids_step: a flock or bird exactly vision away is no mate",
+        "geometry.py",
+        "keep = np.flatnonzero(gap <= r)",
+        "keep = np.flatnonzero(gap < r)",
+        (
+            PER_FLOCK + "test_gap_exactly_at_vision",
+            MICRO + "test_lattice_ties_match_per_bird_rule",
+        ),
     ),
     Mutant(
         "steer: a mate exactly min_separation away separates",
@@ -283,19 +287,33 @@ MUTANTS = [
     Mutant(
         "micro_step: the commanded heading not written",
         "micro.py",
-        "new_h[rows] = wrap_array(cmds.heading, 360.0)",
+        "h[rows] = wrap_array(cmds.heading, 360.0)",
         "pass",
         (MICRO + "TestMicroStep::test_mixed_crowd_matches_per_bird_rules",),
     ),
     Mutant(
         "torus_neighbours: a pair exactly r apart dropped",
         "geometry.py",
-        "keep = np.flatnonzero(dist <= r)",
-        "keep = np.flatnonzero(dist < r)",
+        "keep = np.flatnonzero(gap <= r)",
+        "keep = np.flatnonzero(gap < r)",
+        (NEIGHBOURS + "test_matches_pairwise_rule_on_boundaries",),
+    ),
+    Mutant(
+        "torus_neighbours: a squared reach below the smallest normal not floored",
+        "geometry.py",
+        "(g2 <= max(reach * reach, TINY))",
+        "(g2 <= reach * reach)",
         (
-            "tests/test_geometry.py::TestTorusNeighbours::"
-            "test_matches_pairwise_rule_on_boundaries",
+            NEIGHBOURS + "test_pair_exactly_r_apart_whose_squares_are_subnormal",
+            MICRO + "TestMicroStep::test_mate_exactly_vision_away_whose_squares_are_subnormal",
         ),
+    ),
+    Mutant(
+        "boids_step: a step with no row to turn searches anyway",
+        "geometry.py",
+        "if rows is not None and rows.size == 0:",
+        "if False:",
+        (MICRO + "TestMicroStep::test_all_commanded_skips_the_search",),
     ),
     Mutant(
         "torus_links: a pair exactly r apart dropped",

@@ -25,6 +25,7 @@ from helpers import (
     circular_mean,
     cluster_columns,
     gap_length,
+    naive_disc_pairs,
     naive_links,
     naive_pairs,
     torus_delta,
@@ -166,11 +167,17 @@ class TestTorusDelta:
         assert min(abs(wy - b[1]), 100 - abs(wy - b[1])) < 1e-9
 
 
+def point_pairs(x, y, r, w, rows=None):
+    """torus_neighbours of points: discs of radius 0, whose gap is their
+    distance."""
+    return torus_neighbours(x, y, np.zeros(x.size), r, w, rows)
+
+
 def torus_distance(a, b):
     """The distance torus_neighbours reports from point a to point b."""
     x, y = np.array([a[0], b[0]]), np.array([a[1], b[1]])
     # a radius beyond the half diagonal keeps every pair
-    _, _, _, _, dist = torus_neighbours(x, y, 100.0, W)
+    _, _, _, _, dist = point_pairs(x, y, 100.0, W)
     return dist[0]
 
 
@@ -314,7 +321,7 @@ class TestSteer:
         # from it is 180 for the left point and 0 for the right one
         p = SteeringParams(max_separate_turn=180.0)
         x, y, h = np.array([99.8, 0.1]), np.array([50.0, 50.0]), np.array([90.0, 90.0])
-        i, j, dx, dy, dist = torus_neighbours(x, y, p.vision, W)
+        i, j, dx, dy, dist = point_pairs(x, y, p.vision, W)
         sums = mate_sums(i, j, dist, dx, dy, np.zeros(2), np.ones(2), 2)
         assert steer(h, x, y, W, p, *sums).tolist() == [180.0, 0.0]
 
@@ -457,7 +464,7 @@ class TestTorusNeighbours:
         points, r, w = cloud
         x = np.array([p[0] for p in points])
         y = np.array([p[1] for p in points])
-        i, j, dx, dy, dist = torus_neighbours(x, y, r, w)
+        i, j, dx, dy, dist = point_pairs(x, y, r, w)
         got = list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist()))
         assert got == naive_pairs(points, r, w.width, w.height)
         assert np.array_equal(dist, np.hypot(dx, dy))
@@ -468,6 +475,32 @@ class TestTorusNeighbours:
                 d = brute_distance(points[a], points[b], w.width, w.height)
                 if a != b and abs(d - r) > 1e-9:
                     assert ((a, b) in found) == (d < r)
+
+    @given(boundary_clouds(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_discs_match_the_pairwise_gap_rule(self, cloud, data):
+        # radii of 0, r / 8 and r / 4 with a search at r less two of the
+        # largest: pairs r apart have gaps at the search radius
+        points, r, w = cloud
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        sizes = st.sampled_from([0.0, r / 8.0, r / 4.0])
+        radii = data.draw(st.lists(sizes, min_size=len(points), max_size=len(points)))
+        vision = r - 2.0 * max(radii)
+        got = torus_neighbours(x, y, np.array(radii), vision, w)
+        got = list(zip(*(a.tolist() for a in got)))
+        assert got == naive_disc_pairs(points, radii, vision, w.width, w.height)
+
+    def test_pair_exactly_r_apart_whose_squares_are_subnormal(self):
+        # in a world of 2^-500, (0, 0) and (g, g) are exactly r apart by
+        # the closed-form delta; each gap squares to half the smallest
+        # subnormal and rounds up to it, so the sum of the squares exceeds
+        # the square of r widened by the slack
+        e, g, r = 2.0**-500, 1.650009008845513e-162, 2.3334651183471126e-162
+        assert float(np.hypot(g, g)) == r
+        assert g * g + g * g > (r * (1.0 + 1e-9) + 1e-12 * e) ** 2
+        x = y = np.array([0.0, g])
+        assert neighbour_set(x, y, r, TorusWorld(e, e)) == {(0, 1), (1, 0)}
 
     @given(boundary_clouds(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -482,9 +515,9 @@ class TestTorusNeighbours:
             )
         )
         rows = np.array(sorted(picked), dtype=np.int64)
-        full = torus_neighbours(x, y, r, w)
+        full = point_pairs(x, y, r, w)
         keep = np.isin(full[0], rows)
-        got = torus_neighbours(x, y, r, w, rows)
+        got = point_pairs(x, y, r, w, rows)
         for name, a, b in zip(("i", "j", "dx", "dy", "dist"), got, full):
             assert a.dtype == b.dtype and a.tobytes() == b[keep].tobytes(), name
 
@@ -509,25 +542,25 @@ class TestTorusNeighbours:
             points = [(float(px), float(py)) for px, py in points]
             x = np.array([p[0] for p in points])
             y = np.array([p[1] for p in points])
-            i, j, dx, dy, _ = torus_neighbours(x, y, r, w)
+            i, j, dx, dy, _ = point_pairs(x, y, r, w)
             got = list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist()))
             assert got == naive_pairs(points, r, w.width, w.height)
 
     def test_empty_and_single(self):
         for n in (0, 1):
-            out = torus_neighbours(np.zeros(n), np.zeros(n), 5.0, W)
+            out = point_pairs(np.zeros(n), np.zeros(n), 5.0, W)
             assert all(a.size == 0 for a in out)
 
     def test_rows_on_empty_and_single(self):
         for n in (0, 1):
             for k in range(n + 1):
-                out = torus_neighbours(np.zeros(n), np.zeros(n), 5.0, W, np.arange(k))
+                out = point_pairs(np.zeros(n), np.zeros(n), 5.0, W, np.arange(k))
                 assert all(a.size == 0 for a in out)
 
     def test_zero_radius_keeps_coincident_points(self):
         x = np.array([3.0, 7.0, 3.0, 3.0])
         y = np.array([4.0, 4.0, 4.0, 4.5])
-        i, j, _, _, dist = torus_neighbours(x, y, 0.0, W)
+        i, j, _, _, dist = point_pairs(x, y, 0.0, W)
         assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (2, 0)]
         assert dist.tolist() == [0.0, 0.0]
 
@@ -543,7 +576,7 @@ def link_set(x, y, r, w, group=None):
 
 
 def neighbour_set(x, y, r, w):
-    i, j, _, _, _ = torus_neighbours(x, y, r, w)
+    i, j, _, _, _ = point_pairs(x, y, r, w)
     return set(zip(i.tolist(), j.tolist()))
 
 
@@ -710,8 +743,8 @@ class TestGridCap:
         want = naive_pairs(points, r, w.width, w.height)
         assert len(want) >= 20
 
-        assert traced_peak(torus_neighbours, x, y, r, w) < 2**20
-        i, j, dx, dy, _ = torus_neighbours(x, y, r, w)
+        assert traced_peak(point_pairs, x, y, r, w) < 2**20
+        i, j, dx, dy, _ = point_pairs(x, y, r, w)
         assert list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist())) == want
 
         # one group, and four groups of 25 points, the pairs within each

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flocklevels import geometry
 from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld
 from flocklevels.macro import NO_FLOCKS, Displacements, Flocks, MacroState
@@ -253,6 +254,35 @@ class TestMicroStep:
             dx, dy = torus_delta(b.pos, a.pos, W)
             assert (dx, dy) == pytest.approx((1.0, 0.0), abs=1e-12)
             assert a.heading == 0.0
+
+    def test_all_commanded_skips_the_search(self, monkeypatch):
+        # no bird turns, so the step never searches; a search of no rows
+        # would give the same birds, at the fixed cost of a search
+        def no_search(*args):
+            raise AssertionError("searched with every bird commanded")
+
+        monkeypatch.setattr(geometry, "torus_neighbours", no_search)
+        s = init_random(10, W, np.random.default_rng(3))
+        by_id = {b.id: ((1.0, -0.5), 370.0) for b in s.birds}
+        stepped = micro_step(s, commands(by_id), P)
+        for b, got in zip(s.birds, stepped.birds):
+            assert got == step_commanded(b, by_id[b.id], W)
+
+    def test_mate_exactly_vision_away_whose_squares_are_subnormal(self):
+        # in a world of 2^-500, birds at (0, 0) and (g, g) are exactly
+        # vision apart; each gap squares to half the smallest subnormal and
+        # rounds up to it, so their sum exceeds the squared search reach.
+        # Each bird is the other's mate and aligns with it.
+        e, g, vision = 2.0**-500, 1.650009008845513e-162, 2.3334651183471126e-162
+        w = TorusWorld(e, e)
+        p = SteeringParams(vision=vision, min_separation=0.0, speed=0.0)
+        birds = [Bird(0, (0.0, 0.0), 0.0), Bird(1, (g, g), 90.0)]
+        s = MicroState(*columns((b.id, b.pos, b.heading) for b in birds), 0, w)
+        assert flockmates(birds[0], s, p) == [birds[1]]
+        stepped = micro_step(s, None, p)
+        assert [b.heading for b in stepped.birds] == [5.0, 85.0]
+        for b, got in zip(s.birds, stepped.birds):
+            assert got == step_autonomous(b, flockmates(b, s, p), p, w)
 
     def test_mixed_commanded_ignores_neighbors(self):
         # a commanded bird moves identically with or without neighbors
@@ -505,6 +535,8 @@ lattice_birds = st.lists(
     lattice_birds,
     st.sampled_from([(0.0, 0.0), (2.5, 1.0), (5.0, 1.0), (5.0, 2.5), (10.0, 1.0)]),
 )
+# two birds exactly vision apart along x: each is the other's mate
+@example([(0.0, 0.0, 0.0), (5.0, 0.0, 90.0)], (5.0, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_lattice_ties_match_per_bird_rule(birds, vision_sep):
     vision, sep = vision_sep
