@@ -8,14 +8,13 @@ every exchange for auditing.
 """
 
 from .coupling import ClusterParams, Clusters, detect_clusters, emergence_transform, reify
-from .errors import ConfigError, CouplingError, DeadlockError, ProtocolError
+from .experiment import ConfigError
 from .geometry import TorusWorld
-from .kernel import CouplingArtifact, EventLog, MultiModel, run
+from .kernel import CouplingArtifact, DeadlockError, EventLog, MultiModel, ProtocolError, run
 from .macro import Flocks, MacroState, displacements, macro_step, sync_registry
-from .micro import Bird, MicroState, SteeringParams, init_random, micro_step, observe
+from .micro import CouplingError, MicroState, SteeringParams, init_random, micro_step
 
 __all__ = [
-    "Bird",
     "ClusterParams",
     "Clusters",
     "ConfigError",
@@ -36,7 +35,6 @@ __all__ = [
     "init_random",
     "macro_step",
     "micro_step",
-    "observe",
     "reify",
     "run",
     "sync_registry",

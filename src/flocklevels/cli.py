@@ -5,9 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
 from .experiment import (
     VARIANTS,
+    ConfigError,
     aggregate,
     aggregate_path,
     apply_config,

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CouplingError
 from .geometry import (
     LENGTH_BOUND,
     ZERO_RESULTANT_EPS,
@@ -36,7 +35,7 @@ from .geometry import (
     wrapped_delta,
 )
 from .macro import NO_FLOCKS, Displacements, Flocks
-from .micro import Columns, Commands, MicroState
+from .micro import Columns, Commands, CouplingError, MicroState
 
 __all__ = [
     "ClusterParams",

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import ClusterParams, emergence_transform, split_displacements
-from .errors import ConfigError
 from .geometry import TorusWorld
 from .interfaces import MacroModelInterface, MicroModelInterface
 from .kernel import MultiModel, run
@@ -33,6 +32,7 @@ from .macro import flock_stats
 from .micro import SteeringParams, init_random
 
 __all__ = [
+    "ConfigError",
     "VariantSpec",
     "VARIANTS",
     "ExperimentConfig",
@@ -45,6 +45,10 @@ __all__ = [
     "write_aggregate_csv",
     "load_config_file",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration, detected before any run starts."""
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
-from .errors import DeadlockError, ProtocolError
-
 __all__ = [
+    "ProtocolError",
+    "DeadlockError",
     "SimTime",
     "LogRecord",
     "EventLog",
@@ -56,6 +56,17 @@ MICRO_OBSERVATION = "MicroObservation"
 FLOCK_OBSERVATIONS = "FlockObservationList"
 DISPLACEMENTS = "DisplacementList"
 COMMANDS = "CommandSet"
+
+
+class ProtocolError(RuntimeError):
+    """A coordination-protocol violation (e.g. non-monotone write).
+
+    Protocol violations abort the run loudly; the kernel never self-heals.
+    """
+
+
+class DeadlockError(RuntimeError):
+    """A read beyond its producer's clock, so no agent can make progress."""
 
 
 @dataclass(frozen=True)
@@ -231,9 +242,6 @@ class MAgent:
         if self.input is not None:
             data = self.input.read(t, self.agent_id, self.cycle_index)
         self.interface.update_model(data)
-
-    def cycle(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
 
 
 class MicroMAgent(MAgent):

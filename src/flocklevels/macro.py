@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CouplingError
 from .geometry import TorusWorld, boids_step, wrap_array, wrapped_delta
-from .micro import Columns, SteeringParams
+from .micro import Columns, CouplingError, SteeringParams
 
 __all__ = [
     "Flocks",
@@ -117,39 +116,36 @@ def sync_registry(s: MacroState, observed: Flocks) -> MacroState:
     """
     f, k = len(s), len(observed)
     ids = np.full(k, -1, dtype=np.int64)
-    if f and k:
-        _, a, b = np.intersect1d(
-            s.members, observed.members, assume_unique=True, return_indices=True
-        )
-        # overlap of every (registered, observed) pair, nonzero ones only
-        inter = np.bincount(s.label[a] * k + observed.label[b], minlength=f * k)
-        pair = np.flatnonzero(inter)
-        fo, ko = np.divmod(pair, k)
-        union = (
-            np.bincount(s.label, minlength=f)[fo]
-            + np.bincount(observed.label, minlength=k)[ko]
-            - inter[pair]
-        )
-        jaccard = inter[pair] / union
-        # members ascend, so a row's first member is its lowest
-        lowest = observed.members[np.unique(observed.label, return_index=True)[1]]
-        taken: set[int] = set()
-        greedy = np.lexsort((lowest[ko], s.ids[fo], -jaccard))
-        for fr, kr in zip(fo[greedy].tolist(), ko[greedy].tolist()):
-            if fr not in taken and ids[kr] < 0:
-                taken.add(fr)
-                ids[kr] = s.ids[fr]
+    _, a, b = np.intersect1d(
+        s.members, observed.members, assume_unique=True, return_indices=True
+    )
+    # overlap of every (registered, observed) pair, nonzero ones only
+    inter = np.bincount(s.label[a] * k + observed.label[b], minlength=f * k)
+    pair = np.flatnonzero(inter)
+    fo, ko = np.divmod(pair, k)
+    union = (
+        np.bincount(s.label, minlength=f)[fo]
+        + np.bincount(observed.label, minlength=k)[ko]
+        - inter[pair]
+    )
+    jaccard = inter[pair] / union
+    # members ascend, so a row's first member is its lowest
+    lowest = observed.members[np.unique(observed.label, return_index=True)[1]]
+    taken: set[int] = set()
+    greedy = np.lexsort((lowest[ko], s.ids[fo], -jaccard))
+    for fr, kr in zip(fo[greedy].tolist(), ko[greedy].tolist()):
+        if fr not in taken and ids[kr] < 0:
+            taken.add(fr)
+            ids[kr] = s.ids[fr]
     fresh = np.flatnonzero(ids < 0)
     ids[fresh] = s.next_id + np.arange(fresh.size)
 
-    columns = {}
-    if (ids[1:] < ids[:-1]).any():
-        # rows in flock id order; each member's label follows its row. A
-        # permutation of a checked table's rows, so only ids are checked.
-        order = np.argsort(ids)
-        ids = ids[order]
-        columns = {c: getattr(observed, c)[order] for c in ("x", "y", "heading", "radius")}
-        columns["label"] = np.argsort(order)[observed.label]
+    # rows in flock id order; each member's label follows its row. A
+    # permutation of a checked table's rows, so only ids are checked.
+    order = np.argsort(ids)
+    ids = ids[order]
+    columns = {c: getattr(observed, c)[order] for c in ("x", "y", "heading", "radius")}
+    columns["label"] = np.argsort(order)[observed.label]
     next_id = s.next_id + fresh.size
     state = observed.derive(MacroState, **columns, ids=ids, next_id=next_id, world=s.world)
     state.check("ids")

@@ -32,18 +32,22 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CouplingError
 from .geometry import LENGTH_BOUND, TorusWorld, boids_step, wrap_array
 
 __all__ = [
     "Bird",
     "Commands",
+    "CouplingError",
     "SteeringParams",
     "MicroState",
     "init_random",
     "micro_step",
     "observe",
 ]
+
+
+class CouplingError(ValueError):
+    """Inconsistent data crossing levels (unknown ids, overlapping members)."""
 
 
 class Columns:

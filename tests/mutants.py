@@ -198,6 +198,16 @@ MUTANTS = [
         "macro.py",
         "if fr not in taken and ids[kr] < 0:",
         "if ids[kr] < 0:",
+        (
+            MACRO + "TestSyncRegistry::test_equal_jaccard_goes_to_the_lowest_member",
+            "tests/test_drawn_runs.py::test_drawn_runs_match_reference_run",
+        ),
+    ),
+    Mutant(
+        "sync_registry: member labels not remapped to the rows in id order",
+        "macro.py",
+        "np.argsort(order)[observed.label]",
+        "observed.label",
         (MACRO + "TestSyncRegistry::test_equal_jaccard_goes_to_the_lowest_member",),
     ),
     Mutant(

@@ -16,12 +16,11 @@ from flocklevels.coupling import (
     reify,
     split_displacements,
 )
-from flocklevels.errors import CouplingError
 from flocklevels.experiment import apply_config, build_multimodel
 from flocklevels.geometry import TorusWorld
 from flocklevels.kernel import run
 from flocklevels.macro import Displacements
-from flocklevels.micro import MicroState, SteeringParams, micro_step, observe
+from flocklevels.micro import CouplingError, MicroState, SteeringParams, micro_step, observe
 from helpers import (
     UnionFind,
     brute_clusters,

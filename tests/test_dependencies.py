@@ -1,5 +1,7 @@
-"""The package runs on numpy alone, and every name it exports exists."""
+"""The package runs on numpy alone, the kernel on nothing of the package,
+and every name the package exports exists."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -27,6 +29,23 @@ def test_import_loads_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_kernel_imports_nothing_from_the_package():
+    # read, not imported: importing flocklevels.kernel loads the whole package
+    tree = ast.parse((SRC / "flocklevels" / "kernel.py").read_text())
+    modules = [
+        (node.lineno, "." * node.level + (node.module or ""))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ] + [
+        (node.lineno, a.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+    ]
+    package = [(line, m) for line, m in modules if m.split(".")[0] in ("", "flocklevels")]
+    assert package == []
 
 
 def test_public_names_resolve():

@@ -12,7 +12,7 @@ difference is reported at the first tick where it shows.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocklevels import experiment
@@ -70,6 +70,13 @@ def drawn_run(cfg):
 
 
 @given(configs())
+# a registered flock splits: flock 0, birds {1, 2, 4, 5, 6, 7, 8}, is seen at
+# tick 2 as {1, 2, 6} and {4, 5, 7, 8}, and only one of the two keeps its id
+@example(
+    experiment.apply_config(
+        "m", {"world.width": 10.0, "world.height": 10.0}, birds=9, horizon=3, base_seed=25
+    )
+)
 @settings(max_examples=150, deadline=None)
 def test_drawn_runs_match_reference_run(cfg):
     ref = reference_run(

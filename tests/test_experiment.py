@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from flocklevels import interfaces
 from flocklevels.cli import main
 from flocklevels.coupling import emergence_transform
-from flocklevels.errors import ConfigError
 from flocklevels.geometry import LENGTH_BOUND
 from flocklevels.experiment import (
     VARIANTS,
+    ConfigError,
     aggregate,
     aggregate_path,
     apply_config,

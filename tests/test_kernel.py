@@ -11,10 +11,16 @@ from flocklevels.audit import (
     audit_log,
 )
 from flocklevels.coupling import ClusterParams, emergence_transform
-from flocklevels.errors import DeadlockError, ProtocolError
 from flocklevels.experiment import apply_config, build_multimodel
 from flocklevels.geometry import TorusWorld
-from flocklevels.kernel import CouplingArtifact, EventLog, MultiModel, run
+from flocklevels.kernel import (
+    CouplingArtifact,
+    DeadlockError,
+    EventLog,
+    MultiModel,
+    ProtocolError,
+    run,
+)
 from flocklevels.macro import Displacements, Flocks
 from flocklevels.micro import Commands, MicroState
 from helpers import state_key

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocklevels.errors import CouplingError
 from flocklevels.experiment import VARIANTS
 from flocklevels.geometry import TorusWorld
 from flocklevels.macro import (
@@ -18,7 +17,7 @@ from flocklevels.macro import (
     macro_step,
     sync_registry,
 )
-from flocklevels.micro import SteeringParams
+from flocklevels.micro import CouplingError, SteeringParams
 from helpers import (
     RefFlock,
     Registry,

@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocklevels import geometry
-from flocklevels.errors import CouplingError
 from flocklevels.geometry import TorusWorld
 from flocklevels.macro import NO_FLOCKS, Displacements, Flocks, MacroState
 from flocklevels.micro import (
     Bird,
     Columns,
     Commands,
+    CouplingError,
     MicroState,
     SteeringParams,
     init_random,
