@@ -120,8 +120,9 @@ def detect_clusters(obs, p: ClusterParams, group: np.ndarray | None = None) -> C
     heading difference is <= theta (both thresholds closed), each decided
     once per pair on an unsigned difference, the same from either bird:
     the distance of torus_links, and min(dh, 360 - dh) for dh = |h[j] -
-    h[i]| % 360. Components smaller than min_size are dropped; the others
-    are numbered in order of their lowest member.
+    h[i]|. The headings lie in [0, 360), as every state's do (Columns.check),
+    so dh < 360 is already dh % 360. Components smaller than min_size are
+    dropped; the others are numbered in order of their lowest member.
 
     obs is one snapshot, or several stacked in rows ordered by (snapshot,
     id) with group the snapshot of each row, ascending. No link crosses
@@ -129,7 +130,7 @@ def detect_clusters(obs, p: ClusterParams, group: np.ndarray | None = None) -> C
     """
     h = obs.heading
     i, j = torus_links(obs.x, obs.y, p.d_prox, obs.world, group)
-    turn = np.abs(h[j] - h[i]) % 360.0
+    turn = np.abs(h[j] - h[i])
     link = np.flatnonzero(np.minimum(turn, 360.0 - turn) <= p.theta)
     # rows are in ascending id, so a label is its component's lowest row
     label = _components(i[link], j[link], len(obs))

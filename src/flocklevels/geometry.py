@@ -13,7 +13,12 @@ candidate step and `torus_links` take an optional group column, so that
 several point sets of one world share one search: every group shares one
 grid, cells are keyed by (group, cell), and no pair crosses groups, so
 each group gets the pairs it would get alone. The grid has at most one
-cell per point of the mean group, whatever the world's shape.
+cell per point of the mean group, whatever the world's shape. Its cells
+are at least the search reach wide, and a point meets the points of the
+3 x 3 cells around its own; where the mean spacing of a group's points
+is below 0.6 of the reach, they are at least half the reach wide, and a
+point meets the points of the 5 x 5 cells around its own, a smaller
+area.
 
 `boids_step` moves birds and flocks alike: a bird is a disc of radius 0,
 whose gap to a mate is their distance, bit for bit, and a flock the
@@ -39,7 +44,11 @@ and square formed from them stays finite and nonzero where it must.
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
 Positions live in the half-open box [0, width) x [0, height); opposite
-edges of the box are identified (the world is a torus).
+edges of the box are identified (the world is a torus). Every state holds
+its coordinates and headings there (micro.Columns.check), so a delta
+b - a of two coordinates lies in (-extent, extent), and of two headings
+in (-360, 360): `wrapped_delta` needs one shift of t = b - a + extent / 2
+at most, and cluster detection no remainder of a heading difference.
 """
 
 from __future__ import annotations
@@ -103,13 +112,26 @@ def wrap_array(a: np.ndarray, extent: float) -> np.ndarray:
 
 def wrapped_delta(a, b, extent: float):
     """The minimal signed delta from a to b on an axis of the given extent,
-    (b - a + extent / 2) % extent - extent / 2, per element."""
-    return (b - a + extent / 2.0) % extent - extent / 2.0
+    (b - a + extent / 2) % extent - extent / 2, per element, bit for bit.
+
+    t % extent is taken as the floor-mod takes it, less its division:
+    np.fmod(t, extent), which is exact, plus extent where that is
+    negative. a and b are arrays; for a and b in [0, extent], the domain
+    of every state column (micro.Columns.check), t = b - a + extent / 2
+    lies in [-extent / 2, 3 extent / 2], and the delta in [-extent / 2,
+    extent / 2). An infinite a or b gives NaN, as the floor-mod does.
+    """
+    d = b - a
+    d += extent / 2.0
+    np.fmod(d, extent, out=d)
+    d += (d < 0.0) * extent
+    d -= extent / 2.0
+    return d
 
 
-# offsets to the adjacent cells along an axis; on an axis of c cells the
-# first min(c, 3) of them name distinct cells
-_ADJACENT = np.array([0, 1, -1])
+# offsets to the cells of a stencil along an axis, nearest first; on an
+# axis of c cells the first min(c, 2 depth + 1) of them name distinct cells
+_OFFSETS = np.array([0, 1, -1, 2, -2])
 
 
 def _candidates(
@@ -130,22 +152,29 @@ def _candidates(
     whole multiple of the smallest subnormal, and their sum can exceed
     reach * reach for a pair exactly r apart.
 
-    A query of rows pairs every query point i with every point j of its
-    own and the adjacent cells, i == j included. rows None is the half
-    stencil over every point, which gives each unordered pair with i !=
-    j once: a point meets the points after it, in sorted cell order, in
-    its own cell, and every point of the adjacent cells keyed above its
-    own.
+    A query of rows pairs every query point i with every point j of the
+    cells of its stencil, its own cell included, and i == j too. rows None
+    is the half stencil over every point, which gives each unordered pair
+    with i != j once: a point meets the points after it, in sorted cell
+    order, in its own cell, and every point of the other cells of its
+    stencil keyed above its own.
 
     group, when given, is the ascending group number (0, 1, ...) of every
     point, for several point sets in one world. Every group shares one
     grid and cells are keyed by (group, cell), so no pair crosses groups.
     None is one group of every point.
 
-    The cells are at least reach wide, so a point is only compared with
-    the points of its own and the 8 adjacent cells. The grid has at most
-    m = max(1, ceil(n / groups)) cells, one per point of the mean group,
-    so memory is O(n + candidate pairs).
+    The stencil follows the mean spacing s = sqrt(area / m) of a group's
+    points, m = max(1, ceil(n / groups)). Where s >= 0.6 reach, the
+    cells are at least reach wide, and a point's stencil is its own cell
+    and the 8 adjacent ones, 3 x 3. Where points are denser, the cells
+    are at least reach / 2 wide, and the stencil is the 5 x 5 cells at
+    most two away along each axis: the area searched, 25 max(reach / 2,
+    s)^2, is then below the 9 reach^2 of the 3 x 3 stencil, the two
+    meeting at s = 0.6 reach. Either way a point within reach lies in the
+    stencil, and on an axis of fewer than 3 or 5 cells each cell is in
+    it once. The grid has at most m cells, one per point of the mean
+    group, so memory is O(n + candidate pairs).
     """
     n = x.shape[0]
     width, height = world.width, world.height
@@ -155,10 +184,12 @@ def _candidates(
     reach = r * (1.0 + 1e-9) + 1e-12 * max(width, height)
     groups = 1 if group is None else int(group.max(initial=0)) + 1
     m = max(1, math.ceil(n / groups))
-    # cells at least reach wide and about area / m large; each axis is
-    # capped so that the grid has at most m cells, also for r = 0 and in
-    # a thin world
-    cell = max(reach, math.sqrt(width * height / m))
+    # cells at least reach (or, where points are dense, reach / 2) wide
+    # and about area / m large; each axis is capped so that the grid has
+    # at most m cells, also for r = 0 and in a thin world
+    spacing = math.sqrt(width * height / m)
+    depth = 2 if spacing < 0.6 * reach else 1
+    cell = max(reach / depth, spacing)
     nx = min(max(1, int(width // cell)), m)
     ny = min(max(1, int(height // cell)), m // nx)
     xw, yw = x % width, y % height
@@ -166,11 +197,11 @@ def _candidates(
     cx = (xw * (nx / width)).astype(np.int64) % nx
     cy = (yw * (ny / height)).astype(np.int64) % ny
 
-    # each adjacent cell once, also on axes with fewer than 3 cells
-    kx, ky = min(nx, 3), min(ny, 3)
+    # the cells at most depth away, each once, also on axes of fewer cells
+    kx, ky = min(nx, 2 * depth + 1), min(ny, 2 * depth + 1)
     qx, qy, q = (cx, cy, np.arange(n)) if rows is None else (cx[rows], cy[rows], rows)
-    ax = (qx[:, None] + _ADJACENT[:kx]) % nx
-    ay = (qy[:, None] + _ADJACENT[:ky]) % ny
+    ax = (qx[:, None] + _OFFSETS[:kx]) % nx
+    ay = (qy[:, None] + _OFFSETS[:ky]) % ny
     near = (ax * ny)[:, :, None] + ay[:, None, :]
     cid = cx * ny + cy
     if group is not None:
@@ -183,14 +214,14 @@ def _candidates(
     counts = np.bincount(cid, minlength=groups * nx * ny)
     starts = np.cumsum(counts) - counts
 
-    # per query point and adjacent cell, its own cell first: the sorted
-    # position to start at and the number of points from there
+    # per query point and cell of its stencil, its own cell first: the
+    # sorted position to start at and the number of points from there
     near = near.reshape(q.size, kx * ky)
     first, per_cell = starts[near], counts[near]
     if rows is None:
         # each unordered pair once: a point meets the points after it in
-        # its own cell, and every point of the adjacent cells keyed above
-        # its own
+        # its own cell, and every point of the other cells of its stencil
+        # keyed above its own
         after = np.empty(n, dtype=np.int64)
         after[order] = np.arange(1, n + 1)
         per_cell[:, 0] -= after - first[:, 0]
@@ -278,7 +309,10 @@ def torus_links(
     group's first point.
     """
     i, j, gx, gy, _ = _candidates(x, y, r, world, None, group)
-    keep = np.flatnonzero(np.hypot(gx, gy) <= r)
+    # np.hypot(gx, gy) >= max(gx, gy): the box test is cheaper than the
+    # hypot and decides the same pairs
+    box = np.flatnonzero((gx <= r) & (gy <= r))
+    keep = box[np.hypot(gx[box], gy[box]) <= r]
     return i[keep], j[keep]
 
 

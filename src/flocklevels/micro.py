@@ -27,6 +27,7 @@ overwrite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
@@ -61,12 +62,14 @@ class Columns:
 
     `check` is the one check of a column, run on every field annotated
     np.ndarray when a table is built. INTS names the int64 columns, the
-    others are float64 and finite; a column in MEMBERS holds one value
-    per value of MEMBERS[0], any other one value per row, as the first
-    column does. KEYS, which every table kind declares, names its
-    strictly ascending columns, LABEL the member column that holds each
-    member's row. No field that is not a column holds a tuple: a stack
-    keeps the tuple of its parts' values there."""
+    others are float64 and finite; a table with a world, a state, holds
+    its x, y and heading in [0, width), [0, height) and [0, 360), the
+    domain that `geometry` and `coupling.detect_clusters` assume. A
+    column in MEMBERS holds one value per value of MEMBERS[0], any other
+    one value per row, as the first column does. KEYS, which every table
+    kind declares, names its strictly ascending columns, LABEL the member
+    column that holds each member's row. No field that is not a column
+    holds a tuple: a stack keeps the tuple of its parts' values there."""
 
     __hash__ = None
     INTS = ()
@@ -82,6 +85,8 @@ class Columns:
         one checks only the columns it puts in. A bad value is named by its
         bird id where the first column is ids, else by its row."""
         first = next(iter(vars(self)))
+        world = vars(self).get("world")
+        tops = {} if world is None else {"x": world.width, "y": world.height, "heading": 360.0}
         for name in names:
             lead = self.MEMBERS[0] if name in self.MEMBERS else first
             size = None if name == lead else getattr(self, lead).size
@@ -92,11 +97,15 @@ class Columns:
                 col = col.copy()
                 col.flags.writeable = False
             object.__setattr__(self, name, col)
-            finite = np.isfinite(col)
-            if not finite.all():
-                k = np.argmin(finite)
+            top = tops.get(name)
+            ok = np.isfinite(col) if top is None else (0.0 <= col) & (col < top)
+            if not ok.all():
+                k = np.argmin(ok)
                 at = f"bird {self.ids[k]}" if first == "ids" else f"row {k}"
-                raise ValueError(f"{name} must be finite, got {col[k].item()!r} for {at}")
+                bad = col[k].item()
+                if not math.isfinite(bad):
+                    raise ValueError(f"{name} must be finite, got {bad!r} for {at}")
+                raise ValueError(f"{name} must lie in [0, {top!r}), got {bad!r} for {at}")
             if name in self.KEYS and (col[1:] <= col[:-1]).any():
                 bad = col[1:][col[1:] <= col[:-1]].tolist()
                 raise CouplingError(f"{name} must be strictly ascending; these are not: {bad}")

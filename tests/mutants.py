@@ -41,6 +41,8 @@ CONFIG = "tests/test_experiment.py::TestApplyConfig::"
 DETECT = "tests/test_coupling.py::TestDetectClusters::"
 LINKS = "tests/test_geometry.py::TestTorusLinks::"
 NEIGHBOURS = "tests/test_geometry.py::TestTorusNeighbours::"
+DENSE = "tests/test_geometry.py::TestDenseStencil::"
+DELTA = "tests/test_geometry.py::TestWrappedDelta::"
 EMERGENCE = "tests/test_coupling.py::TestEmergenceTransform::"
 CLUSTERS = "tests/test_coupling.py::TestClusters::"
 MICRO = "tests/test_micro.py::"
@@ -276,9 +278,16 @@ MUTANTS = [
     Mutant(
         "Columns.check: a non-finite value accepted",
         "micro.py",
-        "if not finite.all():",
+        "if not ok.all():",
         "if False:",
         (MACRO + "TestFlock::test_rejects_non_finite_or_negative",),
+    ),
+    Mutant(
+        "Columns.check: a state coordinate at the extent accepted",
+        "micro.py",
+        "(0.0 <= col) & (col < top)",
+        "(0.0 <= col) & (col <= top)",
+        (MICRO + "TestMicroState::test_rejects_a_coordinate_outside_the_world",),
     ),
     Mutant(
         "Columns.check: a column left writeable",
@@ -328,9 +337,51 @@ MUTANTS = [
     Mutant(
         "torus_links: a pair exactly r apart dropped",
         "geometry.py",
-        "keep = np.flatnonzero(np.hypot(gx, gy) <= r)",
-        "keep = np.flatnonzero(np.hypot(gx, gy) < r)",
+        "keep = box[np.hypot(gx[box], gy[box]) <= r]",
+        "keep = box[np.hypot(gx[box], gy[box]) < r]",
         (DETECT + "test_lattice_ties_match_union_find_oracle",),
+    ),
+    Mutant(
+        "torus_links: the box test drops a gap of exactly r along x",
+        "geometry.py",
+        "(gx <= r) & (gy <= r)",
+        "(gx < r) & (gy <= r)",
+        (LINKS + "test_links_exactly_r_apart_along_an_axis",),
+    ),
+    Mutant(
+        "torus_links: the box test drops a gap of exactly r along y",
+        "geometry.py",
+        "(gx <= r) & (gy <= r)",
+        "(gx <= r) & (gy < r)",
+        (LINKS + "test_links_exactly_r_apart_along_an_axis",),
+    ),
+    Mutant(
+        "_candidates: the 5 x 5 stencil without its offsets of +-2",
+        "geometry.py",
+        "kx, ky = min(nx, 2 * depth + 1), min(ny, 2 * depth + 1)",
+        "kx, ky = min(nx, 3), min(ny, 3)",
+        (DENSE + "test_pairs_exactly_r_apart_two_cells_apart",),
+    ),
+    Mutant(
+        "_candidates: cells narrower than reach / depth",
+        "geometry.py",
+        "cell = max(reach / depth, spacing)",
+        "cell = max(reach / (depth + 1), spacing)",
+        (DENSE + "test_pairs_exactly_r_apart_two_cells_apart",),
+    ),
+    Mutant(
+        "wrapped_delta: the shift up moved off its boundary, to t <= 0",
+        "geometry.py",
+        "d += (d < 0.0) * extent",
+        "d += (d <= 0.0) * extent",
+        (DELTA + "test_equals_the_floor_mod_bit_for_bit",),
+    ),
+    Mutant(
+        "wrapped_delta: no shift down where t >= extent",
+        "geometry.py",
+        "np.fmod(d, extent, out=d)",
+        "pass",
+        (DELTA + "test_equals_the_floor_mod_bit_for_bit",),
     ),
     Mutant(
         "torus_links: a point paired with itself in its own cell",

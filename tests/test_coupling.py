@@ -218,6 +218,16 @@ class TestDetectClusters:
         got = detect(snapshot(back), p)
         assert sorted(sorted(n - 1 - b for b in c) for c in got) == want
 
+    def test_headings_at_both_ends_of_the_circle(self):
+        # 0 and the largest heading below 360 are 360 - top apart the short
+        # way round; |h[j] - h[i]| = top is below 360, its own remainder
+        top = float(np.nextafter(360.0, 0.0))
+        obs = [(0, (1.0, 1.0), 0.0), (1, (2.0, 1.0), top), (2, (3.0, 1.0), 0.0)]
+        for theta, want in ((0.0, [[0, 2]]), (360.0 - top, [[0, 1, 2]])):
+            p = ClusterParams(d_prox=5.0, theta=theta, min_size=2)
+            assert detect(snapshot(obs), p) == want
+            assert brute_clusters(obs, 5.0, theta, 2, 100.0, 100.0) == want
+
     def test_seam_invariance(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

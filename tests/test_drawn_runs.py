@@ -3,9 +3,8 @@ reference, tick by tick.
 
 Hypothesis draws a variant and a valid configuration of it through
 `apply_config`: the world, the steering of both levels and the cluster
-parameters, 0 to 30 birds and a horizon of 1 to 40 ticks, at least one
-macro period, since the recorder keeps the first state at the first
-step. The run of `run_replicated` is compared with
+parameters, 0 to 30 birds and a horizon of 0 to 40 ticks, whole macro
+periods. The run of `run_replicated` is compared with
 `helpers.reference_run` on the same parameters, bit for bit, as
 `test_whole_run.py` compares the default configuration, and a
 difference is reported at the first tick where it shows.
@@ -57,7 +56,7 @@ def configs(draw):
         variant,
         values,
         birds=draw(st.integers(0, 30)),
-        horizon=draw(st.integers(1, 40 // ratio)) * ratio,
+        horizon=draw(st.integers(0, 40 // ratio)) * ratio,
         base_seed=draw(st.integers(0, 2**16)),
     )
 
@@ -77,6 +76,8 @@ def drawn_run(cfg):
         "m", {"world.width": 10.0, "world.height": 10.0}, birds=9, horizon=3, base_seed=25
     )
 )
+# a run of horizon 0 and no birds: the initial state is its only one
+@example(experiment.apply_config("M", birds=0, horizon=0, base_seed=1))
 @settings(max_examples=150, deadline=None)
 def test_drawn_runs_match_reference_run(cfg):
     ref = reference_run(
@@ -93,3 +94,16 @@ def test_drawn_runs_match_reference_run(cfg):
     if found:
         tick, _, message = found[0]
         pytest.fail(f"first divergence at tick {tick}: {message}")
+
+
+def test_a_missing_state_is_a_divergence():
+    # a run of no birds has the empty state at every tick; a record one
+    # state short differs from the other at that tick
+    empty = {"states": [()], "cycles": [], "log": [], "stats": []}
+    longer = {**empty, "states": [(), ()]}
+    assert divergences(empty, longer, 1) == [
+        (1, 0, "A_m: no state in the run, the reference has ()")
+    ]
+    assert divergences(longer, empty, 1) == [
+        (1, 0, "A_m: no state in the reference, the run has ()")
+    ]

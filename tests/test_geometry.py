@@ -167,6 +167,47 @@ class TestTorusDelta:
         assert min(abs(wy - b[1]), 100 - abs(wy - b[1])) < 1e-9
 
 
+def down(v):
+    """The next float below v."""
+    return float(np.nextafter(v, -math.inf))
+
+
+@st.composite
+def axis_coordinates(draw):
+    """An extent from 2^-500 to 2^500 and two lists of coordinates in [0,
+    extent], drawn or at the edges: 0, the smallest subnormal, half the
+    extent and its neighbours, the largest coordinate below the extent,
+    and the extent itself."""
+    e = draw(st.sampled_from([2.0**-500, 1e-150, 0.1, 1.0, 3.0, 100.0, 1e15, 1e300, 2.0**500]))
+    edges = [0.0, 5e-324, down(e / 2.0), e / 2.0, up(e / 2.0), down(e), e]
+    coordinate = st.sampled_from(edges) | st.floats(0.0, e)
+    n = draw(st.integers(0, 8))
+    a, b = (draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(2))
+    return e, a, b
+
+
+class TestWrappedDelta:
+    """wrapped_delta is the floor-mod formula of torus_delta, bit for bit,
+    on the coordinates of a world."""
+
+    @given(axis_coordinates())
+    @example((100.0, [0.0, 100.0, 50.0, 0.0], [50.0, 0.0, 0.0, 100.0]))
+    @example((2.0**500, [0.0, 2.0**499], [down(2.0**500), 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_floor_mod_bit_for_bit(self, drawn):
+        e, a, b = drawn
+        got = wrapped_delta(np.array(a), np.array(b), e)
+        want = np.array([(q - p + e / 2.0) % e - e / 2.0 for p, q in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_infinite_coordinates_give_nan(self):
+        inf = math.inf
+        a = np.array([inf, 0.0, -inf, 0.0, inf])
+        b = np.array([0.0, inf, 0.0, -inf, inf])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(wrapped_delta(a, b, 100.0)).all()
+
+
 def point_pairs(x, y, r, w, rows=None):
     """torus_neighbours of points: discs of radius 0, whose gap is their
     distance."""
@@ -652,6 +693,14 @@ class TestTorusLinks:
                 assert {(0, 1), (2, 3)} <= want
                 assert link_set(x, y, r, w) == want
 
+    def test_links_exactly_r_apart_along_an_axis(self):
+        # gaps of (r, 0) and (0, r), one across a seam: the box test before
+        # the hypot keeps both ends of its closed bound
+        x = np.array([0.5, 2.5, 7.0, 7.0, 99.0, 1.0])
+        y = np.array([5.0, 5.0, 10.0, 12.0, 60.0, 60.0])
+        assert link_set(x, y, 2.0, W) == {(0, 1), (2, 3), (4, 5)}
+        assert link_set(x, y, down(2.0), W) == set()
+
     def test_pair_within_r_one_way_only(self):
         # in a 100-wide world the closed-form distance from 0 to 1 is
         # 42.74294063694282, and from 1 to 0 one ulp less; the unsigned
@@ -712,6 +761,89 @@ class TestTorusLinks:
             x = y = np.zeros(n)
             assert all(a.size == 0 for a in torus_links(x, y, 5.0, W))
             assert link_set(x, y, 5.0, W) == set()
+
+
+def assert_searches_match_oracles(points, r, w, group=None):
+    """torus_neighbours and torus_links of the points give the pairs of
+    the one-pair-at-a-time oracles; with a group, the links of each
+    group alone."""
+    x = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    i, j, dx, dy, _ = point_pairs(x, y, r, w)
+    assert list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist())) == naive_pairs(
+        points, r, w.width, w.height
+    )
+    links = naive_links(points, r, w.width, w.height)
+    if group is not None:
+        links = {(a, b) for a, b in links if group[a] == group[b]}
+    assert link_set(x, y, r, w, group) == links
+    return links
+
+
+class TestDenseStencil:
+    """Where the mean spacing sqrt(area / m) of the points is below 0.6
+    of the search reach, the cells are at least reach / 2 wide and the
+    stencil is the 5 x 5 cells at most two away along each axis."""
+
+    @pytest.mark.parametrize("kx", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ky", [1, 2, 3, 4, 5])
+    def test_one_to_five_cells_per_axis(self, kx, ky):
+        # cells r / 2 wide, kx by ky of them: with fewer than 5 along an
+        # axis the cells two away on either side are one cell, or the
+        # point's own; where the world is over 2 r wide, pairs r apart
+        # cross each seam
+        r = 2.0
+        w = TorusWorld((kx + 0.5) * r / 2.0, (ky + 0.5) * r / 2.0)
+        rng = np.random.default_rng(100 * kx + ky)
+        n = 40
+        assert math.sqrt(w.width * w.height / n) < 0.5 * r
+        x = rng.uniform(0.0, w.width, n)
+        y = rng.uniform(0.0, w.height, n)
+        x[:4] = [0.0, wrap_scalar(-r, w.width), 0.25, 0.25]
+        y[:4] = [0.5, 0.5, 0.0, wrap_scalar(-r, w.height)]
+        points = list(zip(x.tolist(), y.tolist()))
+        assert_searches_match_oracles(points, r, w)
+
+    def test_pairs_exactly_r_apart_two_cells_apart(self):
+        # 400 points in a 10 x 10 world at r = 2: a mean spacing of 0.5,
+        # so cells of reach / 2, just over 1, 9 of 10 / 9 along each axis;
+        # the pairs at x 0.5 and 2.5 (cells 0 and 2), at y 0.5 and 2.5, and
+        # at x 9.5 and 1.5 (cells 8 and 1, across the seam) are exactly r
+        # apart
+        r, w = 2.0, TorusWorld(10.0, 10.0)
+        rng = np.random.default_rng(41)
+        x, y = rng.uniform(0.0, 10.0, 400), rng.uniform(0.0, 10.0, 400)
+        x[:6] = [0.5, 2.5, 6.0, 6.0, 9.5, 1.5]
+        y[:6] = [7.0, 7.0, 0.5, 2.5, 4.0, 4.0]
+        points = list(zip(x.tolist(), y.tolist()))
+        links = assert_searches_match_oracles(points, r, w)
+        assert {(0, 1), (2, 3), (4, 5)} <= links
+
+    def test_thin_world(self):
+        # 300 points in a 100 x 0.75 world: a mean spacing of 0.5 at r = 1
+        # gives 199 cells along x and one along y
+        r, w = 1.0, TorusWorld(100.0, 0.75)
+        rng = np.random.default_rng(43)
+        x, y = rng.uniform(0.0, 100.0, 300), rng.uniform(0.0, 0.75, 300)
+        x[:2], y[:2] = [99.5, 0.5], [0.1, 0.1]
+        points = list(zip(x.tolist(), y.tolist()))
+        assert (0, 1) in assert_searches_match_oracles(points, r, w)
+
+    def test_grouped_links(self):
+        # groups 0, 1 and 3 of 60 points in a 6 x 6 world at r = 2, and
+        # group 2 empty: 45 points in the mean group, a mean spacing of 0.89
+        r, w = 2.0, TorusWorld(6.0, 6.0)
+        rng = np.random.default_rng(47)
+        group = np.repeat([0, 1, 3], 60)
+        x, y = rng.uniform(0.0, 6.0, 180), rng.uniform(0.0, 6.0, 180)
+        points = list(zip(x.tolist(), y.tolist()))
+        links = assert_searches_match_oracles(points, r, w, group)
+        for g in (0, 1, 3):
+            rows = np.flatnonzero(group == g)
+            alone = link_set(x[rows], y[rows], r, w)
+            assert {(rows[a], rows[b]) for a, b in alone} == {
+                (a, b) for a, b in links if group[a] == g
+            }
 
 
 def traced_peak(search, *args):

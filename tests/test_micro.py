@@ -392,6 +392,22 @@ class TestMicroState:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got .* for bird 4"):
             MicroState(**cols, tick=0, world=W)
 
+    @pytest.mark.parametrize(
+        "field, value, top",
+        [("x", 100.0, 100.0), ("y", -5e-324, 100.0), ("heading", 360.0, 360.0)],
+    )
+    def test_rejects_a_coordinate_outside_the_world(self, field, value, top):
+        # x, y and heading lie in [0, width), [0, height) and [0, 360): the
+        # extent itself and the negative below 0 are out, the values just
+        # inside are in
+        cols = dict(ids=[3, 4], x=[0.0, 99.99999999999999], y=[0.0, 1.0], heading=[0.0, 1.0])
+        cols[field] = [0.0, value]
+        message = rf"^{field} must lie in \[0, {top!r}\), got {value!r} for bird 4$"
+        with pytest.raises(ValueError, match=message):
+            MicroState(**cols, tick=0, world=W)
+        cols[field] = [0.0, float(np.nextafter(top, 0.0))]
+        MicroState(**cols, tick=0, world=W)
+
 
 class TestCommands:
     @pytest.mark.parametrize("field", ["vx", "vy", "heading"])

@@ -22,16 +22,22 @@ SEEDS = (1, 2, 3)
 def package_run(monkeypatch, variant, seed):
     """The same record as reference_run, from one `run_replicated` call.
 
-    Recorders at the interfaces' lookup sites of micro_step, sync_registry
+    A recorder at experiment's lookup site of build_multimodel keeps the
+    initial birds of the built model, also of a run of horizon 0, and
+    recorders at the interfaces' lookup sites of micro_step, sync_registry
     and macro_step keep every state the run passes through.
     """
     states, synced, stepped = [], [], []
+    build_multimodel = experiment.build_multimodel
     micro_step, sync_registry = interfaces.micro_step, interfaces.sync_registry
     macro_step = interfaces.macro_step
 
+    def record_build(cfg, rep):
+        mm = build_multimodel(cfg, rep)
+        states.append(mm.micro_agent.interface.state)
+        return mm
+
     def record_micro(s, cmds, p):
-        if not states:
-            states.append(s)
         states.append(micro_step(s, cmds, p))
         return states[-1]
 
@@ -44,6 +50,7 @@ def package_run(monkeypatch, variant, seed):
         return stepped[-1]
 
     with monkeypatch.context() as m:
+        m.setattr(experiment, "build_multimodel", record_build)
         m.setattr(interfaces, "micro_step", record_micro)
         m.setattr(interfaces, "sync_registry", record_sync)
         m.setattr(interfaces, "macro_step", record_step)
@@ -87,13 +94,19 @@ def first_difference(got, want):
 
 def divergences(pkg, ref, ratio):
     """(tick, order, message) of the first difference in each record; a
-    different number of macro cycles shows in the log."""
+    state missing from either side is one, and a different number of
+    macro cycles shows in the log."""
     out = []
     diff = first_difference(pkg["states"], ref["states"])
     if diff:
         tick, got, want = diff
-        _, g, w = first_difference(got or (), want or ())
-        out.append((tick, 0, f"A_m: bird {(g or w)[0]} is {g}, the reference has {w}"))
+        if got is None:
+            out.append((tick, 0, f"A_m: no state in the run, the reference has {want}"))
+        elif want is None:
+            out.append((tick, 0, f"A_m: no state in the reference, the run has {got}"))
+        else:
+            _, g, w = first_difference(got, want)
+            out.append((tick, 0, f"A_m: bird {(g or w)[0]} is {g}, the reference has {w}"))
     for (tick, *got), (_, *want) in zip(pkg["cycles"], ref["cycles"]):
         for phase, g, w in zip(("sync", "step"), got, want):
             g, w = ({f.flock_id: as_row(f) for f in fs or ()} for fs in (g, w))
