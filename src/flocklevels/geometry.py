@@ -3,43 +3,44 @@ discs or points within a radius, and the bounded-turn boids step that
 birds and flocks share.
 
 The search comes in two forms on one candidate step (grid, gather and
-the unsigned wrapped gaps of each pair): `torus_neighbours` queries the
-full stencil of its rows and returns the ordered pairs of discs within
-gap r, sorted, with their deltas and gaps, for the boids step;
-`torus_links` visits each unordered pair of points once, on a half
-stencil, and returns it unsorted when np.hypot of its gaps is within r,
-a length that is the same from either end, for cluster detection. The
-candidate step and `torus_links` take an optional group column, so that
-several point sets of one world share one search: every group shares one
-grid, cells are keyed by (group, cell), and no pair crosses groups, so
-each group gets the pairs it would get alone. The grid has at most one
-cell per point of the mean group, whatever the world's shape. Its cells
-are at least the search reach wide, and a point meets the points of the
+the unsigned wrapped gaps of each pair, min(|b - a|, extent - |b - a|)
+per axis) and one length, np.hypot of those gaps, the same from either
+end: `torus_neighbours` queries the full stencil of its rows and returns
+the ordered pairs of discs within gap r, sorted, with their deltas and
+gaps, for the boids step; `torus_links` visits each unordered pair of
+points once, on a half stencil, and returns it unsorted when its length
+is within r, for cluster detection. So a pair of points is a mate both
+ways or neither, and the mates at r are the links at r. The candidate
+step and `torus_links` take an optional group column, so that several
+point sets of one world share one search: every group shares one grid,
+cells are keyed by (group, cell), and no pair crosses groups, so each
+group gets the pairs it would get alone. The grid has at most one cell
+per point of the mean group, whatever the world's shape. Its cells are
+at least the search reach wide, and a point meets the points of the
 3 x 3 cells around its own; where the mean spacing of a group's points
 is below 0.6 of the reach, they are at least half the reach wide, and a
 point meets the points of the 5 x 5 cells around its own, a smaller
 area.
 
 `boids_step` moves birds and flocks alike: a bird is a disc of radius 0,
-whose gap to a mate is their distance, bit for bit, and a flock the
-bounding circle of its members. The gap of two discs is the distance of
-their centres less both radii, never negative. The search runs at vision
-+ 2 max(radius), widened by a relative 1e-9 since a rounded gap can
-reach vision from an ulp further out, and keeps the pairs whose gap is
-at most vision; `mate_sums` reduces them, and `steer` turns every
+and a flock the bounding circle of its members. The gap of two discs is
+the length between their centres less both radii, never negative. The
+search runs at vision + 2 max(radius) and keeps the pairs whose gap is
+at most vision; only those get their signed deltas, from
+`wrapped_delta`. `mate_sums` reduces them, and `steer` turns every
 queried disc at once. The result is bit for bit that of the
 one-agent-at-a-time rules, since both take their bearings from libm:
 `steer` calls `math.atan2` (numpy's own atan2 differs from it in the
 last bit on some inputs, how often depending on the SIMD code numpy
 dispatches to), and takes the separation bearing from the reverse delta,
 from the nearest mate to the disc, since the negated forward delta
-rounds differently. Distances come from `np.hypot`, which can differ
+rounds differently. Lengths come from `np.hypot`, which can differ
 from `math.hypot` in the last bit; that moves a decision only at a tie
 within one ulp.
 
 Extents lie in [1 / LENGTH_BOUND, LENGTH_BOUND], and speeds and search
 radii are at most LENGTH_BOUND, so that every delta, move, search reach
-and square formed from them stays finite and nonzero where it must.
+and area formed from them stays finite and nonzero where it must.
 
 All angles are degrees in the mathematical convention: 0 deg points along
 +x, positive angles turn counterclockwise, headings live in [0, 360).
@@ -73,16 +74,13 @@ __all__ = [
 # Resultant vectors shorter than this are treated as zero (undefined mean).
 ZERO_RESULTANT_EPS = 1e-9
 
-# The smallest normal float: the search's squared reach is floored here.
-TINY = np.finfo(float).tiny
-
 # The bound on every length: extents lie in [1 / LENGTH_BOUND,
 # LENGTH_BOUND], and speed, vision and d_prox are at most LENGTH_BOUND.
-# The largest value formed is the squared reach of the flock search,
-# (vision + 2 x radius)^2, widened twice by 1 + 1e-9: about 5.9 L^2 for
-# L = LENGTH_BOUND, since a flock's radius is at most half the diagonal
-# of the world, which is finite. The lower bound keeps the search reach
-# and the world's area nonzero.
+# The largest value formed is the world's area, at most L^2 for L =
+# LENGTH_BOUND, which is finite; the largest length is the reach of the
+# flock search, vision + 2 x radius widened by 1 + 1e-9, about 2.4 L,
+# since a flock's radius is at most half the diagonal of the world. The
+# lower bound keeps the search reach and the world's area nonzero.
 LENGTH_BOUND = 2.0**500
 
 
@@ -144,13 +142,12 @@ def _candidates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Candidate pairs for a search at radius r, from a periodic grid.
 
-    Returns (i, j, gx, gy, reach): the candidate pairs; the unsigned
-    wrapped gaps of each pair along x and y (of the coordinates reduced
-    into the world), the same both ways; and r widened by the rounding
-    slack. Every pair within torus distance r (closed) has gx * gx + gy *
-    gy <= max(reach * reach, TINY): below TINY each square rounds to a
-    whole multiple of the smallest subnormal, and their sum can exceed
-    reach * reach for a pair exactly r apart.
+    x and y lie in [0, width) and [0, height), the domain of every state
+    column (micro.Columns.check). Returns (i, j, gx, gy, reach): the
+    candidate pairs; the unsigned wrapped gaps of each pair along x and
+    y, min(|b - a|, extent - |b - a|), the same both ways; and r widened
+    by the rounding slack. Every pair whose np.hypot(gx, gy) is at most r
+    is a candidate.
 
     A query of rows pairs every query point i with every point j of the
     cells of its stencil, its own cell included, and i == j too. rows None
@@ -179,8 +176,8 @@ def _candidates(
     n = x.shape[0]
     width, height = world.width, world.height
     # Slack for rounding: a point near a cell edge may get either cell
-    # index, and the unsigned gap may differ from the exact delta by a
-    # few ulps of the extent.
+    # index, and the unsigned gap may differ from the exact one by a few
+    # ulps of the extent.
     reach = r * (1.0 + 1e-9) + 1e-12 * max(width, height)
     groups = 1 if group is None else int(group.max(initial=0)) + 1
     m = max(1, math.ceil(n / groups))
@@ -192,10 +189,9 @@ def _candidates(
     cell = max(reach / depth, spacing)
     nx = min(max(1, int(width // cell)), m)
     ny = min(max(1, int(height // cell)), m // nx)
-    xw, yw = x % width, y % height
     # % nx: a coordinate just below the extent may round up to index nx
-    cx = (xw * (nx / width)).astype(np.int64) % nx
-    cy = (yw * (ny / height)).astype(np.int64) % ny
+    cx = (x * (nx / width)).astype(np.int64) % nx
+    cy = (y * (ny / height)).astype(np.int64) % ny
 
     # the cells at most depth away, each once, also on axes of fewer cells
     kx, ky = min(nx, 2 * depth + 1), min(ny, 2 * depth + 1)
@@ -232,7 +228,7 @@ def _candidates(
     j = np.repeat(first - (np.cumsum(per_cell) - per_cell), per_cell)
     j += np.arange(i.size)
     j = order[j]
-    return i, j, _unsigned_gap(xw, i, j, width), _unsigned_gap(yw, i, j, height), reach
+    return i, j, _unsigned_gap(x, i, j, width), _unsigned_gap(y, i, j, height), reach
 
 
 def _unsigned_gap(c, i, j, extent):
@@ -255,38 +251,41 @@ def torus_neighbours(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every ordered pair of discs within gap r (closed).
 
-    The discs have centres (x, y) and radii radius, zeros for points.
-    Returns (i, j, dx, dy, gap): the index pairs with i != j, sorted by
-    (i, j); the delta (b - a + extent / 2) % extent - extent / 2 from
-    centre i to centre j per axis; and max(np.hypot(dx, dy) - radius[i] -
-    radius[j], 0), the distance itself, bit for bit, between points. A
-    pair is kept iff gap <= r.
+    The discs have centres (x, y), in the world, and radii radius, zeros
+    for points. Returns (i, j, dx, dy, gap): the index pairs with i != j,
+    sorted by (i, j); the delta (b - a + extent / 2) % extent - extent / 2
+    from centre i to centre j per axis; and max(np.hypot(gx, gy) -
+    radius[i] - radius[j], 0), for the unsigned wrapped gaps gx and gy
+    that torus_links decides on. A pair is kept iff gap <= r.
+
+    The box test gx <= reach and gy <= reach, at the reach of the
+    candidate step (r + 2 max(radius), widened once there), keeps every
+    pair that the gap test keeps: np.hypot(gx, gy) >= max(gx, gy), and
+    the rounding of r + 2 max(radius) and of the two subtractions of the
+    radii stays far below the widening's relative 1e-9.
 
     rows, when given, are the ascending indices of the query discs: only
     the pairs whose i is in rows are returned, while j still ranges over
     every disc. They are the same pairs, with the same bits, as those of
     the full search whose i is in rows.
     """
-    # the full stencil: every ordered pair, from a query of every row;
-    # a rounded gap can reach r from an ulp further out than r + 2 radii
+    # the full stencil: every ordered pair, from a query of every row
     rows = np.arange(x.shape[0]) if rows is None else rows
-    reach = (r + 2.0 * radius.max(initial=0.0)) * (1.0 + 1e-9)
+    reach = r + 2.0 * radius.max(initial=0.0)
     i, j, gx, gy, reach = _candidates(x, y, reach, world, rows)
-    # the unsigned gaps give a superset of the exact test; squared in place
-    g2 = np.square(gx, out=gx)
-    g2 += np.square(gy, out=gy)
-    pre = np.flatnonzero((g2 <= max(reach * reach, TINY)) & (i != j))
-    i, j = i[pre], j[pre]
-    dx = wrapped_delta(x[i], x[j], world.width)
-    dy = wrapped_delta(y[i], y[j], world.height)
-    gap = np.hypot(dx, dy)
+    box = np.flatnonzero((gx <= reach) & (gy <= reach) & (i != j))
+    i, j = i[box], j[box]
+    gap = np.hypot(gx[box], gy[box])
     gap -= radius[i]
     gap -= radius[j]
     np.maximum(gap, 0.0, out=gap)
     keep = np.flatnonzero(gap <= r)
     # each candidate pair occurs once, so the (i, j) keys are unique
     keep = keep[np.argsort(i[keep] * x.shape[0] + j[keep])]
-    return i[keep], j[keep], dx[keep], dy[keep], gap[keep]
+    i, j = i[keep], j[keep]
+    dx = wrapped_delta(x[i], x[j], world.width)
+    dy = wrapped_delta(y[i], y[j], world.height)
+    return i, j, dx, dy, gap[keep]
 
 
 def torus_links(
@@ -302,7 +301,7 @@ def torus_links(
     Returns (i, j), with i != j. A pair is kept iff np.hypot of its
     unsigned wrapped gaps, min(|b - a|, extent - |b - a|) per axis, is
     <= r: a length that is the same from either end, and that sees gaps
-    below the resolution of the closed-form delta of torus_neighbours.
+    below the resolution of the closed-form delta.
 
     group, when given, is the ascending group number of every point: the
     pairs are then those of each group's own search, offset by the

@@ -4,8 +4,9 @@ Everything here is deliberately naive (brute force, exhaustive
 enumeration, two-pass statistics, one agent at a time), imports nothing
 from the package and shares no code path with the implementations it
 checks. numpy serves to draw the same initial birds, and gives every
-distance that the oracles compare with a threshold its hypot (see
-naive_pairs).
+length that the oracles compare with a threshold its hypot: every such
+decision, of mates and of links, is taken on gap_length, the length of
+the unsigned wrapped gaps, as the package's searches take it.
 """
 
 from __future__ import annotations
@@ -33,48 +34,47 @@ def brute_distance(a, b, width, height):
     return math.hypot(*brute_delta(a, b, width, height))
 
 
-def naive_pairs(points, r, width, height):
-    """Every ordered pair (i, j), i != j, at wrapped distance <= r.
+def gap_length(a, b, width, height):
+    """The distance of points a and b by their unsigned wrapped gaps,
+    min(|b - a|, extent - |b - a|) per axis, with numpy's hypot, as both
+    searches document; the same from either end. math.hypot can differ
+    from np.hypot in the last bit, e.g. 1.0 against 1.0000000000000002
+    for the gaps (0.6, 0.8000000000000002), whose correctly rounded
+    length is the latter."""
+    dx = abs(b[0] - a[0])
+    dy = abs(b[1] - a[1])
+    return float(np.hypot(min(dx, width - dx), min(dy, height - dy)))
 
-    One pair at a time in plain Python floats, with the closed-form wrap
-    and the hypot (numpy's) the search documents, so that ties at exactly
-    r decide the same way: math.hypot can differ from np.hypot in the last
-    bit, e.g. 1.0 against 1.0000000000000002 for the delta (-0.6,
-    -0.8000000000000002), whose correctly rounded length is the latter.
-    Returns (i, j, dx, dy) tuples sorted by (i, j).
-    """
+
+def naive_pairs(points, r, width, height):
+    """Every ordered pair (i, j), i != j, whose gap_length is <= r, one
+    pair at a time in plain Python floats, with its closed-form delta.
+    Returns (i, j, dx, dy) tuples sorted by (i, j)."""
+    return [
+        (i, j, dx, dy)
+        for i, j, dx, dy, _ in naive_disc_pairs(
+            points, [0.0] * len(points), r, width, height
+        )
+    ]
+
+
+def naive_disc_pairs(points, radii, r, width, height):
+    """Every ordered pair (i, j), i != j, of discs whose gap, the
+    gap_length of their centres less both radii and never negative, is
+    <= r, with the closed-form delta from centre i to centre j. Returns
+    (i, j, dx, dy, gap) tuples sorted by (i, j)."""
     out = []
     for i, (xi, yi) in enumerate(points):
         for j, (xj, yj) in enumerate(points):
             if i == j:
                 continue
-            dx = (xj - xi + width / 2.0) % width - width / 2.0
-            dy = (yj - yi + height / 2.0) % height - height / 2.0
-            if float(np.hypot(dx, dy)) <= r:
-                out.append((i, j, dx, dy))
+            length = gap_length((xi, yi), (xj, yj), width, height)
+            gap = max(length - radii[i] - radii[j], 0.0)
+            if gap <= r:
+                dx = (xj - xi + width / 2.0) % width - width / 2.0
+                dy = (yj - yi + height / 2.0) % height - height / 2.0
+                out.append((i, j, dx, dy, gap))
     return out
-
-
-def naive_disc_pairs(points, radii, r, width, height):
-    """Every ordered pair (i, j), i != j, of discs whose gap, the
-    distance of their centres (as naive_pairs takes it) less both radii
-    and never negative, is <= r. Returns (i, j, dx, dy, gap) tuples sorted
-    by (i, j)."""
-    out = []
-    for i, j, dx, dy in naive_pairs(points, math.inf, width, height):
-        gap = max(float(np.hypot(dx, dy)) - radii[i] - radii[j], 0.0)
-        if gap <= r:
-            out.append((i, j, dx, dy, gap))
-    return out
-
-
-def gap_length(a, b, width, height):
-    """The distance of points a and b by their unsigned wrapped gaps,
-    min(|b - a|, extent - |b - a|) per axis, with numpy's hypot, as the
-    link search documents; the same from either end."""
-    dx = abs(b[0] - a[0])
-    dy = abs(b[1] - a[1])
-    return float(np.hypot(min(dx, width - dx), min(dy, height - dy)))
 
 
 def naive_links(points, r, width, height):
@@ -234,13 +234,6 @@ def torus_distance(a, b, w):
     return math.hypot(*torus_delta(a, b, w))
 
 
-def search_distance(a, b, w):
-    """torus_distance with numpy's hypot, which the neighbour search takes
-    its distances from, for every decision at a threshold: math.hypot can
-    differ from it in the last bit (see naive_pairs)."""
-    return float(np.hypot(*torus_delta(a, b, w)))
-
-
 def _normalize_heading(deg):
     h = deg % 360.0
     return 0.0 if h >= 360.0 else h
@@ -277,7 +270,8 @@ def flockmates(b, s, p):
     return [
         m
         for m in s.birds
-        if m.id != b.id and search_distance(b.pos, m.pos, s.world) <= p.vision
+        if m.id != b.id
+        and gap_length(b.pos, m.pos, s.world.width, s.world.height) <= p.vision
     ]
 
 
@@ -292,9 +286,9 @@ def step_autonomous(b, mates, p, w):
     heading = b.heading
     if mates:
         nearest = min(
-            mates, key=lambda m: (search_distance(b.pos, m.pos, w), m.id)
+            mates, key=lambda m: (gap_length(b.pos, m.pos, w.width, w.height), m.id)
         )
-        if search_distance(b.pos, nearest.pos, w) < p.min_separation:
+        if gap_length(b.pos, nearest.pos, w.width, w.height) < p.min_separation:
             dx, dy = torus_delta(nearest.pos, b.pos, w)
             away = _normalize_heading(math.degrees(math.atan2(dy, dx)))
             heading = _turn_towards(heading, away, p.max_separate_turn)
@@ -327,7 +321,8 @@ def step_commanded(b, cmd, w):
 
 def effective_distance(a, b, w):
     """Gap between two flocks' bounding circles, never negative."""
-    return max(0.0, search_distance(a.centroid, b.centroid, w) - a.radius - b.radius)
+    length = gap_length(a.centroid, b.centroid, w.width, w.height)
+    return max(0.0, length - a.radius - b.radius)
 
 
 def steer_flock(f, others, p, w):

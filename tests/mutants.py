@@ -318,14 +318,18 @@ MUTANTS = [
         (NEIGHBOURS + "test_matches_pairwise_rule_on_boundaries",),
     ),
     Mutant(
-        "torus_neighbours: a squared reach below the smallest normal not floored",
+        "torus_neighbours: the box test at r, not at the search reach",
         "geometry.py",
-        "(g2 <= max(reach * reach, TINY))",
-        "(g2 <= reach * reach)",
-        (
-            NEIGHBOURS + "test_pair_exactly_r_apart_whose_squares_are_subnormal",
-            MICRO + "TestMicroStep::test_mate_exactly_vision_away_whose_squares_are_subnormal",
-        ),
+        "(gx <= reach) & (gy <= reach)",
+        "(gx <= r) & (gy <= r)",
+        (PER_FLOCK + "test_gap_rounding_beyond_the_candidate_radius",),
+    ),
+    Mutant(
+        "torus_neighbours: a point its own mate",
+        "geometry.py",
+        "(gy <= reach) & (i != j)",
+        "(gy <= reach)",
+        (NEIGHBOURS + "test_zero_radius_keeps_coincident_points",),
     ),
     Mutant(
         "boids_step: a step with no row to turn searches anyway",

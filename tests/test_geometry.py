@@ -508,7 +508,11 @@ class TestTorusNeighbours:
         i, j, dx, dy, dist = point_pairs(x, y, r, w)
         got = list(zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist()))
         assert got == naive_pairs(points, r, w.width, w.height)
-        assert np.array_equal(dist, np.hypot(dx, dy))
+        # the gap of two points is the length of their unsigned gaps
+        assert dist.tolist() == [
+            gap_length(points[a], points[b], w.width, w.height)
+            for a, b in zip(i.tolist(), j.tolist())
+        ]
         # away from the threshold the 9-image oracle decides the same
         found = set(zip(i.tolist(), j.tolist()))
         for a in range(len(points)):
@@ -560,6 +564,22 @@ class TestTorusNeighbours:
         keep = np.isin(full[0], rows)
         got = point_pairs(x, y, r, w, rows)
         for name, a, b in zip(("i", "j", "dx", "dy", "dist"), got, full):
+            assert a.dtype == b.dtype and a.tobytes() == b[keep].tobytes(), name
+
+    @given(boundary_clouds(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_disc_rows_are_the_full_search_filtered(self, cloud, data):
+        points, r, w = cloud
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        n = len(points)
+        sizes = st.sampled_from([0.0, r / 8.0, r / 4.0])
+        radius = np.array(data.draw(st.lists(sizes, min_size=n, max_size=n)))
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+        full = torus_neighbours(x, y, radius, r, w)
+        keep = np.isin(full[0], rows)
+        got = torus_neighbours(x, y, radius, r, w, rows)
+        for name, a, b in zip(("i", "j", "dx", "dy", "gap"), got, full):
             assert a.dtype == b.dtype and a.tobytes() == b[keep].tobytes(), name
 
     def test_seeded_pairs_straddling_cell_edges(self):
@@ -703,16 +723,21 @@ class TestTorusLinks:
 
     def test_pair_within_r_one_way_only(self):
         # in a 100-wide world the closed-form distance from 0 to 1 is
-        # 42.74294063694282, and from 1 to 0 one ulp less; the unsigned
-        # gap is 42.74294063694281 from either end, so the pair is linked
-        # at that radius, whichever point comes first
+        # 42.74294063694282, and from 1 to 0 one ulp less, so that
+        # distance holds the pair within 42.74294063694281 one way only;
+        # the unsigned gap is 42.74294063694281 from either end, so both
+        # searches keep the pair at that radius, both ways, whichever
+        # point comes first, and neither keeps it one ulp below
         x = np.array([1.6527635528529094, 44.39570418979572])
         y = np.array([50.0, 50.0])
         gap = 42.74294063694281
-        assert neighbour_set(x, y, gap, W) == {(1, 0)}
+        assert wrapped_delta(x[:1], x[1:], W.width)[0] == 42.74294063694282
+        assert -wrapped_delta(x[1:], x[:1], W.width)[0] == gap
         for xs in (x, x[::-1]):
+            assert neighbour_set(xs, y, gap, W) == {(0, 1), (1, 0)}
             assert link_set(xs, y, gap, W) == {(0, 1)}
-            assert link_set(xs, y, float(np.nextafter(gap, 0.0)), W) == set()
+            below = float(np.nextafter(gap, 0.0))
+            assert neighbour_set(xs, y, below, W) == link_set(xs, y, below, W) == set()
 
     @pytest.mark.parametrize(
         "extent,r,spread",
@@ -738,15 +763,22 @@ class TestTorusLinks:
         # points 1e-170 apart in a world of 1: every gap squares to 0, and
         # the closed-form wrap, which adds half the extent, rounds every
         # delta to 0; the unsigned gaps keep their bits, so at r = 1e-300
-        # no pair is a link, and at 1.5e-170 each point's next one is
+        # no pair is a mate or a link, and at 1.5e-170 each point's next
+        # one is both, while the deltas of the mates are those 0s
         w1 = TorusWorld(1.0, 1.0)
         k = np.arange(10)
         x, y = k * 1e-170, k[::-1] * 1e-170
         points = list(zip(x.tolist(), y.tolist()))
-        assert len(neighbour_set(x, y, 1e-300, w1)) == 90
+        assert neighbour_set(x, y, 1e-300, w1) == set()
         assert link_set(x, y, 1e-300, w1) == naive_links(points, 1e-300, 1.0, 1.0) == set()
         want = {(a, a + 1) for a in range(9)}
         assert link_set(x, y, 1.5e-170, w1) == naive_links(points, 1.5e-170, 1.0, 1.0) == want
+        assert neighbour_set(x, y, 1.5e-170, w1) == want | {(b, a) for a, b in want}
+        i, j, dx, dy, dist = point_pairs(x, y, 1.5e-170, w1)
+        assert not dx.any() and not dy.any() and dist.all()
+        assert dist.tolist() == [
+            gap_length(points[a], points[b], 1.0, 1.0) for a, b in zip(i.tolist(), j.tolist())
+        ]
         # a pair exactly r apart in a world of 2^-500: each gap squares
         # to half the smallest subnormal and rounds up to it, so the sum
         # of the squares exceeds the square of r widened by the slack
@@ -755,12 +787,43 @@ class TestTorusLinks:
         assert g * g + g * g > (r * (1.0 + 1e-9) + 1e-12 * e) ** 2
         x = y = np.array([0.0, g])
         assert link_set(x, y, r, TorusWorld(e, e)) == {(0, 1)}
+        assert neighbour_set(x, y, r, TorusWorld(e, e)) == {(0, 1), (1, 0)}
 
     def test_empty_and_single(self):
         for n in (0, 1):
             x = y = np.zeros(n)
             assert all(a.size == 0 for a in torus_links(x, y, 5.0, W))
             assert link_set(x, y, 5.0, W) == set()
+
+
+class TestOnePairRule:
+    """Both searches decide a pair of points on one length, np.hypot of
+    its unsigned wrapped gaps, the same from either end: each mate is a
+    mate both ways, and the mates at r are the links at r."""
+
+    @given(boundary_clouds())
+    # the pair that the closed-form distance holds within r one way only
+    @example(
+        ([(1.6527635528529094, 50.0), (44.39570418979572, 50.0)], 42.74294063694281, W)
+    )
+    # ties at r along each axis, one across the seam of each
+    @example(
+        (
+            [(0.5, 5.0), (2.5, 5.0), (7.0, 99.0), (7.0, 1.0), (99.0, 60.0), (1.0, 60.0)],
+            2.0,
+            W,
+        )
+    )
+    # a tie at r across the seam, at a gap that is no round number
+    @example(([(99.9, 3.0), (0.1, 3.0)], 100.0 - abs(0.1 - 99.9), W))
+    @settings(max_examples=300, deadline=None)
+    def test_mates_are_symmetric_and_are_the_links(self, cloud):
+        points, r, w = cloud
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        mates = neighbour_set(x, y, r, w)
+        assert mates == {(b, a) for a, b in mates}
+        assert unordered(mates) == link_set(x, y, r, w)
 
 
 def assert_searches_match_oracles(points, r, w, group=None):
